@@ -13,10 +13,11 @@ summary from the manual page.  Extraction runs in two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .reports import BugReport, preprocess, tokenize
-from .retrieval import build_index, rank
+from .retrieval import TfIdfIndex, build_index, rank
 
 DEFAULT_DERIVED_N = 10
 
@@ -50,6 +51,17 @@ class Catalog:
     @property
     def names(self) -> list[str]:
         return sorted(self.entries)
+
+    @cached_property
+    def summary_index(self) -> TfIdfIndex:
+        """TF-IDF index over the NAME summaries, built on first use.
+
+        Cached on the instance, so ``entries`` must not change afterwards.
+        """
+        return build_index([
+            (name, preprocess(entry.name_section_text))
+            for name, entry in sorted(self.entries.items())
+        ])
 
 
 def load_catalog(man_dir: str | Path) -> Catalog:
@@ -148,11 +160,7 @@ def extract_derived(
     query = preprocess(report.subject + "\n" + report.body)
     if not query:
         return KeySystemCalls(entries=[], path=SOURCE_DERIVED)
-    docs = [
-        (name, preprocess(entry.name_section_text))
-        for name, entry in sorted(catalog.entries.items())
-    ]
-    ranked = rank(build_index(docs), query)
+    ranked = rank(catalog.summary_index, query)
     entries = [KeyEntry(name, 1, SOURCE_DERIVED) for name, _ in ranked[:n]]
     return KeySystemCalls(entries=entries, path=SOURCE_DERIVED)
 

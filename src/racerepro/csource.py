@@ -88,101 +88,41 @@ class SourceIndex:
     diagnostics: list[str] = field(default_factory=list)
     content_hash: str = ""
 
-    @property
-    def doc_by_path(self) -> dict[str, SourceDoc]:
-        return {d.path: d for d in self.docs}
-
-    def functions_in(self, path: str) -> list[FunctionRecord]:
-        return [f for f in self.functions if f.file == path]
-
-    def function_at(self, path: str, line: int) -> FunctionRecord | None:
-        for f in self.functions:
-            if f.file == path and f.start_line <= line <= f.end_line:
-                return f
-        return None
-
 
 # --- masking ----------------------------------------------------------------
+
+#: One alternative per masked construct, tried left to right over the text.
+#: An alternative's named group is the span to blank; without one the whole
+#: match is blanked.  So a directive keeps its indentation and a literal its
+#: delimiters.
+_MASK_RE = re.compile(
+    r"""
+      ^[ \t]*(?P<directive>\#(?:\\\n|[^\n])*)   # preprocessor line, \-continued
+    | //[^\n]*                                  # line comment
+    | /\*[\s\S]*?(?:\*/|\Z)                     # block comment, open to EOF
+    | "(?P<string>[^"\\]*(?:\\[\s\S]?[^"\\]*)*)"?  # string literal
+    | '(?P<char>[^'\\]*(?:\\[\s\S]?[^'\\]*)*)'?    # char literal
+    """,
+    re.MULTILINE | re.VERBOSE,
+)
+
+
+def _blank_match(m: re.Match[str]) -> str:
+    start, end = m.span(m.lastgroup or 0)
+    text = m.string
+    blanked = "\n".join(" " * len(line) for line in text[start:end].split("\n"))
+    return text[m.start() : start] + blanked + text[end : m.end()]
+
 
 def mask_code(text: str) -> str:
     """Blank out comments, string/char literals, and preprocessor lines.
 
     The result has identical length and newline positions, so offsets and
-    line numbers computed on it are valid for the original text.
+    line numbers computed on it are valid for the original text.  A
+    preprocessor line starts at a ``#`` preceded on its line by blanks only
+    and runs to an unescaped newline; literal delimiters are kept.
     """
-    out = list(text)
-    n = len(text)
-    i = 0
-    state = "code"  # code | line_comment | block_comment | string | char
-    at_line_start = True
-    while i < n:
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if at_line_start and ch in " \t":
-                i += 1
-                continue
-            if at_line_start and ch == "#":
-                # preprocessor line, including backslash continuations
-                while i < n and text[i] != "\n":
-                    if text[i] == "\\" and i + 1 < n and text[i + 1] == "\n":
-                        out[i] = " "
-                        i += 2
-                        continue
-                    out[i] = " "
-                    i += 1
-                at_line_start = True
-                i += 1
-                continue
-            at_line_start = ch == "\n"
-            if ch == "/" and nxt == "/":
-                state = "line_comment"
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if ch == "/" and nxt == "*":
-                state = "block_comment"
-                out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if ch == '"':
-                state = "string"
-            elif ch == "'":
-                state = "char"
-            i += 1
-            continue
-        if state == "line_comment":
-            if ch == "\n":
-                state = "code"
-                at_line_start = True
-            else:
-                out[i] = " "
-            i += 1
-            continue
-        if state == "block_comment":
-            if ch == "*" and nxt == "/":
-                out[i] = out[i + 1] = " "
-                state = "code"
-                i += 2
-                continue
-            if ch != "\n":
-                out[i] = " "
-            i += 1
-            continue
-        # string or char literal: mask contents, keep delimiters
-        quote = '"' if state == "string" else "'"
-        if ch == "\\" and i + 1 < n:
-            out[i] = " "
-            if text[i + 1] != "\n":
-                out[i + 1] = " "
-            i += 2
-            continue
-        if ch == quote:
-            state = "code"
-        elif ch != "\n":
-            out[i] = " "
-        i += 1
-    return "".join(out)
+    return _MASK_RE.sub(_blank_match, text)
 
 
 # --- scanning ---------------------------------------------------------------
@@ -209,7 +149,6 @@ def _line_of(starts: list[int], pos: int) -> int:
 class _FileScan:
     functions: list[FunctionRecord]
     variables: list[str]  # deduplicated, first-occurrence order
-    toplevel_calls: list[tuple[str, int]]
 
 
 def _scan_file(rel_path: str, masked: str) -> _FileScan:
@@ -218,7 +157,6 @@ def _scan_file(rel_path: str, masked: str) -> _FileScan:
     functions: list[FunctionRecord] = []
     variables: list[str] = []
     seen_vars: set[str] = set()
-    toplevel_calls: list[tuple[str, int]] = []
 
     def note_var(name: str) -> None:
         if name not in seen_vars:
@@ -265,8 +203,7 @@ def _scan_file(rel_path: str, masked: str) -> _FileScan:
                                 note_var(toks[k].text)
                         i = j + 2
                         continue
-                    # top-level call position (e.g. global initializer)
-                    toplevel_calls.append((tok.text, _line_of(starts, tok.pos)))
+                    # top-level call position (e.g. global initializer): skip it
                     i = j + 1 if j < n else n
                     continue
                 note_var(tok.text)
@@ -294,7 +231,7 @@ def _scan_file(rel_path: str, masked: str) -> _FileScan:
         # unterminated body (truncated file): close at last line
         current.end_line = len(starts)
         functions.append(current)
-    return _FileScan(functions=functions, variables=variables, toplevel_calls=toplevel_calls)
+    return _FileScan(functions=functions, variables=variables)
 
 
 # --- indexing ---------------------------------------------------------------

@@ -207,9 +207,13 @@ def _syscall_at(index: SourceIndex, site: Site) -> str:
 
 
 def _pair_point(
-    index: SourceIndex, path: str, first: str, second: str
+    index: SourceIndex, path: str, first: str, second: str, unconnected: list[str]
 ) -> _Pending | None:
-    """Resolve one pair to a between-pair point in this file, or None."""
+    """Resolve one pair to a between-pair point in this file, or None.
+
+    A pair whose sites sit in functions the call graph does not connect is
+    ordered by file line and described in ``unconnected``.
+    """
     sites_a = _sites_in_file(index, path, first)
     sites_b = _sites_in_file(index, path, second)
     if not sites_a or not sites_b:
@@ -245,10 +249,7 @@ def _pair_point(
         anchor, partner = b, a
     else:
         anchor, partner = (a, b) if a.line <= b.line else (b, a)
-        log.warning(
-            "pair (%s,%s) spans unconnected functions %s/%s in %s; using file-line order",
-            first, second, a.function, b.function, path,
-        )
+        unconnected.append(f"({first},{second}) {a.function}/{b.function} in {path}")
     return _Pending(
         syscall=_syscall_at(index, anchor),
         site=anchor,
@@ -272,6 +273,7 @@ def locate(
     earlier call; singletons yield a before and an after point per site.
     """
     pending: list[_Pending] = []
+    unconnected: list[str] = []
     for path in ranked_files.top(top_files):
         if ranking.enumerate_all:
             for site in _all_sites_in_file(index, path):
@@ -281,7 +283,9 @@ def locate(
             continue
         for entry in ranking.entries:
             if len(entry.items) == 2:
-                point = _pair_point(index, path, entry.items[0], entry.items[1])
+                point = _pair_point(
+                    index, path, entry.items[0], entry.items[1], unconnected
+                )
                 if point is not None:
                     pending.append(point)
             else:
@@ -289,6 +293,11 @@ def locate(
                     pending.append(_Pending(entry.items[0], site, PLACEMENT_BEFORE))
                     pending.append(_Pending(entry.items[0], site, PLACEMENT_AFTER))
 
+    if unconnected:
+        log.warning(
+            "%d pair(s) span unconnected functions, using file-line order; first: %s",
+            len(unconnected), unconnected[0],
+        )
     if not pending:
         log.warning("no instrumentation points found in the top %d files", top_files)
     return [

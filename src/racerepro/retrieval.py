@@ -85,12 +85,8 @@ def _query_vector(index: TfIdfIndex, query: TokenStream) -> dict[str, float]:
     return _normalize({t: c * index.idf[t] for t, c in counts.items()})
 
 
-def similarity(index: TfIdfIndex, query: TokenStream, doc_id: str) -> float:
-    """Cosine similarity between the query and one document, in [0, 1]."""
-    if doc_id not in index.doc_vectors:
-        raise KeyError(f"unknown document id: {doc_id!r}")
-    qvec = _query_vector(index, query)
-    dvec = index.doc_vectors[doc_id]
+def _cosine(qvec: dict[str, float], dvec: dict[str, float]) -> float:
+    """Dot product of two normalized vectors, summed over the smaller one."""
     if not qvec or not dvec:
         return 0.0
     if len(qvec) > len(dvec):
@@ -98,9 +94,22 @@ def similarity(index: TfIdfIndex, query: TokenStream, doc_id: str) -> float:
     return sum(w * dvec[t] for t, w in qvec.items() if t in dvec)
 
 
+def similarity(index: TfIdfIndex, query: TokenStream, doc_id: str) -> float:
+    """Cosine similarity between the query and one document, in [0, 1]."""
+    if doc_id not in index.doc_vectors:
+        raise KeyError(f"unknown document id: {doc_id!r}")
+    return _cosine(_query_vector(index, query), index.doc_vectors[doc_id])
+
+
+def _scores(index: TfIdfIndex, query: TokenStream) -> dict[str, float]:
+    """Every document's similarity to the query, with one query vector."""
+    qvec = _query_vector(index, query)
+    return {doc_id: _cosine(qvec, dvec) for doc_id, dvec in index.doc_vectors.items()}
+
+
 def rank(index: TfIdfIndex, query: TokenStream) -> list[tuple[str, float]]:
     """All documents scored against the query, best first, ties by doc id."""
-    scored = [(doc_id, similarity(index, query, doc_id)) for doc_id in index.doc_vectors]
+    scored = list(_scores(index, query).items())
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored
 
@@ -174,11 +183,10 @@ def rank_structured(
     breakdown: dict[str, dict[str, float]] = {d.path: {} for d in docs}
     totals: dict[str, float] = {d.path: 0.0 for d in docs}
     for qname in QUERY_NAMES:
-        query = queries[qname]
         for fname in FIELD_NAMES:
-            index = indexes[fname]
+            scores = _scores(indexes[fname], queries[qname])
             for doc in docs:
-                score = similarity(index, query, doc.path)
+                score = scores[doc.path]
                 breakdown[doc.path][f"{qname}:{fname}"] = score
                 totals[doc.path] += score
 

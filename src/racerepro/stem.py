@@ -8,6 +8,8 @@ token normalization bit-reproducible across environments.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -173,8 +175,13 @@ def _step5b(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=1 << 13)
 def stem(word: str) -> str:
-    """Stem one lowercase word.  Words of length <= 2 pass through unchanged."""
+    """Stem one lowercase word.  Words of length <= 2 pass through unchanged.
+
+    Memoized in a process-wide, bounded cache: stemming is pure and source
+    trees reuse a small vocabulary, so most calls are cache hits.
+    """
     if len(word) <= 2:
         return word
     word = _step1a(word)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+import racerepro
 from racerepro.catalog import (
     SOURCE_DERIVED,
     SOURCE_DIRECT,
@@ -129,3 +132,16 @@ def test_gzip_fixture_derives_chmod_first(gzip_keys):
 def test_extract_dispatch(catalog, mv_report, gzip_report):
     assert extract(mv_report, catalog).path == SOURCE_DIRECT
     assert extract(gzip_report, catalog).path == SOURCE_DERIVED
+
+
+def test_derived_on_reused_catalog_matches_fresh_load(catalog, gzip_report):
+    man_dir = Path(racerepro.__file__).parent / "data" / "manpages"
+    reports = [
+        gzip_report,
+        make_report("permissions race", "the mode of the new file changes after creation"),
+        make_report("", ""),
+        make_report("socket timeout", "connect blocks until the peer accepts"),
+    ]
+    for report in reports:
+        fresh = load_catalog(man_dir)
+        assert extract_derived(report, catalog, 5) == extract_derived(report, fresh, 5)

@@ -6,6 +6,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racerepro.csource import (
     StaleIndexError,
@@ -73,6 +75,114 @@ def test_mask_block_comment_spanning_lines():
     assert len(masked) == len(text)
     assert "int x;" in masked and "int y;" in masked
     assert "a" not in masked.replace("int", "")  # comment body gone
+
+
+def _mask_code_oracle(text: str) -> str:
+    """Character-by-character state machine that mask_code must agree with."""
+    out = list(text)
+    n = len(text)
+    i = 0
+    state = "code"  # code | line_comment | block_comment | string | char
+    at_line_start = True
+    while i < n:
+        ch = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if at_line_start and ch in " \t":
+                i += 1
+                continue
+            if at_line_start and ch == "#":
+                # preprocessor line, including backslash continuations
+                while i < n and text[i] != "\n":
+                    if text[i] == "\\" and i + 1 < n and text[i + 1] == "\n":
+                        out[i] = " "
+                        i += 2
+                        continue
+                    out[i] = " "
+                    i += 1
+                at_line_start = True
+                i += 1
+                continue
+            at_line_start = ch == "\n"
+            if ch == "/" and nxt == "/":
+                state = "line_comment"
+                out[i] = out[i + 1] = " "
+                i += 2
+                continue
+            if ch == "/" and nxt == "*":
+                state = "block_comment"
+                out[i] = out[i + 1] = " "
+                i += 2
+                continue
+            if ch == '"':
+                state = "string"
+            elif ch == "'":
+                state = "char"
+            i += 1
+            continue
+        if state == "line_comment":
+            if ch == "\n":
+                state = "code"
+                at_line_start = True
+            else:
+                out[i] = " "
+            i += 1
+            continue
+        if state == "block_comment":
+            if ch == "*" and nxt == "/":
+                out[i] = out[i + 1] = " "
+                state = "code"
+                i += 2
+                continue
+            if ch != "\n":
+                out[i] = " "
+            i += 1
+            continue
+        # string or char literal: mask contents, keep delimiters
+        quote = '"' if state == "string" else "'"
+        if ch == "\\" and i + 1 < n:
+            out[i] = " "
+            if text[i + 1] != "\n":
+                out[i + 1] = " "
+            i += 2
+            continue
+        if ch == quote:
+            state = "code"
+        elif ch != "\n":
+            out[i] = " "
+        i += 1
+    return "".join(out)
+
+
+# Weighted toward the characters that switch the masking state.
+_C_ISH = st.text(
+    alphabet=st.sampled_from(list("/*\"'\\#\n\t") * 4 + list(" \rabx_(){};0")),
+    max_size=80,
+)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(text=_C_ISH)
+def test_mask_matches_state_machine_oracle(text):
+    masked = mask_code(text)
+    assert masked == _mask_code_oracle(text)
+    assert len(masked) == len(text)
+    assert [i for i, c in enumerate(masked) if c == "\n"] == [
+        i for i, c in enumerate(text) if c == "\n"
+    ]
+
+
+@pytest.mark.parametrize("text", [
+    "  #define X 1 \\\n  continued\nint y;",
+    "\t#if A // c\n\tint z;",
+    "x = '\\'';\n#x",
+    "/* open to the end\n#define",
+    "s = \"a\\\nb\" /**/ t;",
+    "/* a */\n#pragma once",
+    "int a; # not a directive",
+])
+def test_mask_edge_cases_match_oracle(text):
+    assert mask_code(text) == _mask_code_oracle(text)
 
 
 # --- scanning -------------------------------------------------------------------

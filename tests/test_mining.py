@@ -290,6 +290,23 @@ def test_cross_function_unconnected_falls_back_to_line_order(tmp_path, caplog):
     assert any("unconnected functions" in r.message for r in caplog.records)
 
 
+def test_unconnected_pairs_warn_once_per_locate(tmp_path, caplog):
+    for name in ("v.c", "w.c"):
+        (tmp_path / name).write_text(
+            "static void a1 (const char *p) { rename (p, \"bak\"); }\n"
+            "static void b1 (const char *p) { unlink (p); }\n"
+        )
+    index = index_tree(tmp_path, SYSCALLS)
+    ranking = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=1)])
+    with caplog.at_level("WARNING"):
+        points = locate(ranking, _ranked(["v.c", "w.c"]), index)
+    assert len(points) == 2
+    warnings = [r.getMessage() for r in caplog.records if "unconnected" in r.getMessage()]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("2 pair(s) span unconnected functions")
+    assert warnings[0].endswith("first: (unlink,rename) b1/a1 in v.c")
+
+
 def test_mv_fixture_point_one_is_the_buggy_pair(mv_ranking, mv_ranked_files, mv_index):
     points = locate(mv_ranking, mv_ranked_files, mv_index)
     first = points[0]

@@ -250,3 +250,13 @@ def test_rank_of_and_top(mv_report, mv_keys, mv_index):
     assert ranked.rank_of("copy.c") == 1
     assert ranked.rank_of("missing.c") is None
     assert ranked.top(3) == [p for p, _ in ranked.entries[:3]]
+
+
+def test_rank_equals_sorted_per_document_similarity(mv_report, mv_index):
+    index = build_index([(d.path, d.fields["full_text_with_comments"]) for d in mv_index.docs])
+    query = preprocess(mv_report.subject + "\n" + mv_report.body)
+    expected = sorted(
+        ((doc_id, similarity(index, query, doc_id)) for doc_id in index.doc_vectors),
+        key=lambda e: (-e[1], e[0]),
+    )
+    assert rank(index, query) == expected

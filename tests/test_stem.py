@@ -9,6 +9,8 @@ so a regression in any step surfaces as a vector mismatch.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racerepro.stem import stem
 
@@ -125,3 +127,10 @@ def test_single_pass_is_not_universally_idempotent() -> None:
     once = stem("compose")
     assert once == "compos"
     assert stem(once) == "compo"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(word=st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=14))
+def test_memoized_stem_equals_uncached(word: str) -> None:
+    assert stem(word) == stem.__wrapped__(word)
+    assert stem(word) == stem.__wrapped__(word)  # second call is a cache hit
