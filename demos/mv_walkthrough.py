@@ -10,47 +10,47 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
-from racerepro.catalog import bundled_catalog, extract
-from racerepro.csource import index_tree
-from racerepro.harness import format_schedule, load_scenario, reproduce
-from racerepro.mining import locate, rank_interleavings
-from racerepro.reports import load_report
-from racerepro.retrieval import rank_structured
+from racerepro.harness import format_schedule
+from racerepro.metrics import ExperimentConfig, Pipeline
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "mv_438076"
 
 
 def main() -> None:
-    report = load_report(FIXTURE / "mv_438076.txt")
-    catalog = bundled_catalog()
+    pipe = Pipeline(
+        ExperimentConfig(),
+        report_path=FIXTURE / "mv_438076.txt",
+        src_root=FIXTURE / "src",
+        scenario_path=FIXTURE / "scenario.json",
+    )
+    report = pipe.report
     print(f"report: {report.id}")
     print(f"subject: {report.subject}")
     print()
 
     # --- stage 1: key system calls ---------------------------------------
-    keys = extract(report, catalog)
+    keys = pipe.keys
     print(f"key system calls ({keys.path} path):")
     for entry in keys.entries:
         print(f"  {entry.name:8s} mentioned {entry.count}x")
     print()
 
     # --- stage 2: interleaving candidates ---------------------------------
-    ranking = rank_interleavings(report, keys)
+    ranking = pipe.ranking
     print("mined interleaving candidates (pairs first, then singletons):")
     for entry in ranking.entries[:5]:
         print(f"  {{{', '.join(entry.items)}}} = {entry.frequency}")
     print()
 
     # --- stage 3: file ranking --------------------------------------------
-    index = index_tree(FIXTURE / "src", frozenset(catalog.entries))
-    ranked = rank_structured(report, keys, index)
+    ranked = pipe.file_ranking
     print("structured file ranking:")
     for rank_no, (path, score) in enumerate(ranked.entries[:3], 1):
         print(f"  {rank_no}. {path:10s} {score:.4f}")
     print()
 
     # --- stage 4: instrumentation points -----------------------------------
-    points = locate(ranking, ranked, index)
+    points = pipe.points
     print(f"{len(points)} instrumentation points; the first three:")
     for point in points[:3]:
         partner = ""
@@ -63,8 +63,7 @@ def main() -> None:
     print()
 
     # --- stage 5: reproduction ---------------------------------------------
-    scenario = load_scenario(FIXTURE / "scenario.json")
-    result = reproduce(scenario, points)
+    scenario, result = pipe.scenario, pipe.result
     print(f"reproduced: {result.reproduced} after {result.attempts} attempt(s)")
     print("failing schedule (the delay opens the unlink/rename window):")
     for line in format_schedule(scenario, result.schedule):

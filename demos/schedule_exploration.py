@@ -12,24 +12,20 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
-from racerepro.catalog import bundled_catalog, extract
-from racerepro.csource import index_tree
-from racerepro.harness import (
-    enumerate_interleavings,
-    format_schedule,
-    load_scenario,
-    random_baseline,
-    reproduce,
-)
-from racerepro.mining import locate, rank_interleavings
-from racerepro.reports import load_report
-from racerepro.retrieval import rank_structured
+from racerepro.harness import enumerate_interleavings, format_schedule, random_baseline
+from racerepro.metrics import ExperimentConfig, Pipeline
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "mv_438076"
 
 
 def main() -> None:
-    scenario = load_scenario(FIXTURE / "scenario.json")
+    pipe = Pipeline(
+        ExperimentConfig(),
+        report_path=FIXTURE / "mv_438076.txt",
+        src_root=FIXTURE / "src",
+        scenario_path=FIXTURE / "scenario.json",
+    )
+    scenario = pipe.scenario
 
     # --- exhaustive ground truth -------------------------------------------
     results = enumerate_interleavings(scenario)
@@ -40,16 +36,7 @@ def main() -> None:
     print()
 
     # --- guided injection ----------------------------------------------------
-    report = load_report(FIXTURE / "mv_438076.txt")
-    catalog = bundled_catalog()
-    keys = extract(report, catalog)
-    index = index_tree(FIXTURE / "src", frozenset(catalog.entries))
-    points = locate(
-        rank_interleavings(report, keys),
-        rank_structured(report, keys, index),
-        index,
-    )
-    guided = reproduce(scenario, points)
+    guided = pipe.result
     print(f"guided injection: reproduced in {guided.attempts} attempt(s)")
     for line in format_schedule(scenario, guided.schedule):
         print(f"  {line}")

@@ -3,167 +3,8 @@
 The pipeline: ingest a natural-language bug report, extract the key system
 calls, rank source files with structured IR, mine the buggy syscall pair,
 resolve instrumentation points, and replay the scenario under a
-deterministic scheduler until the failure oracle fires.
+deterministic scheduler until the failure oracle fires.  The stages are
+defined once, in ``racerepro.metrics.Pipeline``.
 """
 
-from .catalog import (
-    Catalog,
-    CatalogError,
-    KeyEntry,
-    KeySystemCalls,
-    ManPageEntry,
-    bundled_catalog,
-    extract,
-    extract_derived,
-    extract_direct,
-    load_catalog,
-)
-from .csource import (
-    CallGraph,
-    FunctionRecord,
-    SourceDoc,
-    SourceIndex,
-    find_syscall_sites,
-    index_tree,
-    load_index,
-    save_index,
-)
-from .harness import (
-    InterleavingSchedule,
-    Oracle,
-    ReproResult,
-    Scenario,
-    SyscallOp,
-    baseline_schedule,
-    enumerate_interleavings,
-    format_schedule,
-    load_scenario,
-    random_baseline,
-    reproduce,
-    run_schedule,
-    save_scenario,
-    schedule_with_delay,
-)
-from .metrics import (
-    ExperimentConfig,
-    ExperimentRow,
-    FixtureBundle,
-    GroundTruth,
-    annotator_agreement,
-    average_precision,
-    location_ranking,
-    perturb_report,
-    recall_at_k,
-    run_experiment,
-)
-from .mining import (
-    InstrumentationPoint,
-    PairRanking,
-    RankEntry,
-    TransactionDB,
-    build_transactions,
-    locate,
-    mine_pairs,
-    rank_fallback,
-    rank_interleavings,
-)
-from .reports import (
-    BugReport,
-    ReportFormatError,
-    load_report,
-    preprocess,
-    preprocess_tokens,
-    split_sentences,
-    tokenize,
-)
-from .retrieval import (
-    RankedFiles,
-    TfIdfIndex,
-    build_index,
-    rank,
-    rank_basic,
-    rank_structured,
-    similarity,
-)
-from .stem import stem
-from .testcases import TestCase, TslSpec, expand_tsl, extract_elements, parse_tsl
-from .vfs import FsEvent, Node, VirtualFS
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BugReport",
-    "CallGraph",
-    "Catalog",
-    "CatalogError",
-    "ExperimentConfig",
-    "ExperimentRow",
-    "FixtureBundle",
-    "FsEvent",
-    "FunctionRecord",
-    "GroundTruth",
-    "InstrumentationPoint",
-    "InterleavingSchedule",
-    "KeyEntry",
-    "KeySystemCalls",
-    "ManPageEntry",
-    "Node",
-    "Oracle",
-    "PairRanking",
-    "RankEntry",
-    "RankedFiles",
-    "ReportFormatError",
-    "ReproResult",
-    "Scenario",
-    "SourceDoc",
-    "SourceIndex",
-    "SyscallOp",
-    "TestCase",
-    "TfIdfIndex",
-    "TransactionDB",
-    "TslSpec",
-    "VirtualFS",
-    "annotator_agreement",
-    "average_precision",
-    "baseline_schedule",
-    "build_index",
-    "build_transactions",
-    "bundled_catalog",
-    "enumerate_interleavings",
-    "expand_tsl",
-    "extract",
-    "extract_derived",
-    "extract_direct",
-    "extract_elements",
-    "find_syscall_sites",
-    "format_schedule",
-    "index_tree",
-    "load_catalog",
-    "load_index",
-    "load_report",
-    "load_scenario",
-    "locate",
-    "location_ranking",
-    "mine_pairs",
-    "parse_tsl",
-    "perturb_report",
-    "preprocess",
-    "preprocess_tokens",
-    "random_baseline",
-    "rank",
-    "rank_basic",
-    "rank_fallback",
-    "rank_interleavings",
-    "rank_structured",
-    "recall_at_k",
-    "reproduce",
-    "run_experiment",
-    "run_schedule",
-    "save_index",
-    "save_scenario",
-    "schedule_with_delay",
-    "similarity",
-    "split_sentences",
-    "stem",
-    "tokenize",
-]

@@ -1,7 +1,8 @@
-"""Command-line surface tying the pipeline stages together.
+"""Command-line surface over the pipeline stages.
 
-Each subcommand fronts one module operation, writes a schema-tagged JSON
-artifact into --out-dir, and prints a short human summary.  Exit codes:
+Each subcommand builds one ``metrics.Pipeline`` from its arguments, reads
+the stages it needs, writes a schema-tagged JSON artifact into --out-dir,
+and prints a short human summary.  Exit codes:
 0 success, 1 failure-to-reproduce, 2 usage/config error.  Artifacts are
 pure functions of (inputs, config, seed): no timestamps or wall times go
 into files, so re-running a stage with unchanged inputs is byte-identical.
@@ -17,12 +18,14 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from . import harness as harness_mod
 from . import metrics as metrics_mod
-from . import mining, retrieval, testcases
-from .catalog import Catalog, KeySystemCalls
-from .csource import SourceIndex, index_tree
-from .metrics import ConfigError, ExperimentConfig, FixtureBundle
+from . import retrieval, testcases
+from .catalog import KeySystemCalls
+from .metrics import ExperimentConfig, FixtureBundle, Pipeline
 from .mining import InstrumentationPoint, PairRanking
-from .reports import BugReport, ReportFormatError, load_report
+
+# bench/tracing.py wraps cli.index_tree and cli.load_report by name: keep both bound.
+from .csource import index_tree  # noqa: F401
+from .reports import load_report  # noqa: F401
 
 EXIT_OK = 0
 EXIT_NOT_REPRODUCED = 1
@@ -91,117 +94,10 @@ def _ranked_files_payload(ranked: retrieval.RankedFiles) -> dict:
     }
 
 
-# --- shared pipeline steps --------------------------------------------------
-
-def _load_catalog(args: argparse.Namespace) -> Catalog:
-    if getattr(args, "man_dir", None):
-        return catalog_mod.load_catalog(args.man_dir)
-    return catalog_mod.bundled_catalog()
-
-
-def _load_report(args: argparse.Namespace) -> BugReport:
-    return load_report(args.report)
-
-
-def _stage_keys(report: BugReport, catalog: Catalog, args) -> KeySystemCalls:
-    return catalog_mod.extract(report, catalog, args.n_derived)
-
-
-def _stage_rank_files(
-    report: BugReport, keys: KeySystemCalls, index: SourceIndex, mode: str
-) -> retrieval.RankedFiles:
-    if mode == metrics_mod.MODE_BASIC_IR:
-        return retrieval.rank_basic(report, index.docs)
-    return retrieval.rank_structured(report, keys, index.docs)
-
-
-def _stage_ranking(report: BugReport, keys: KeySystemCalls, mode: str) -> PairRanking:
-    if mode == metrics_mod.MODE_NO_APRIORI:
-        return metrics_mod.no_apriori_ranking(keys)
-    return mining.rank_interleavings(report, keys)
-
-
-# --- subcommands ------------------------------------------------------------
-
-def cmd_extract(args: argparse.Namespace) -> int:
-    report = _load_report(args)
-    catalog = _load_catalog(args)
-    keys = _stage_keys(report, catalog, args)
-    path = _write_json(args.out_dir, "keys.json", _keys_payload(keys))
-    print(f"extraction path: {keys.path}")
-    for entry in keys.entries:
-        print(f"  {entry.name}: {entry.count} ({entry.source})")
-    if not keys.entries:
-        print("  (no system calls extracted)")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_rank_files(args: argparse.Namespace) -> int:
-    report = _load_report(args)
-    catalog = _load_catalog(args)
-    keys = _stage_keys(report, catalog, args)
-    index = index_tree(args.src, frozenset(catalog.entries))
-    mode, _ = metrics_mod.parse_mode(args.mode)
-    ranked = _stage_rank_files(report, keys, index, mode)
-    path = _write_json(args.out_dir, "ranked_files.json", _ranked_files_payload(ranked))
-    print(f"scheme: {ranked.scheme}")
-    for rank_no, (file_path, score) in enumerate(ranked.entries[: args.top_files], 1):
-        print(f"  {rank_no:2d}. {file_path}  {score:.4f}")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_mine_pairs(args: argparse.Namespace) -> int:
-    report = _load_report(args)
-    catalog = _load_catalog(args)
-    keys = _stage_keys(report, catalog, args)
-    ranking = _stage_ranking(report, keys, metrics_mod.MODE_APRIORI)
-    path = _write_json(args.out_dir, "pair_ranking.json", _ranking_payload(ranking))
-    if ranking.enumerate_all:
-        print("no key system calls: locator will enumerate all sites")
-    for entry in ranking.entries:
-        print(f"  {{{', '.join(entry.items)}}} = {entry.frequency}")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_locate(args: argparse.Namespace) -> int:
-    report = _load_report(args)
-    catalog = _load_catalog(args)
-    keys = _stage_keys(report, catalog, args)
-    index = index_tree(args.src, frozenset(catalog.entries))
-    mode, _ = metrics_mod.parse_mode(args.mode)
-    ranked = _stage_rank_files(report, keys, index, mode)
-    ranking = _stage_ranking(report, keys, mode)
-    points = mining.locate(ranking, ranked, index, args.top_files)
-    path = _write_json(args.out_dir, "points.json", _points_payload(points))
-    for p in points:
-        partner = ""
-        if p.pair_partner is not None:
-            partner = f" (pair with {p.pair_partner.syscall}:{p.pair_partner.line})"
-        print(f"  {p.rank:3d}. {p.placement} {p.syscall} {p.file}:{p.function}:{p.line}{partner}")
-    if not points:
-        print("  (no instrumentation points)")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_gen_tests(args: argparse.Namespace) -> int:
-    report = _load_report(args)
-    spec = testcases.parse_tsl(Path(args.tsl).read_text("utf-8"))
-    known: list[str] = []
-    if args.commands:
-        known.extend(name.strip() for name in args.commands.split(",") if name.strip())
-    if args.scenario:
-        scenario = harness_mod.load_scenario(args.scenario)
-        known.extend(scenario.process_names)
-    for cat in spec.categories:
-        if cat.name == "command":
-            known.extend(choice.value for choice in cat.choices)
-    partial = testcases.extract_elements(report, known)
-    cases = testcases.expand_tsl(spec, partial)
-    payload = {
+def _test_cases_payload(
+    partial: testcases.TestCase, cases: list[testcases.TestCase]
+) -> dict:
+    return {
         "schema": "racerepro/test-cases/v1",
         "extracted": {
             "command": partial.command,
@@ -219,12 +115,6 @@ def cmd_gen_tests(args: argparse.Namespace) -> int:
             for c in cases
         ],
     }
-    path = _write_json(args.out_dir, "test_cases.json", payload)
-    for c in cases:
-        marker = " [error]" if c.error else ""
-        print(f"  {c.render()}{marker}")
-    print(f"wrote {path}")
-    return EXIT_OK
 
 
 def _repro_payload(
@@ -258,22 +148,103 @@ def _repro_payload(
     return payload
 
 
+# --- subcommands ------------------------------------------------------------
+
+def _pipeline(args: argparse.Namespace) -> Pipeline:
+    """The stages for these arguments; the mode and config are validated here."""
+    mode, fraction = metrics_mod.parse_mode(args.mode)
+    config = ExperimentConfig(
+        mode=mode,
+        perturb_fraction=fraction,
+        seed=args.seed,
+        n_derived=args.n_derived,
+        top_files=args.top_files,
+        recall_k=args.top_n,
+        max_attempts=args.max_attempts,
+    )
+    return Pipeline(
+        config,
+        report_path=getattr(args, "report", None),
+        src_root=getattr(args, "src", None),
+        scenario_path=getattr(args, "scenario", None),
+        man_dir=args.man_dir,
+    )
+
+
+def cmd_extract(args: argparse.Namespace) -> int:
+    keys = _pipeline(args).keys
+    path = _write_json(args.out_dir, "keys.json", _keys_payload(keys))
+    print(f"extraction path: {keys.path}")
+    for entry in keys.entries:
+        print(f"  {entry.name}: {entry.count} ({entry.source})")
+    if not keys.entries:
+        print("  (no system calls extracted)")
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
+def cmd_rank_files(args: argparse.Namespace) -> int:
+    ranked = _pipeline(args).file_ranking
+    path = _write_json(args.out_dir, "ranked_files.json", _ranked_files_payload(ranked))
+    print(f"scheme: {ranked.scheme}")
+    for rank_no, (file_path, score) in enumerate(ranked.entries[: args.top_files], 1):
+        print(f"  {rank_no:2d}. {file_path}  {score:.4f}")
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
+def cmd_mine_pairs(args: argparse.Namespace) -> int:
+    ranking = _pipeline(args).apriori
+    path = _write_json(args.out_dir, "pair_ranking.json", _ranking_payload(ranking))
+    if ranking.enumerate_all:
+        print("no key system calls: locator will enumerate all sites")
+    for entry in ranking.entries:
+        print(f"  {{{', '.join(entry.items)}}} = {entry.frequency}")
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
+def cmd_locate(args: argparse.Namespace) -> int:
+    points = _pipeline(args).points
+    path = _write_json(args.out_dir, "points.json", _points_payload(points))
+    for p in points:
+        partner = ""
+        if p.pair_partner is not None:
+            partner = f" (pair with {p.pair_partner.syscall}:{p.pair_partner.line})"
+        print(f"  {p.rank:3d}. {p.placement} {p.syscall} {p.file}:{p.function}:{p.line}{partner}")
+    if not points:
+        print("  (no instrumentation points)")
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
+def cmd_gen_tests(args: argparse.Namespace) -> int:
+    pipe = _pipeline(args)
+    spec = testcases.parse_tsl(Path(args.tsl).read_text("utf-8"))
+    known = [name.strip() for name in args.commands.split(",") if name.strip()]
+    if args.scenario:
+        known.extend(pipe.scenario.process_names)
+    for cat in spec.categories:
+        if cat.name == "command":
+            known.extend(choice.value for choice in cat.choices)
+    partial = testcases.extract_elements(pipe.report, known)
+    cases = testcases.expand_tsl(spec, partial)
+    path = _write_json(args.out_dir, "test_cases.json", _test_cases_payload(partial, cases))
+    for c in cases:
+        marker = " [error]" if c.error else ""
+        print(f"  {c.render()}{marker}")
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    report = _load_report(args)
-    catalog = _load_catalog(args)
-    keys = _stage_keys(report, catalog, args)
-    index = index_tree(args.src, frozenset(catalog.entries))
-    mode, _ = metrics_mod.parse_mode(args.mode)
-    ranked = _stage_rank_files(report, keys, index, mode)
-    ranking = _stage_ranking(report, keys, mode)
-    points = mining.locate(ranking, ranked, index, args.top_files)
-    scenario = harness_mod.load_scenario(args.scenario)
-    result = harness_mod.reproduce(scenario, points, args.max_attempts)
-    path = _write_json(args.out_dir, "repro.json", _repro_payload(scenario, result))
+    pipe = _pipeline(args)
+    result = pipe.result
+    path = _write_json(args.out_dir, "repro.json", _repro_payload(pipe.scenario, result))
     print(f"reproduced: {result.reproduced} in {result.attempts} attempts "
           f"({result.wall_time:.3f}s)")
     if result.schedule is not None:
-        for line in harness_mod.format_schedule(scenario, result.schedule):
+        for line in harness_mod.format_schedule(pipe.scenario, result.schedule):
             print(f"  {line}")
     print(f"wrote {path}")
     return EXIT_OK if result.reproduced else EXIT_NOT_REPRODUCED
@@ -298,19 +269,9 @@ def _bundle_from_dir(path: Path) -> FixtureBundle:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    mode, fraction = metrics_mod.parse_mode(args.mode)
-    config = ExperimentConfig(
-        mode=mode,
-        perturb_fraction=fraction,
-        seed=args.seed,
-        n_derived=args.n_derived,
-        top_files=args.top_files,
-        recall_k=args.top_n,
-        max_attempts=args.max_attempts,
-    )
-    catalog = _load_catalog(args)
+    pipe = _pipeline(args)
     corpus = [_bundle_from_dir(Path(d)) for d in args.fixtures]
-    rows = metrics_mod.run_experiment(corpus, config, catalog)
+    rows = metrics_mod.run_experiment(corpus, pipe.config, pipe.catalog)
     payload = {
         "schema": "racerepro/results/v1",
         "mode": args.mode,
@@ -327,59 +288,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    report = _load_report(args)
-    catalog = _load_catalog(args)
-    keys = _stage_keys(report, catalog, args)
-    _write_json(args.out_dir, "keys.json", _keys_payload(keys))
-
-    index = index_tree(args.src, frozenset(catalog.entries))
-    mode, _ = metrics_mod.parse_mode(args.mode)
-    ranked = _stage_rank_files(report, keys, index, mode)
-    _write_json(args.out_dir, "ranked_files.json", _ranked_files_payload(ranked))
-
-    ranking = _stage_ranking(report, keys, mode)
-    _write_json(args.out_dir, "pair_ranking.json", _ranking_payload(ranking))
-
-    points = mining.locate(ranking, ranked, index, args.top_files)
-    _write_json(args.out_dir, "points.json", _points_payload(points))
-
+    pipe = _pipeline(args)
+    _write_json(args.out_dir, "keys.json", _keys_payload(pipe.keys))
+    _write_json(args.out_dir, "ranked_files.json", _ranked_files_payload(pipe.file_ranking))
+    _write_json(args.out_dir, "pair_ranking.json", _ranking_payload(pipe.ranking))
+    _write_json(args.out_dir, "points.json", _points_payload(pipe.points))
     if args.tsl:
         spec = testcases.parse_tsl(Path(args.tsl).read_text("utf-8"))
-        scenario_names = harness_mod.load_scenario(args.scenario).process_names
-        partial = testcases.extract_elements(report, scenario_names)
+        partial = testcases.extract_elements(pipe.report, pipe.scenario.process_names)
         cases = testcases.expand_tsl(spec, partial)
-        _write_json(
-            args.out_dir,
-            "test_cases.json",
-            {
-                "schema": "racerepro/test-cases/v1",
-                "extracted": {
-                    "command": partial.command,
-                    "options": partial.options,
-                    "inputs": partial.inputs,
-                },
-                "cases": [
-                    {
-                        "command": c.command,
-                        "options": c.options,
-                        "inputs": c.inputs,
-                        "setup": c.setup,
-                        "error": c.error,
-                    }
-                    for c in cases
-                ],
-            },
-        )
+        _write_json(args.out_dir, "test_cases.json", _test_cases_payload(partial, cases))
 
-    scenario = harness_mod.load_scenario(args.scenario)
-    result = harness_mod.reproduce(scenario, points, args.max_attempts)
-    _write_json(args.out_dir, "repro.json", _repro_payload(scenario, result))
+    result = pipe.result
+    _write_json(args.out_dir, "repro.json", _repro_payload(pipe.scenario, result))
     print(f"reproduced: {result.reproduced} in {result.attempts} attempts "
           f"({result.wall_time:.3f}s)")
     if result.reproduced and result.schedule is not None:
-        lines = harness_mod.format_schedule(scenario, result.schedule)
+        lines = harness_mod.format_schedule(pipe.scenario, result.schedule)
         schedule_path = args.out_dir / "schedule.txt"
-        args.out_dir.mkdir(parents=True, exist_ok=True)
         schedule_path.write_text("\n".join(lines) + "\n", "utf-8")
         for line in lines:
             print(f"  {line}")
@@ -480,16 +406,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ReportFormatError, catalog_mod.CatalogError, testcases.TslError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # config, report, catalog, TSL, scenario and ground-truth errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -279,13 +279,16 @@ def index_tree(
     docs: list[SourceDoc] = []
     functions: list[FunctionRecord] = []
     diagnostics: list[str] = []
+    digest = hashlib.sha256()  # as tree_content_hash, from the bytes read here
     for path in files:
         rel = path.relative_to(src_root).as_posix()
         try:
-            text = path.read_bytes().decode("utf-8", errors="replace")
+            data = path.read_bytes()
         except OSError as exc:
             diagnostics.append(f"skipped {rel}: {exc}")
             continue
+        digest.update(str(path.relative_to(src_root)).encode() + b"\0" + data + b"\0")
+        text = data.decode("utf-8", errors="replace")
         scan = _scan_file(rel, mask_code(text))
         for record in scan.functions:
             record.syscall_sites = [
@@ -319,7 +322,7 @@ def index_tree(
         functions=functions,
         graph=graph,
         diagnostics=diagnostics,
-        content_hash=tree_content_hash(src_root),
+        content_hash=digest.hexdigest(),
     )
 
 

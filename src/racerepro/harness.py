@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -155,39 +157,53 @@ def _op_from_json(obj: dict) -> SyscallOp:
     return SyscallOp(kind=obj["kind"], args=tuple(args))
 
 
+class MissingFieldError(ValueError):
+    """Raised when a scenario or ground-truth file lacks a required field."""
+
+
+@contextmanager
+def required_fields(path: str | Path) -> Iterator[None]:
+    """Turn a missing JSON key while parsing ``path`` into MissingFieldError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MissingFieldError(f"{path}: missing field {exc.args[0]!r}") from exc
+
+
 def load_scenario(path: str | Path) -> Scenario:
     data = json.loads(Path(path).read_text("utf-8"))
-    oracle_obj = data["oracle"]
-    oracle = Oracle(
-        kind=oracle_obj["kind"],
-        path=oracle_obj["path"],
-        expected_mode=(
-            _parse_mode(oracle_obj["mode"]) if "mode" in oracle_obj else None
-        ),
-        expected_content=oracle_obj.get("content"),
-    )
-    src_map = {
-        (m["file"], m["function"], int(m["line"])): (m["process"], int(m["op_index"]))
-        for m in data.get("src_map", [])
-    }
-    return Scenario(
-        id=str(data.get("id", Path(path).stem)),
-        processes=[
-            (p["name"], [_op_from_json(op) for op in p["trace"]])
-            for p in data["processes"]
-        ],
-        initial_fs=[
-            FsEntry(
-                path=e["path"],
-                kind=e.get("kind", KIND_FILE),
-                mode=_parse_mode(e.get("mode", "644")),
-                content=e.get("content", ""),
-            )
-            for e in data.get("initial_fs", [])
-        ],
-        oracle=oracle,
-        src_map=src_map,
-    )
+    with required_fields(path):
+        oracle_obj = data["oracle"]
+        oracle = Oracle(
+            kind=oracle_obj["kind"],
+            path=oracle_obj["path"],
+            expected_mode=(
+                _parse_mode(oracle_obj["mode"]) if "mode" in oracle_obj else None
+            ),
+            expected_content=oracle_obj.get("content"),
+        )
+        src_map = {
+            (m["file"], m["function"], int(m["line"])): (m["process"], int(m["op_index"]))
+            for m in data.get("src_map", [])
+        }
+        return Scenario(
+            id=str(data.get("id", Path(path).stem)),
+            processes=[
+                (p["name"], [_op_from_json(op) for op in p["trace"]])
+                for p in data["processes"]
+            ],
+            initial_fs=[
+                FsEntry(
+                    path=e["path"],
+                    kind=e.get("kind", KIND_FILE),
+                    mode=_parse_mode(e.get("mode", "644")),
+                    content=e.get("content", ""),
+                )
+                for e in data.get("initial_fs", [])
+            ],
+            oracle=oracle,
+            src_map=src_map,
+        )
 
 
 def save_scenario(scn: Scenario, path: str | Path) -> None:

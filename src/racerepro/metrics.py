@@ -13,6 +13,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import catalog as catalog_mod
@@ -121,14 +122,15 @@ class GroundTruth:
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
     data = json.loads(Path(path).read_text("utf-8"))
-    return GroundTruth(
-        bug_id=str(data["id"]),
-        expected_files=[str(f) for f in data["files"]],
-        expected_syscalls=[
-            (s["syscall"], s["file"], s["function"], int(s["line"]))
-            for s in data["syscalls"]
-        ],
-    )
+    with harness_mod.required_fields(path):
+        return GroundTruth(
+            bug_id=str(data["id"]),
+            expected_files=[str(f) for f in data["files"]],
+            expected_syscalls=[
+                (s["syscall"], s["file"], s["function"], int(s["line"]))
+                for s in data["syscalls"]
+            ],
+        )
 
 
 def location_ranking(points: list[InstrumentationPoint]) -> list[SiteId]:
@@ -161,7 +163,6 @@ class FixtureBundle:
     src_root: Path
     scenario_path: Path
     ground_truth_path: Path | None = None
-    man_dir: Path | None = None
 
     def __post_init__(self) -> None:
         self.report_path = Path(self.report_path)
@@ -169,8 +170,6 @@ class FixtureBundle:
         self.scenario_path = Path(self.scenario_path)
         if self.ground_truth_path is not None:
             self.ground_truth_path = Path(self.ground_truth_path)
-        if self.man_dir is not None:
-            self.man_dir = Path(self.man_dir)
 
 
 @dataclass
@@ -182,7 +181,6 @@ class ExperimentConfig:
     top_files: int = retrieval.DEFAULT_TOP_FILES
     recall_k: int = DEFAULT_RECALL_K
     max_attempts: int = harness_mod.DEFAULT_MAX_ATTEMPTS
-    include_subject: bool = False
 
 
 def parse_mode(text: str) -> tuple[str, float | None]:
@@ -226,6 +224,106 @@ def no_apriori_ranking(keys: KeySystemCalls) -> PairRanking:
     return PairRanking(entries=entries)
 
 
+class Pipeline:
+    """The stage graph, defined once; each stage runs on first use.
+
+    report -> keys -> (index) basic / structured -> file_ranking;
+    keys -> apriori / ablation -> ranking; (ranking, file_ranking, index)
+    -> points; (scenario, points) -> result.  The mode picks file_ranking,
+    ranking and result and perturbs the report; the CLI subcommands, the
+    experiment driver and the demos all read their stages from here.
+    Stages call ``load_report``, ``index_tree`` and ``locate`` through this
+    module's globals so that wrappers installed there see every call.
+    """
+
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        report_path: str | Path | None = None,
+        src_root: str | Path | None = None,
+        scenario_path: str | Path | None = None,
+        catalog: Catalog | None = None,
+        man_dir: str | Path | None = None,
+    ) -> None:
+        _validate_config(config)
+        self.config = config
+        self.report_path = report_path
+        self.src_root = src_root
+        self.scenario_path = scenario_path
+        self.man_dir = man_dir
+        if catalog is not None:
+            self.catalog = catalog
+        # keyed by id(ranking); holding the ranking keeps its id from being reused
+        self._points: dict[int, tuple[PairRanking, list[InstrumentationPoint]]] = {}
+
+    @cached_property
+    def catalog(self) -> Catalog:
+        if self.man_dir is not None:
+            return catalog_mod.load_catalog(self.man_dir)
+        return catalog_mod.bundled_catalog()
+
+    @cached_property
+    def report(self) -> BugReport:
+        report = load_report(self.report_path)
+        if self.config.mode == MODE_PERTURBED:
+            report = perturb_report(report, self.config.perturb_fraction, self.config.seed)
+        return report
+
+    @cached_property
+    def keys(self) -> KeySystemCalls:
+        return catalog_mod.extract(self.report, self.catalog, self.config.n_derived)
+
+    @cached_property
+    def index(self) -> SourceIndex:
+        return index_tree(self.src_root, frozenset(self.catalog.entries))
+
+    @cached_property
+    def basic(self) -> RankedFiles:
+        return retrieval.rank_basic(self.report, self.index.docs)
+
+    @cached_property
+    def structured(self) -> RankedFiles:
+        return retrieval.rank_structured(self.report, self.keys, self.index.docs)
+
+    @cached_property
+    def file_ranking(self) -> RankedFiles:
+        return self.basic if self.config.mode == MODE_BASIC_IR else self.structured
+
+    @cached_property
+    def apriori(self) -> PairRanking:
+        return mining.rank_interleavings(self.report, self.keys)
+
+    @cached_property
+    def ablation(self) -> PairRanking:
+        return no_apriori_ranking(self.keys)
+
+    @cached_property
+    def ranking(self) -> PairRanking:
+        return self.ablation if self.config.mode == MODE_NO_APRIORI else self.apriori
+
+    def points_for(self, ranking: PairRanking) -> list[InstrumentationPoint]:
+        """Points of one ranking over file_ranking, located once per ranking."""
+        if id(ranking) not in self._points:
+            points = locate(ranking, self.file_ranking, self.index, self.config.top_files)
+            self._points[id(ranking)] = (ranking, points)
+        return self._points[id(ranking)][1]
+
+    @cached_property
+    def points(self) -> list[InstrumentationPoint]:
+        return self.points_for(self.ranking)
+
+    @cached_property
+    def scenario(self) -> harness_mod.Scenario:
+        return harness_mod.load_scenario(self.scenario_path)
+
+    @cached_property
+    def result(self) -> harness_mod.ReproResult:
+        config = self.config
+        if config.mode == MODE_RANDOM_BASELINE:
+            return harness_mod.random_baseline(self.scenario, config.max_attempts, config.seed)
+        return harness_mod.reproduce(self.scenario, self.points, config.max_attempts)
+
+
 @dataclass
 class ExperimentRow:
     bug_id: str
@@ -260,57 +358,25 @@ def run_fixture(
     bundle: FixtureBundle, config: ExperimentConfig, catalog: Catalog | None = None
 ) -> ExperimentRow:
     """Run the pipeline on one fixture and score it against its ground truth."""
-    _validate_config(config)
     start = time.perf_counter()
-    row = ExperimentRow(bug_id=bundle.bug_id, mode=config.mode)
-
-    report = load_report(bundle.report_path)
-    if config.mode == MODE_PERTURBED:
-        report = perturb_report(report, config.perturb_fraction, config.seed)
-    if catalog is None:
-        catalog = (
-            catalog_mod.load_catalog(bundle.man_dir)
-            if bundle.man_dir is not None
-            else catalog_mod.bundled_catalog()
-        )
-    index: SourceIndex = index_tree(bundle.src_root, frozenset(catalog.entries))
-    scenario = harness_mod.load_scenario(bundle.scenario_path)
-    truth = (
-        load_ground_truth(bundle.ground_truth_path)
-        if bundle.ground_truth_path is not None and bundle.ground_truth_path.exists()
-        else None
+    pipe = Pipeline(
+        config, bundle.report_path, bundle.src_root, bundle.scenario_path, catalog
     )
+    row = ExperimentRow(bug_id=bundle.bug_id, mode=config.mode)
+    row.suc = "Y" if pipe.result.reproduced else "N"
+    row.nor = pipe.result.attempts
 
-    keys = catalog_mod.extract(report, catalog, config.n_derived)
-    basic = retrieval.rank_basic(report, index.docs)
-    structured = retrieval.rank_structured(report, keys, index.docs)
-    file_ranking = basic if config.mode == MODE_BASIC_IR else structured
-
-    apriori = mining.rank_interleavings(report, keys, config.include_subject)
-    ablation = no_apriori_ranking(keys)
-    active = ablation if config.mode == MODE_NO_APRIORI else apriori
-    points = locate(active, file_ranking, index, config.top_files)
-
-    if config.mode == MODE_RANDOM_BASELINE:
-        result = harness_mod.random_baseline(scenario, config.max_attempts, config.seed)
-    else:
-        result = harness_mod.reproduce(scenario, points, config.max_attempts)
-    row.suc = "Y" if result.reproduced else "N"
-    row.nor = result.attempts
-
-    if truth is None:
+    truth_path = bundle.ground_truth_path
+    if truth_path is None or not truth_path.exists():
         row.unscored = True
         row.notes = "no ground truth"
     else:
-        row.brk = _best_file_rank(basic, truth.expected_files)
-        row.srk = _best_file_rank(structured, truth.expected_files)
-        row.rank = _gt_location_ranks(
-            locate(apriori, file_ranking, index, config.top_files), truth
-        )
-        row.ornk = _gt_location_ranks(
-            locate(ablation, file_ranking, index, config.top_files), truth
-        )
-        ranking = location_ranking(points)
+        truth = load_ground_truth(truth_path)
+        row.brk = _best_file_rank(pipe.basic, truth.expected_files)
+        row.srk = _best_file_rank(pipe.structured, truth.expected_files)
+        row.rank = _gt_location_ranks(pipe.points_for(pipe.apriori), truth)
+        row.ornk = _gt_location_ranks(pipe.points_for(pipe.ablation), truth)
+        ranking = location_ranking(pipe.points)
         relevant = set(truth.expected_syscalls)
         row.rec = recall_at_k(ranking, relevant, config.recall_k)
         row.map_score = average_precision(ranking, relevant)

@@ -125,12 +125,10 @@ def rank_fallback(keys: KeySystemCalls) -> PairRanking:
     return PairRanking(entries=entries)
 
 
-def rank_interleavings(
-    report: BugReport, keys: KeySystemCalls, include_subject: bool = False
-) -> PairRanking:
+def rank_interleavings(report: BugReport, keys: KeySystemCalls) -> PairRanking:
     """Dispatch: direct keys get mined, derived/empty keys take the fallback."""
     if keys.entries and keys.path == SOURCE_DIRECT:
-        return mine_pairs(build_transactions(report, keys, include_subject=include_subject))
+        return mine_pairs(build_transactions(report, keys))
     return rank_fallback(keys)
 
 

@@ -84,12 +84,26 @@ def gzip_scenario() -> Scenario:
 # --- acceptance summary -------------------------------------------------------
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
+# call-phase (passed, seconds) of each test in test_properties.py, for C8
+_PROPERTY_OUTCOMES: dict[str, tuple[bool, float]] = {}
+
+
+def pytest_collection_modifyitems(items):
+    """Run C8 last, after the property suites whose outcomes it reports."""
+    items.sort(key=lambda item: item.name == "test_c8_property_suites")
+
+
+@pytest.fixture
+def property_outcomes() -> dict[str, tuple[bool, float]]:
+    return _PROPERTY_OUTCOMES
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield
     report = outcome.get_result()
+    if report.when == "call" and item.path.name == "test_properties.py":
+        _PROPERTY_OUTCOMES[item.name] = (report.passed, report.duration)
     criterion = getattr(item.function, "_criterion", None) if item.function else None
     if criterion is None:
         return

@@ -270,29 +270,37 @@ test_c7_perturbation_robustness._criterion = "C7 perturbation robustness"
 
 # --- C8 ---------------------------------------------------------------------
 
-def test_c8_property_suites():
+PROPERTY_SUITES = (
+    "test_preprocessing_idempotent_on_corpus",
+    "test_support_monotonicity",
+    "test_schedules_preserve_program_order",
+    "test_replay_deterministic",
+    "test_index_finds_exact_sites",
+    "test_tsl_frame_count_matches_oracle",
+)
+
+
+def test_c8_property_suites(property_outcomes):
+    """Report the suites' run in this session; run any that was deselected.
+
+    conftest orders C8 after test_properties.py and records each suite's
+    call-phase outcome and duration, so the 1000-example suites run once.
+    """
     # imported here so pytest does not collect the suites a second time
     # under this module's namespace
-    from test_properties import (
-        test_index_finds_exact_sites,
-        test_preprocessing_idempotent_on_corpus,
-        test_replay_deterministic,
-        test_schedules_preserve_program_order,
-        test_support_monotonicity,
-        test_tsl_frame_count_matches_oracle,
-    )
+    import test_properties
 
-    start = time.perf_counter()
-    for suite in (
-        test_preprocessing_idempotent_on_corpus,
-        test_support_monotonicity,
-        test_schedules_preserve_program_order,
-        test_replay_deterministic,
-        test_index_finds_exact_sites,
-        test_tsl_frame_count_matches_oracle,
-    ):
-        suite()
-    assert time.perf_counter() - start < 300.0
+    total = 0.0
+    for name in PROPERTY_SUITES:
+        if name in property_outcomes:
+            passed, seconds = property_outcomes[name]
+            assert passed, f"{name} failed"
+        else:
+            start = time.perf_counter()
+            getattr(test_properties, name)()
+            seconds = time.perf_counter() - start
+        total += seconds
+    assert total < 300.0
 
 
 test_c8_property_suites._criterion = "C8 property suites"

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from conftest import MV_DIR
 from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, main
+from racerepro.harness import load_scenario, random_baseline
 
 MV_REPORT = str(MV_DIR / "mv_438076.txt")
 MV_SRC = str(MV_DIR / "src")
@@ -255,3 +257,70 @@ def test_malformed_tsl_exits_two(tmp_path, capsys):
     ])
     assert code == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+def test_scenario_missing_field_exits_two(tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({"id": "x", "processes": []}))
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(scenario_path) in err and "'oracle'" in err
+
+
+def test_ground_truth_missing_field_exits_two(tmp_path, capsys):
+    bundle = tmp_path / "mv_438076"
+    shutil.copytree(MV_DIR, bundle)
+    truth = bundle / "ground_truth.json"
+    payload = _read_json(truth)
+    del payload["syscalls"]
+    truth.write_text(json.dumps(payload))
+    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(truth) in err and "'syscalls'" in err
+
+
+# --- modes outside eval -----------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["random-baseline", "perturbed@0.5"])
+@pytest.mark.parametrize("command", ["extract", "mine-pairs"])
+def test_stochastic_mode_needs_seed_outside_eval(tmp_path, capsys, command, mode):
+    code = main([command, "--report", MV_REPORT, "--mode", mode, "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
+
+
+def test_config_is_validated_in_every_subcommand(tmp_path):
+    code = main([
+        "locate", "--report", MV_REPORT, "--src", MV_SRC,
+        "--top-files", "0", "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+
+
+def test_reproduce_random_baseline_runs_the_baseline(tmp_path):
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC, "--scenario", MV_SCENARIO,
+        "--mode", "random-baseline", "--seed", "4", "--out-dir", str(tmp_path),
+    ])
+    want = random_baseline(load_scenario(MV_SCENARIO), 100, 4)
+    assert code == EXIT_OK
+    payload = _read_json(tmp_path / "repro.json")
+    assert (payload["reproduced"], payload["attempts"]) == (True, want.attempts)
+    assert want.attempts > 1  # guided injection needs exactly one
+    assert "point_used" not in payload
+    assert payload["schedule"]["injected_delays"] == []
+
+
+def test_extract_perturbed_mode_reads_the_perturbed_report(tmp_path):
+    code = main([
+        "extract", "--report", MV_REPORT, "--mode", "perturbed@1.0", "--seed", "1",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    counts = {e["name"]: e["count"] for e in _read_json(tmp_path / "keys.json")["entries"]}
+    assert counts == {"unlink": 1, "rename": 1}  # the subject alone survives

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GZIP_DIR, MV_DIR
 from racerepro.csource import (
     StaleIndexError,
     find_syscall_sites,
@@ -279,3 +280,15 @@ def test_tree_content_hash_sensitivity(tmp_path):
     before = tree_content_hash(tmp_path)
     (tmp_path / "a.c").write_text("int f (void) { return 1; }\n")
     assert tree_content_hash(tmp_path) != before
+
+
+@pytest.mark.parametrize("root", [MV_DIR / "src", GZIP_DIR / "src", None])
+def test_index_hash_equals_tree_content_hash(root, tmp_path):
+    if root is None:  # a tree with a subdirectory and a skipped non-C file
+        root = tmp_path
+        (root / "lib").mkdir()
+        (root / "lib" / "util.h").write_text("int helper (int x);\n")
+        (root / "lib" / "util.c").write_text("int helper (int x) { return x; }\n")
+        (root / "main.c").write_text("int main (void) { return helper (0); }\n")
+        (root / "notes.txt").write_text("not indexed\n")
+    assert index_tree(root, SYSCALLS).content_hash == tree_content_hash(root)

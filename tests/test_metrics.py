@@ -6,9 +6,12 @@ import json
 
 import pytest
 
+from racerepro import metrics
+
 from conftest import GZIP_DIR, MV_DIR
 from racerepro.metrics import (
     MODE_APRIORI,
+    MODE_BASIC_IR,
     MODE_NO_APRIORI,
     MODE_PERTURBED,
     MODE_RANDOM_BASELINE,
@@ -17,6 +20,7 @@ from racerepro.metrics import (
     ConfigError,
     ExperimentConfig,
     FixtureBundle,
+    Pipeline,
     annotator_agreement,
     average_precision,
     load_ground_truth,
@@ -278,6 +282,74 @@ def test_unscored_row_without_ground_truth(tmp_path):
     assert row.unscored
     assert row.brk is None and row.rec is None
     assert (row.suc, row.nor) == ("Y", 1)
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to ``metrics.<name>``."""
+    calls, real = [], getattr(metrics, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [MODE_STRUCTURED_IR, MODE_NO_APRIORI, MODE_BASIC_IR])
+def test_run_fixture_locates_once_per_ranking(monkeypatch, mode):
+    calls = _counting(monkeypatch, "locate")
+    run_fixture(_mv_bundle(), ExperimentConfig(mode=mode))
+    rankings = [args[0] for args in calls]
+    assert len(calls) == 2
+    assert len({id(r) for r in rankings}) == 2
+
+
+def _mv_pipeline(**config) -> Pipeline:
+    return Pipeline(
+        ExperimentConfig(**config),
+        report_path=MV_DIR / "mv_438076.txt",
+        src_root=MV_DIR / "src",
+        scenario_path=MV_DIR / "scenario.json",
+    )
+
+
+def test_pipeline_runs_each_stage_once(monkeypatch):
+    index_calls = _counting(monkeypatch, "index_tree")
+    locate_calls = _counting(monkeypatch, "locate")
+    pipe = _mv_pipeline()
+    assert pipe.result.reproduced
+    assert pipe.points_for(pipe.ranking) is pipe.points
+    assert pipe.points_for(pipe.apriori) is pipe.points
+    assert pipe.keys is pipe.keys
+    assert (len(index_calls), len(locate_calls)) == (1, 1)
+
+
+def test_pipeline_mode_picks_the_stages():
+    structured = _mv_pipeline()
+    assert structured.file_ranking is structured.structured
+    assert structured.ranking is structured.apriori
+    basic = _mv_pipeline(mode=MODE_BASIC_IR)
+    assert basic.file_ranking is basic.basic
+    assert basic.file_ranking.scheme != structured.file_ranking.scheme
+    ablation = _mv_pipeline(mode=MODE_NO_APRIORI)
+    assert ablation.ranking is ablation.ablation
+    assert all(len(e.items) == 1 for e in ablation.ranking.entries)
+
+
+def test_pipeline_stages_are_lazy(monkeypatch):
+    index_calls = _counting(monkeypatch, "index_tree")
+    pipe = _mv_pipeline(mode=MODE_PERTURBED, perturb_fraction=1.0, seed=1)
+    assert pipe.report.body == ""
+    assert "catalog" not in vars(pipe)
+    baseline = _mv_pipeline(mode=MODE_RANDOM_BASELINE, seed=3)
+    assert baseline.result.reproduced
+    assert index_calls == []
+
+
+def test_pipeline_validates_its_config():
+    with pytest.raises(ConfigError):
+        _mv_pipeline(mode=MODE_RANDOM_BASELINE)
 
 
 # --- rendering ----------------------------------------------------------------------
