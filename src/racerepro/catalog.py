@@ -13,7 +13,7 @@ summary from the manual page.  Extraction runs in two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .reports import BugReport, preprocess, tokenize
@@ -79,8 +79,12 @@ def load_catalog(man_dir: str | Path) -> Catalog:
     return Catalog(entries=entries)
 
 
+@cache
 def bundled_catalog() -> Catalog:
-    """The catalog shipped with the package (~280 common Linux syscalls)."""
+    """The catalog shipped with the package (~280 common Linux syscalls).
+
+    Loaded once per process; every call returns the same read-only Catalog.
+    """
     from importlib import resources
 
     with resources.as_file(resources.files("racerepro") / "data" / "manpages") as man_dir:

@@ -26,6 +26,7 @@ from .reports import MODE_C_SOURCE, TokenStream, preprocess_tokens, tokenize
 SOURCE_SUFFIXES = (".c", ".h")
 
 _IDENT_OR_PUNCT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(){};]")
+_NEWLINE_RE = re.compile("\n")
 
 
 # --- domain types -----------------------------------------------------------
@@ -134,11 +135,8 @@ class _Tok:
 
 
 def _line_starts(text: str) -> list[int]:
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-    return starts
+    """Offset of the first character of every line (0 for the first line)."""
+    return [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
 
 
 def _line_of(starts: list[int], pos: int) -> int:
@@ -265,19 +263,33 @@ def default_syscall_names() -> frozenset[str]:
     return frozenset(bundled_catalog().entries)
 
 
+#: The one remembered index, with its key: (content hash, unreadable-file
+#: diagnostics, syscall universe).  A batch of reports against one tree
+#: indexes it once; a fresh tree replaces it.
+_last_index: tuple[tuple[str, tuple[str, ...], frozenset[str]], SourceIndex] | None = None
+
+
 def index_tree(
     src_root: str | Path, syscall_names: frozenset[str] | set[str] | None = None
 ) -> SourceIndex:
-    """Index every ``.c``/``.h`` file under src_root, deterministically by path."""
+    """Index every ``.c``/``.h`` file under src_root, deterministically by path.
+
+    The tree is read and hashed on every call.  When its content, its
+    unreadable files and the syscall universe all match the previous call,
+    that call's index is returned again, so the result is shared and must
+    be treated as read-only; any edited, added or removed file gives a
+    fresh index.
+    """
+    global _last_index
     src_root = Path(src_root)
-    if syscall_names is None:
-        syscall_names = default_syscall_names()
+    syscall_names = frozenset(
+        default_syscall_names() if syscall_names is None else syscall_names
+    )
     files = _tree_files(src_root)
     if not files:
         raise ValueError(f"{src_root}: no C source files to index")
 
-    docs: list[SourceDoc] = []
-    functions: list[FunctionRecord] = []
+    sources: list[tuple[Path, str, bytes]] = []
     diagnostics: list[str] = []
     digest = hashlib.sha256()  # as tree_content_hash, from the bytes read here
     for path in files:
@@ -288,6 +300,29 @@ def index_tree(
             diagnostics.append(f"skipped {rel}: {exc}")
             continue
         digest.update(str(path.relative_to(src_root)).encode() + b"\0" + data + b"\0")
+        sources.append((path, rel, data))
+    if not sources:
+        raise ValueError(f"{src_root}: every source file was unreadable")
+
+    key = (digest.hexdigest(), tuple(diagnostics), syscall_names)
+    if _last_index is not None and _last_index[0] == key:
+        return _last_index[1]
+    _last_index = None  # never hold two indexes at once
+    index = _build_index(sources, syscall_names, diagnostics, key[0])
+    _last_index = (key, index)
+    return index
+
+
+def _build_index(
+    sources: list[tuple[Path, str, bytes]],
+    syscall_names: frozenset[str],
+    diagnostics: list[str],
+    content_hash: str,
+) -> SourceIndex:
+    """Scan (path, relative path, bytes) triples into a SourceIndex."""
+    docs: list[SourceDoc] = []
+    functions: list[FunctionRecord] = []
+    for path, rel, data in sources:
         text = data.decode("utf-8", errors="replace")
         scan = _scan_file(rel, mask_code(text))
         for record in scan.functions:
@@ -308,8 +343,6 @@ def index_tree(
                 },
             )
         )
-    if not docs:
-        raise ValueError(f"{src_root}: every source file was unreadable")
 
     graph = CallGraph(nodes={f.name for f in functions})
     for record in functions:
@@ -322,7 +355,7 @@ def index_tree(
         functions=functions,
         graph=graph,
         diagnostics=diagnostics,
-        content_hash=digest.hexdigest(),
+        content_hash=content_hash,
     )
 
 

@@ -161,13 +161,20 @@ class MissingFieldError(ValueError):
     """Raised when a scenario or ground-truth file lacks a required field."""
 
 
+class FieldTypeError(ValueError):
+    """Raised when a scenario or ground-truth file holds a wrong JSON type."""
+
+
 @contextmanager
 def required_fields(path: str | Path) -> Iterator[None]:
-    """Turn a missing JSON key while parsing ``path`` into MissingFieldError."""
+    """Turn a missing JSON key or a wrong JSON type while parsing ``path``
+    into MissingFieldError or FieldTypeError, both naming the file."""
     try:
         yield
     except KeyError as exc:
         raise MissingFieldError(f"{path}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise FieldTypeError(f"{path}: wrong JSON type ({exc})") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:

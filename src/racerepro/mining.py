@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .catalog import SOURCE_DIRECT, KeySystemCalls
-from .csource import SourceIndex
+from .csource import CallGraph, FunctionRecord, SourceIndex
 from .reports import BugReport
 from .retrieval import DEFAULT_TOP_FILES, RankedFiles
 
@@ -172,11 +172,18 @@ class _Pending:
     partner: PairPartner | None = None
 
 
-def _sites_in_file(index: SourceIndex, path: str, syscall: str) -> list[Site]:
+def _functions_by_file(index: SourceIndex) -> dict[str, list[FunctionRecord]]:
+    """The index's function records grouped by file, in index order."""
+    by_file: dict[str, list[FunctionRecord]] = {}
+    for record in index.functions:
+        by_file.setdefault(record.file, []).append(record)
+    return by_file
+
+
+def _sites_in_file(records: list[FunctionRecord], syscall: str) -> list[Site]:
     sites = [
         Site(record.file, record.name, line)
-        for record in index.functions
-        if record.file == path
+        for record in records
         for name, line in record.syscall_sites
         if name == syscall
     ]
@@ -184,20 +191,19 @@ def _sites_in_file(index: SourceIndex, path: str, syscall: str) -> list[Site]:
     return sites
 
 
-def _all_sites_in_file(index: SourceIndex, path: str) -> list[Site]:
+def _all_sites_in_file(records: list[FunctionRecord]) -> list[Site]:
     sites = [
         Site(record.file, record.name, line)
-        for record in index.functions
-        if record.file == path
+        for record in records
         for _name, line in record.syscall_sites
     ]
     sites.sort(key=lambda s: s.line)
     return sites
 
 
-def _syscall_at(index: SourceIndex, site: Site) -> str:
-    for record in index.functions:
-        if record.file == site.file and record.name == site.function:
+def _syscall_at(records: list[FunctionRecord], site: Site) -> str:
+    for record in records:
+        if record.name == site.function:
             for name, line in record.syscall_sites:
                 if line == site.line:
                     return name
@@ -205,15 +211,21 @@ def _syscall_at(index: SourceIndex, site: Site) -> str:
 
 
 def _pair_point(
-    index: SourceIndex, path: str, first: str, second: str, unconnected: list[str]
+    records: list[FunctionRecord],
+    graph: CallGraph,
+    path: str,
+    first: str,
+    second: str,
+    unconnected: list[str],
 ) -> _Pending | None:
     """Resolve one pair to a between-pair point in this file, or None.
 
-    A pair whose sites sit in functions the call graph does not connect is
-    ordered by file line and described in ``unconnected``.
+    ``records`` are the file's functions.  A pair whose sites sit in
+    functions the call graph does not connect is ordered by file line and
+    described in ``unconnected``.
     """
-    sites_a = _sites_in_file(index, path, first)
-    sites_b = _sites_in_file(index, path, second)
+    sites_a = _sites_in_file(records, first)
+    sites_b = _sites_in_file(records, second)
     if not sites_a or not sites_b:
         return None
 
@@ -231,29 +243,29 @@ def _pair_point(
         )
         anchor, partner = (a, b) if a.line < b.line else (b, a)
         return _Pending(
-            syscall=_syscall_at(index, anchor),
+            syscall=_syscall_at(records, anchor),
             site=anchor,
             placement=PLACEMENT_BETWEEN,
             partner=PairPartner(
-                _syscall_at(index, partner), partner.file, partner.function, partner.line
+                _syscall_at(records, partner), partner.file, partner.function, partner.line
             ),
         )
 
     # cross-function: earliest site per member, ordered by call-graph reachability
     a, b = sites_a[0], sites_b[0]
-    if index.graph.reaches(a.function, b.function):
+    if graph.reaches(a.function, b.function):
         anchor, partner = a, b
-    elif index.graph.reaches(b.function, a.function):
+    elif graph.reaches(b.function, a.function):
         anchor, partner = b, a
     else:
         anchor, partner = (a, b) if a.line <= b.line else (b, a)
         unconnected.append(f"({first},{second}) {a.function}/{b.function} in {path}")
     return _Pending(
-        syscall=_syscall_at(index, anchor),
+        syscall=_syscall_at(records, anchor),
         site=anchor,
         placement=PLACEMENT_BETWEEN,
         partner=PairPartner(
-            _syscall_at(index, partner), partner.file, partner.function, partner.line
+            _syscall_at(records, partner), partner.file, partner.function, partner.line
         ),
     )
 
@@ -272,22 +284,24 @@ def locate(
     """
     pending: list[_Pending] = []
     unconnected: list[str] = []
+    by_file = _functions_by_file(index)
     for path in ranked_files.top(top_files):
+        records = by_file.get(path, [])
         if ranking.enumerate_all:
-            for site in _all_sites_in_file(index, path):
-                name = _syscall_at(index, site)
+            for site in _all_sites_in_file(records):
+                name = _syscall_at(records, site)
                 pending.append(_Pending(name, site, PLACEMENT_BEFORE))
                 pending.append(_Pending(name, site, PLACEMENT_AFTER))
             continue
         for entry in ranking.entries:
             if len(entry.items) == 2:
                 point = _pair_point(
-                    index, path, entry.items[0], entry.items[1], unconnected
+                    records, index.graph, path, entry.items[0], entry.items[1], unconnected
                 )
                 if point is not None:
                     pending.append(point)
             else:
-                for site in _sites_in_file(index, path, entry.items[0]):
+                for site in _sites_in_file(records, entry.items[0]):
                     pending.append(_Pending(entry.items[0], site, PLACEMENT_BEFORE))
                     pending.append(_Pending(entry.items[0], site, PLACEMENT_AFTER))
 

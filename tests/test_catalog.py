@@ -145,3 +145,7 @@ def test_derived_on_reused_catalog_matches_fresh_load(catalog, gzip_report):
     for report in reports:
         fresh = load_catalog(man_dir)
         assert extract_derived(report, catalog, 5) == extract_derived(report, fresh, 5)
+
+
+def test_bundled_catalog_is_loaded_once():
+    assert bundled_catalog() is bundled_catalog()

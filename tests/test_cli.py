@@ -271,6 +271,33 @@ def test_scenario_missing_field_exits_two(tmp_path, capsys):
     assert str(scenario_path) in err and "'oracle'" in err
 
 
+@pytest.mark.parametrize("payload", [
+    [],
+    {"id": "x", "processes": 5, "oracle": {"kind": "open-enoent", "path": "foo"}},
+])
+def test_scenario_wrong_json_type_exits_two(tmp_path, capsys, payload):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(payload))
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(scenario_path) in err and "wrong JSON type" in err
+
+
+def test_ground_truth_wrong_json_type_exits_two(tmp_path, capsys):
+    bundle = tmp_path / "mv_438076"
+    shutil.copytree(MV_DIR, bundle)
+    truth = bundle / "ground_truth.json"
+    truth.write_text("[]")
+    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(truth) in err and "wrong JSON type" in err
+
+
 def test_ground_truth_missing_field_exits_two(tmp_path, capsys):
     bundle = tmp_path / "mv_438076"
     shutil.copytree(MV_DIR, bundle)

@@ -10,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GZIP_DIR, MV_DIR
+from racerepro import csource
+from racerepro.catalog import bundled_catalog
+from racerepro.cli import EXIT_OK, main
 from racerepro.csource import (
     StaleIndexError,
+    _line_starts,
     find_syscall_sites,
     index_tree,
     load_index,
@@ -292,3 +296,116 @@ def test_index_hash_equals_tree_content_hash(root, tmp_path):
         (root / "main.c").write_text("int main (void) { return helper (0); }\n")
         (root / "notes.txt").write_text("not indexed\n")
     assert index_tree(root, SYSCALLS).content_hash == tree_content_hash(root)
+
+
+# --- line starts ----------------------------------------------------------------
+
+def _line_starts_loop(text: str) -> list[int]:
+    """The per-character loop ``_line_starts`` replaced, kept as its oracle."""
+    starts = [0]
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            starts.append(i + 1)
+    return starts
+
+
+@pytest.mark.parametrize("text", ["", "\n", "x", "a\n\nb", "a\nb\n", "\n\n\n"])
+def test_line_starts_edge_cases_match_loop(text):
+    assert _line_starts(text) == _line_starts_loop(text)
+
+
+@pytest.mark.parametrize("root", [MV_DIR / "src", GZIP_DIR / "src"])
+def test_line_starts_match_loop_on_fixtures(root):
+    for path in sorted(root.rglob("*.[ch]")):
+        text = path.read_text("utf-8", errors="replace")
+        for variant in (text, mask_code(text)):
+            assert _line_starts(variant) == _line_starts_loop(variant), path
+
+
+# --- the one-slot index memo ------------------------------------------------------
+
+def _dump(index, path: Path) -> bytes:
+    save_index(index, path)
+    return path.read_bytes()
+
+
+def _cold_dump(root: Path, names, path: Path, monkeypatch) -> bytes:
+    """save_index bytes of an index built with the memo slot empty."""
+    monkeypatch.setattr(csource, "_last_index", None)
+    return _dump(index_tree(root, names), path)
+
+
+def _small_tree(root: Path) -> Path:
+    src = root / "src"
+    src.mkdir()
+    (src / "a.c").write_text("int f (void) { return open (\"x\"); }\n")
+    (src / "b.c").write_text("int g (void) { f (); return close (0); }\n")
+    return src
+
+
+def test_unchanged_tree_returns_the_same_index(tmp_path):
+    src = _small_tree(tmp_path)
+    first = index_tree(src, SYSCALLS)
+    second = index_tree(src, SYSCALLS)
+    assert second is first
+    assert second.content_hash == tree_content_hash(src)
+
+
+def _edit_same_length(src: Path) -> None:
+    text = (src / "a.c").read_text()
+    (src / "a.c").write_text(text.replace("open", "stat"))
+
+
+def _add_file(src: Path) -> None:
+    (src / "c.c").write_text("int h (void) { return unlink (\"y\"); }\n")
+
+
+def _remove_file(src: Path) -> None:
+    (src / "b.c").unlink()
+
+
+@pytest.mark.parametrize("change", [_edit_same_length, _add_file, _remove_file])
+def test_changed_tree_gives_a_fresh_index(change, tmp_path, monkeypatch):
+    src = _small_tree(tmp_path)
+    before = index_tree(src, SYSCALLS)
+    size = (src / "a.c").stat().st_size
+    change(src)
+    if change is _edit_same_length:
+        assert (src / "a.c").stat().st_size == size
+    fresh = index_tree(src, SYSCALLS)
+    assert fresh is not before
+    assert fresh.content_hash == tree_content_hash(src) != before.content_hash
+    warm = _dump(fresh, tmp_path / "warm.json")
+    assert warm == _cold_dump(src, SYSCALLS, tmp_path / "cold.json", monkeypatch)
+
+
+def test_other_syscall_names_give_a_fresh_index(tmp_path, monkeypatch):
+    src = _small_tree(tmp_path)
+    before = index_tree(src, SYSCALLS)
+    names = SYSCALLS - {"open"}
+    fresh = index_tree(src, names)
+    assert fresh is not before
+    assert fresh.functions[0].syscall_sites == []
+    warm = _dump(fresh, tmp_path / "warm.json")
+    assert warm == _cold_dump(src, names, tmp_path / "cold.json", monkeypatch)
+
+
+def test_pipeline_runs_share_the_index_without_changing_it(tmp_path):
+    src = MV_DIR / "src"
+    names = frozenset(bundled_catalog().entries)
+    index = index_tree(src, names)
+    before = _dump(index, tmp_path / "before.json")
+    dirs = [tmp_path / "run1", tmp_path / "run2"]
+    for out_dir in dirs:
+        code = main([
+            "pipeline", "--report", str(MV_DIR / "mv_438076.txt"), "--src", str(src),
+            "--scenario", str(MV_DIR / "scenario.json"), "--tsl", str(MV_DIR / "mv.tsl"),
+            "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_OK
+    assert index_tree(src, names) is index
+    assert _dump(index, tmp_path / "after.json") == before
+    names_written = sorted(p.name for p in dirs[0].iterdir())
+    assert names_written == sorted(p.name for p in dirs[1].iterdir())
+    for name in names_written:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name

@@ -316,3 +316,17 @@ def test_mv_fixture_point_one_is_the_buggy_pair(mv_ranking, mv_ranked_files, mv_
     assert first.placement == "between-pair"
     assert (first.pair_partner.syscall, first.pair_partner.line) == ("rename", 309)
     assert [p.rank for p in points] == list(range(1, len(points) + 1))
+
+
+def test_same_function_name_in_two_files_keeps_each_files_syscall(tmp_path):
+    # one function name, one line, a different syscall per file: every point
+    # must carry the syscall of its own file
+    (tmp_path / "v.c").write_text("static void step (const char *p) { unlink (p); }\n")
+    (tmp_path / "w.c").write_text("static void step (const char *p) { rename (p, p); }\n")
+    index = index_tree(tmp_path, SYSCALLS)
+    ranking = PairRanking(entries=[], enumerate_all=True)
+    points = locate(ranking, _ranked(["w.c", "v.c"]), index)
+    assert [(p.file, p.syscall, p.placement) for p in points] == [
+        ("w.c", "rename", "before"), ("w.c", "rename", "after"),
+        ("v.c", "unlink", "before"), ("v.c", "unlink", "after"),
+    ]
