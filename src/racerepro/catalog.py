@@ -39,19 +39,6 @@ class ManPageEntry:
 class Catalog:
     entries: dict[str, ManPageEntry]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def __getitem__(self, name: str) -> ManPageEntry:
-        return self.entries[name]
-
-    @property
-    def names(self) -> list[str]:
-        return sorted(self.entries)
-
     @cached_property
     def summary_index(self) -> TfIdfIndex:
         """TF-IDF index over the NAME summaries, built on first use.
@@ -111,13 +98,6 @@ class KeySystemCalls:
     subject_mentions: list[str] = field(default_factory=list)
     #: which extraction path produced this: "direct" or "derived"
     path: str = SOURCE_DIRECT
-
-    @property
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
 
 
 def _mentions(text: str, names: frozenset[str]) -> list[str]:

@@ -126,6 +126,8 @@ def _repro_payload(
         "reproduced": result.reproduced,
         "attempts": result.attempts,
     }
+    if result.fails_undelayed:
+        payload["fails_undelayed"] = True
     if result.schedule is not None:
         payload["schedule"] = {
             "steps": [[proc, idx] for proc, idx in result.schedule.steps],

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,16 +52,9 @@ class FunctionRecord:
 class CallGraph:
     nodes: set[str] = field(default_factory=set)
     edges: dict[str, set[str]] = field(default_factory=dict)
-    diagnostics: list[str] = field(default_factory=list)
 
     def add_edge(self, caller: str, callee: str) -> None:
-        if caller not in self.nodes or callee not in self.nodes:
-            self.diagnostics.append(f"dropped edge {caller} -> {callee}: unknown node")
-            return
         self.edges.setdefault(caller, set()).add(callee)
-
-    def successors(self, name: str) -> list[str]:
-        return sorted(self.edges.get(name, ()))
 
     def reaches(self, start: str, goal: str) -> bool:
         """True when goal is reachable from start over call edges (start != goal ok)."""
@@ -87,7 +79,6 @@ class SourceIndex:
     functions: list[FunctionRecord]
     graph: CallGraph
     diagnostics: list[str] = field(default_factory=list)
-    content_hash: str = ""
 
 
 # --- masking ----------------------------------------------------------------
@@ -246,32 +237,13 @@ def _tree_files(src_root: Path) -> list[Path]:
     )
 
 
-def tree_content_hash(src_root: str | Path) -> str:
-    src_root = Path(src_root)
-    digest = hashlib.sha256()
-    for path in _tree_files(src_root):
-        digest.update(str(path.relative_to(src_root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
-def default_syscall_names() -> frozenset[str]:
-    from .catalog import bundled_catalog
-
-    return frozenset(bundled_catalog().entries)
-
-
 #: The one remembered index, with its key: (content hash, unreadable-file
 #: diagnostics, syscall universe).  A batch of reports against one tree
 #: indexes it once; a fresh tree replaces it.
 _last_index: tuple[tuple[str, tuple[str, ...], frozenset[str]], SourceIndex] | None = None
 
 
-def index_tree(
-    src_root: str | Path, syscall_names: frozenset[str] | set[str] | None = None
-) -> SourceIndex:
+def index_tree(src_root: str | Path, syscall_names: frozenset[str] | set[str]) -> SourceIndex:
     """Index every ``.c``/``.h`` file under src_root, deterministically by path.
 
     The tree is read and hashed on every call.  When its content, its
@@ -282,16 +254,14 @@ def index_tree(
     """
     global _last_index
     src_root = Path(src_root)
-    syscall_names = frozenset(
-        default_syscall_names() if syscall_names is None else syscall_names
-    )
+    syscall_names = frozenset(syscall_names)
     files = _tree_files(src_root)
     if not files:
         raise ValueError(f"{src_root}: no C source files to index")
 
     sources: list[tuple[Path, str, bytes]] = []
     diagnostics: list[str] = []
-    digest = hashlib.sha256()  # as tree_content_hash, from the bytes read here
+    digest = hashlib.sha256()
     for path in files:
         rel = path.relative_to(src_root).as_posix()
         try:
@@ -299,7 +269,7 @@ def index_tree(
         except OSError as exc:
             diagnostics.append(f"skipped {rel}: {exc}")
             continue
-        digest.update(str(path.relative_to(src_root)).encode() + b"\0" + data + b"\0")
+        digest.update(rel.encode() + b"\0" + data + b"\0")
         sources.append((path, rel, data))
     if not sources:
         raise ValueError(f"{src_root}: every source file was unreadable")
@@ -308,7 +278,7 @@ def index_tree(
     if _last_index is not None and _last_index[0] == key:
         return _last_index[1]
     _last_index = None  # never hold two indexes at once
-    index = _build_index(sources, syscall_names, diagnostics, key[0])
+    index = _build_index(sources, syscall_names, diagnostics)
     _last_index = (key, index)
     return index
 
@@ -317,7 +287,6 @@ def _build_index(
     sources: list[tuple[Path, str, bytes]],
     syscall_names: frozenset[str],
     diagnostics: list[str],
-    content_hash: str,
 ) -> SourceIndex:
     """Scan (path, relative path, bytes) triples into a SourceIndex."""
     docs: list[SourceDoc] = []
@@ -350,88 +319,4 @@ def _build_index(
             if callee in graph.nodes:
                 graph.add_edge(record.name, callee)
 
-    return SourceIndex(
-        docs=docs,
-        functions=functions,
-        graph=graph,
-        diagnostics=diagnostics,
-        content_hash=content_hash,
-    )
-
-
-def find_syscall_sites(
-    index: SourceIndex, syscall: str
-) -> list[tuple[str, str, int]]:
-    """Every call-position site of a syscall: (file, function, line), sorted."""
-    sites = [
-        (record.file, record.name, line)
-        for record in index.functions
-        for name, line in record.call_sites
-        if name == syscall
-    ]
-    sites.sort(key=lambda s: (s[0], s[2]))
-    return sites
-
-
-# --- index dump -------------------------------------------------------------
-
-def save_index(index: SourceIndex, path: str | Path) -> None:
-    """Dump the index as JSON, keyed by the source-tree content hash."""
-    payload = {
-        "content_hash": index.content_hash,
-        "docs": [{"path": d.path, "fields": d.fields} for d in index.docs],
-        "functions": [
-            {
-                "name": f.name,
-                "file": f.file,
-                "start_line": f.start_line,
-                "end_line": f.end_line,
-                "call_sites": f.call_sites,
-                "syscall_sites": f.syscall_sites,
-            }
-            for f in index.functions
-        ],
-        "graph": {
-            "nodes": sorted(index.graph.nodes),
-            "edges": {k: sorted(v) for k, v in sorted(index.graph.edges.items())},
-        },
-        "diagnostics": index.diagnostics,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), "utf-8")
-
-
-class StaleIndexError(ValueError):
-    """Raised when a cached index does not match the current source tree."""
-
-
-def load_index(path: str | Path, src_root: str | Path | None = None) -> SourceIndex:
-    """Load a dumped index; verifies the content hash when src_root is given."""
-    payload = json.loads(Path(path).read_text("utf-8"))
-    if src_root is not None:
-        current = tree_content_hash(src_root)
-        if current != payload["content_hash"]:
-            raise StaleIndexError(
-                f"{path}: index hash {payload['content_hash'][:12]} does not match "
-                f"tree hash {current[:12]}"
-            )
-    graph = CallGraph(nodes=set(payload["graph"]["nodes"]))
-    for caller, callees in payload["graph"]["edges"].items():
-        for callee in callees:
-            graph.add_edge(caller, callee)
-    return SourceIndex(
-        docs=[SourceDoc(path=d["path"], fields=d["fields"]) for d in payload["docs"]],
-        functions=[
-            FunctionRecord(
-                name=f["name"],
-                file=f["file"],
-                start_line=f["start_line"],
-                end_line=f["end_line"],
-                call_sites=[tuple(s) for s in f["call_sites"]],
-                syscall_sites=[tuple(s) for s in f["syscall_sites"]],
-            )
-            for f in payload["functions"]
-        ],
-        graph=graph,
-        diagnostics=list(payload["diagnostics"]),
-        content_hash=payload["content_hash"],
-    )
+    return SourceIndex(docs=docs, functions=functions, graph=graph, diagnostics=diagnostics)

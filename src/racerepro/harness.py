@@ -115,12 +115,6 @@ class Scenario:
     def process_names(self) -> list[str]:
         return [name for name, _trace in self.processes]
 
-    def trace(self, process: str) -> list[SyscallOp]:
-        for name, trace in self.processes:
-            if name == process:
-                return trace
-        raise KeyError(f"unknown process: {process!r}")
-
     def total_ops(self) -> int:
         return sum(len(trace) for _name, trace in self.processes)
 
@@ -162,19 +156,23 @@ class MissingFieldError(ValueError):
 
 
 class FieldTypeError(ValueError):
-    """Raised when a scenario or ground-truth file holds a wrong JSON type."""
+    """Raised when a scenario or ground-truth file holds a wrong JSON type
+    or a value that does not parse."""
 
 
 @contextmanager
 def required_fields(path: str | Path) -> Iterator[None]:
-    """Turn a missing JSON key or a wrong JSON type while parsing ``path``
-    into MissingFieldError or FieldTypeError, both naming the file."""
+    """Turn a missing JSON key, a wrong JSON type or a value that does not
+    parse while parsing ``path`` into MissingFieldError or FieldTypeError,
+    each naming the file."""
     try:
         yield
     except KeyError as exc:
         raise MissingFieldError(f"{path}: missing field {exc.args[0]!r}") from exc
     except (TypeError, AttributeError) as exc:
         raise FieldTypeError(f"{path}: wrong JSON type ({exc})") from exc
+    except ValueError as exc:
+        raise FieldTypeError(f"{path}: bad value ({exc})") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -328,6 +326,8 @@ class ReproResult:
     schedule: InterleavingSchedule | None = None
     point_used: InstrumentationPoint | None = None
     wall_time: float = 0.0
+    #: the undelayed order already trips the oracle, so no point is credited
+    fails_undelayed: bool = False
 
 
 def reproduce(
@@ -337,21 +337,32 @@ def reproduce(
 ) -> ReproResult:
     """Try points in rank order until the oracle fails or the budget runs out.
 
-    A point with no src_map entry cannot steer the schedule; its attempt
-    runs the baseline order (and is still counted against the budget).
+    The undelayed order runs first; when it already fails, that is the
+    result (one attempt, no point credited).  Otherwise a point with no
+    src_map entry cannot steer the schedule: it uses up an attempt without
+    a run.
     """
     start = time.perf_counter()
+    if max_attempts >= 1:
+        base = baseline_schedule(scn)
+        if run_schedule(scn, base).verdict == VERDICT_FAIL:
+            return ReproResult(
+                reproduced=True,
+                attempts=1,
+                schedule=base,
+                wall_time=time.perf_counter() - start,
+                fails_undelayed=True,
+            )
     attempts = 0
     for point in points:
         if attempts >= max_attempts:
             break
+        attempts += 1
         try:
             sched = schedule_with_delay(scn, point)
         except KeyError:
-            sched = baseline_schedule(scn)
-        attempts += 1
-        result = run_schedule(scn, sched)
-        if result.verdict == VERDICT_FAIL:
+            continue
+        if run_schedule(scn, sched).verdict == VERDICT_FAIL:
             return ReproResult(
                 reproduced=True,
                 attempts=attempts,

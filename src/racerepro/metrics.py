@@ -228,9 +228,10 @@ class Pipeline:
     """The stage graph, defined once; each stage runs on first use.
 
     report -> keys -> (index) basic / structured -> file_ranking;
-    keys -> apriori / ablation -> ranking; (ranking, file_ranking, index)
-    -> points; (scenario, points) -> result.  The mode picks file_ranking,
-    ranking and result and perturbs the report; the CLI subcommands, the
+    keys -> apriori / ablation -> ranking; (apriori or ablation,
+    file_ranking, index) -> apriori_points / ablation_points -> points;
+    (scenario, points) -> result.  The mode picks file_ranking, ranking,
+    points and result and perturbs the report; the CLI subcommands, the
     experiment driver and the demos all read their stages from here.
     Stages call ``load_report``, ``index_tree`` and ``locate`` through this
     module's globals so that wrappers installed there see every call.
@@ -253,8 +254,6 @@ class Pipeline:
         self.man_dir = man_dir
         if catalog is not None:
             self.catalog = catalog
-        # keyed by id(ranking); holding the ranking keeps its id from being reused
-        self._points: dict[int, tuple[PairRanking, list[InstrumentationPoint]]] = {}
 
     @cached_property
     def catalog(self) -> Catalog:
@@ -301,16 +300,18 @@ class Pipeline:
     def ranking(self) -> PairRanking:
         return self.ablation if self.config.mode == MODE_NO_APRIORI else self.apriori
 
-    def points_for(self, ranking: PairRanking) -> list[InstrumentationPoint]:
-        """Points of one ranking over file_ranking, located once per ranking."""
-        if id(ranking) not in self._points:
-            points = locate(ranking, self.file_ranking, self.index, self.config.top_files)
-            self._points[id(ranking)] = (ranking, points)
-        return self._points[id(ranking)][1]
+    @cached_property
+    def apriori_points(self) -> list[InstrumentationPoint]:
+        return locate(self.apriori, self.file_ranking, self.index, self.config.top_files)
+
+    @cached_property
+    def ablation_points(self) -> list[InstrumentationPoint]:
+        return locate(self.ablation, self.file_ranking, self.index, self.config.top_files)
 
     @cached_property
     def points(self) -> list[InstrumentationPoint]:
-        return self.points_for(self.ranking)
+        no_apriori = self.config.mode == MODE_NO_APRIORI
+        return self.ablation_points if no_apriori else self.apriori_points
 
     @cached_property
     def scenario(self) -> harness_mod.Scenario:
@@ -374,8 +375,8 @@ def run_fixture(
         truth = load_ground_truth(truth_path)
         row.brk = _best_file_rank(pipe.basic, truth.expected_files)
         row.srk = _best_file_rank(pipe.structured, truth.expected_files)
-        row.rank = _gt_location_ranks(pipe.points_for(pipe.apriori), truth)
-        row.ornk = _gt_location_ranks(pipe.points_for(pipe.ablation), truth)
+        row.rank = _gt_location_ranks(pipe.apriori_points, truth)
+        row.ornk = _gt_location_ranks(pipe.ablation_points, truth)
         ranking = location_ranking(pipe.points)
         relevant = set(truth.expected_syscalls)
         row.rec = recall_at_k(ranking, relevant, config.recall_k)

@@ -136,6 +136,7 @@ def rank_interleavings(report: BugReport, keys: KeySystemCalls) -> PairRanking:
 
 @dataclass(frozen=True)
 class Site:
+    syscall: str
     file: str
     function: str
     line: int
@@ -159,14 +160,9 @@ class InstrumentationPoint:
     placement: str  # between-pair | before | after
     pair_partner: PairPartner | None = None
 
-    @property
-    def site(self) -> Site:
-        return Site(self.file, self.function, self.line)
-
 
 @dataclass
 class _Pending:
-    syscall: str
     site: Site
     placement: str
     partner: PairPartner | None = None
@@ -180,38 +176,19 @@ def _functions_by_file(index: SourceIndex) -> dict[str, list[FunctionRecord]]:
     return by_file
 
 
-def _sites_in_file(records: list[FunctionRecord], syscall: str) -> list[Site]:
+def _sites_in_file(records: list[FunctionRecord]) -> list[Site]:
+    """Every syscall site of the file's functions, each with its own syscall, by line."""
     sites = [
-        Site(record.file, record.name, line)
+        Site(name, record.file, record.name, line)
         for record in records
         for name, line in record.syscall_sites
-        if name == syscall
     ]
     sites.sort(key=lambda s: s.line)
     return sites
-
-
-def _all_sites_in_file(records: list[FunctionRecord]) -> list[Site]:
-    sites = [
-        Site(record.file, record.name, line)
-        for record in records
-        for _name, line in record.syscall_sites
-    ]
-    sites.sort(key=lambda s: s.line)
-    return sites
-
-
-def _syscall_at(records: list[FunctionRecord], site: Site) -> str:
-    for record in records:
-        if record.name == site.function:
-            for name, line in record.syscall_sites:
-                if line == site.line:
-                    return name
-    raise LookupError(f"no syscall site at {site}")
 
 
 def _pair_point(
-    records: list[FunctionRecord],
+    sites: list[Site],
     graph: CallGraph,
     path: str,
     first: str,
@@ -220,12 +197,12 @@ def _pair_point(
 ) -> _Pending | None:
     """Resolve one pair to a between-pair point in this file, or None.
 
-    ``records`` are the file's functions.  A pair whose sites sit in
+    ``sites`` are the file's syscall sites.  A pair whose sites sit in
     functions the call graph does not connect is ordered by file line and
     described in ``unconnected``.
     """
-    sites_a = _sites_in_file(records, first)
-    sites_b = _sites_in_file(records, second)
+    sites_a = [s for s in sites if s.syscall == first]
+    sites_b = [s for s in sites if s.syscall == second]
     if not sites_a or not sites_b:
         return None
 
@@ -242,31 +219,20 @@ def _pair_point(
             key=lambda ab: (abs(ab[0].line - ab[1].line), min(ab[0].line, ab[1].line)),
         )
         anchor, partner = (a, b) if a.line < b.line else (b, a)
-        return _Pending(
-            syscall=_syscall_at(records, anchor),
-            site=anchor,
-            placement=PLACEMENT_BETWEEN,
-            partner=PairPartner(
-                _syscall_at(records, partner), partner.file, partner.function, partner.line
-            ),
-        )
-
-    # cross-function: earliest site per member, ordered by call-graph reachability
-    a, b = sites_a[0], sites_b[0]
-    if graph.reaches(a.function, b.function):
-        anchor, partner = a, b
-    elif graph.reaches(b.function, a.function):
-        anchor, partner = b, a
     else:
-        anchor, partner = (a, b) if a.line <= b.line else (b, a)
-        unconnected.append(f"({first},{second}) {a.function}/{b.function} in {path}")
+        # cross-function: earliest site per member, ordered by call-graph reachability
+        a, b = sites_a[0], sites_b[0]
+        if graph.reaches(a.function, b.function):
+            anchor, partner = a, b
+        elif graph.reaches(b.function, a.function):
+            anchor, partner = b, a
+        else:
+            anchor, partner = (a, b) if a.line <= b.line else (b, a)
+            unconnected.append(f"({first},{second}) {a.function}/{b.function} in {path}")
     return _Pending(
-        syscall=_syscall_at(records, anchor),
         site=anchor,
         placement=PLACEMENT_BETWEEN,
-        partner=PairPartner(
-            _syscall_at(records, partner), partner.file, partner.function, partner.line
-        ),
+        partner=PairPartner(partner.syscall, partner.file, partner.function, partner.line),
     )
 
 
@@ -286,24 +252,24 @@ def locate(
     unconnected: list[str] = []
     by_file = _functions_by_file(index)
     for path in ranked_files.top(top_files):
-        records = by_file.get(path, [])
+        sites = _sites_in_file(by_file.get(path, []))
         if ranking.enumerate_all:
-            for site in _all_sites_in_file(records):
-                name = _syscall_at(records, site)
-                pending.append(_Pending(name, site, PLACEMENT_BEFORE))
-                pending.append(_Pending(name, site, PLACEMENT_AFTER))
+            for site in sites:
+                pending.append(_Pending(site, PLACEMENT_BEFORE))
+                pending.append(_Pending(site, PLACEMENT_AFTER))
             continue
         for entry in ranking.entries:
             if len(entry.items) == 2:
                 point = _pair_point(
-                    records, index.graph, path, entry.items[0], entry.items[1], unconnected
+                    sites, index.graph, path, entry.items[0], entry.items[1], unconnected
                 )
                 if point is not None:
                     pending.append(point)
             else:
-                for site in _sites_in_file(records, entry.items[0]):
-                    pending.append(_Pending(entry.items[0], site, PLACEMENT_BEFORE))
-                    pending.append(_Pending(entry.items[0], site, PLACEMENT_AFTER))
+                for site in sites:
+                    if site.syscall == entry.items[0]:
+                        pending.append(_Pending(site, PLACEMENT_BEFORE))
+                        pending.append(_Pending(site, PLACEMENT_AFTER))
 
     if unconnected:
         log.warning(
@@ -315,7 +281,7 @@ def locate(
     return [
         InstrumentationPoint(
             rank=i,
-            syscall=p.syscall,
+            syscall=p.site.syscall,
             file=p.site.file,
             function=p.site.function,
             line=p.site.line,

@@ -41,13 +41,8 @@ DEFAULT_TOP_FILES = 10
 
 @dataclass
 class TfIdfIndex:
-    vocabulary: dict[str, int]
     idf: dict[str, float]
     doc_vectors: dict[str, dict[str, float]]
-
-    @property
-    def doc_ids(self) -> list[str]:
-        return list(self.doc_vectors)
 
 
 def _normalize(vec: dict[str, float]) -> dict[str, float]:
@@ -71,13 +66,12 @@ def build_index(docs: list[tuple[str, TokenStream]]) -> TfIdfIndex:
         term_counts[doc_id] = counts
         df.update(counts.keys())
 
-    vocabulary = {term: dim for dim, term in enumerate(sorted(df))}
-    idf = {term: math.log(n_docs / df[term]) for term in vocabulary}
+    idf = {term: math.log(n_docs / count) for term, count in df.items()}
     doc_vectors = {
         doc_id: _normalize({t: c * idf[t] for t, c in counts.items()})
         for doc_id, counts in term_counts.items()
     }
-    return TfIdfIndex(vocabulary=vocabulary, idf=idf, doc_vectors=doc_vectors)
+    return TfIdfIndex(idf=idf, doc_vectors=doc_vectors)
 
 
 def _query_vector(index: TfIdfIndex, query: TokenStream) -> dict[str, float]:

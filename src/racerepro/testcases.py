@@ -140,12 +140,6 @@ class Category:
 class TslSpec:
     categories: list[Category]
 
-    def category(self, name: str) -> Category:
-        for cat in self.categories:
-            if cat.name == name:
-                return cat
-        raise KeyError(f"unknown category: {name!r}")
-
 
 class TslError(ValueError):
     """Raised for unparsable specs or unsatisfiable frames."""

@@ -68,9 +68,6 @@ class VirtualFS:
             paths[path] = memo[id(node)]
         return VirtualFS(paths=paths)
 
-    def exists(self, path: str) -> bool:
-        return path in self.paths
-
     def node(self, path: str) -> Node | None:
         return self.paths.get(path)
 

@@ -31,8 +31,8 @@ def test_load_catalog_first_line_is_summary(tmp_path):
         "rename - change the name or location of a file\nSecond line ignored.\n"
     )
     catalog = load_catalog(tmp_path)
-    assert catalog.names == ["rename"]
-    assert catalog["rename"].name_section_text == (
+    assert list(catalog.entries) == ["rename"]
+    assert catalog.entries["rename"].name_section_text == (
         "rename - change the name or location of a file"
     )
 
@@ -51,8 +51,8 @@ def test_load_catalog_empty_file(tmp_path):
 def test_bundled_catalog_covers_simulator_ops(catalog):
     for name in ("open", "close", "read", "write", "unlink", "rename",
                  "link", "mkdir", "mknod", "chmod", "stat"):
-        assert name in catalog
-    assert len(catalog) > 200
+        assert name in catalog.entries
+    assert len(catalog.entries) > 200
 
 
 # --- direct extraction ----------------------------------------------------------
@@ -125,7 +125,7 @@ def test_derived_empty_report(catalog):
 
 def test_gzip_fixture_derives_chmod_first(gzip_keys):
     assert gzip_keys.path == SOURCE_DERIVED
-    assert gzip_keys.names[0] == "chmod"
+    assert gzip_keys.entries[0].name == "chmod"
     assert len(gzip_keys.entries) == 10
 
 

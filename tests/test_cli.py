@@ -117,6 +117,7 @@ def test_reproduce_mv_exits_zero(tmp_path, capsys):
     assert payload["schema"] == "racerepro/repro/v1"
     assert payload["reproduced"] is True
     assert payload["attempts"] == 1
+    assert "fails_undelayed" not in payload
     assert payload["schedule"]["lines"] == [
         "mv:unlink(foo) @ copy.c:copy_internal:307",
         "cat:open(foo)",
@@ -148,6 +149,28 @@ def test_reproduce_race_free_scenario_exits_one(tmp_path, capsys):
     assert payload["reproduced"] is False
     assert payload["attempts"] == 5
     assert "reproduced: False" in capsys.readouterr().out
+
+
+def test_reproduce_scenario_failing_undelayed_credits_no_point(tmp_path, capsys):
+    # no src_map entry maps any located point; the plain order already fails
+    scenario = {
+        "id": "fails-undelayed",
+        "processes": [{"name": "a", "trace": [{"kind": "chmod", "args": ["x", "600"]}]}],
+        "initial_fs": [{"path": "x"}],
+        "oracle": {"kind": "final-mode", "path": "x", "mode": "644"},
+    }
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    payload = _read_json(tmp_path / "repro.json")
+    assert (payload["reproduced"], payload["attempts"]) == (True, 1)
+    assert payload["fails_undelayed"] is True
+    assert "point_used" not in payload
+    assert payload["schedule"]["injected_delays"] == []
 
 
 # --- eval ----------------------------------------------------------------------
@@ -285,6 +308,48 @@ def test_scenario_wrong_json_type_exits_two(tmp_path, capsys, payload):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(scenario_path) in err and "wrong JSON type" in err
+
+
+def _mv_scenario_with(edit) -> dict:
+    payload = _read_json(MV_DIR / "scenario.json")
+    edit(payload)
+    return payload
+
+
+def _bad_line(payload):
+    payload["src_map"][0]["line"] = "x"
+
+
+def _bad_op_index(payload):
+    payload["src_map"][0]["op_index"] = "x"
+
+
+def _bad_mode(payload):
+    payload["initial_fs"][0]["mode"] = "9z"
+
+
+@pytest.mark.parametrize("edit", [_bad_line, _bad_op_index, _bad_mode])
+def test_scenario_non_numeric_value_exits_two_naming_the_file(tmp_path, capsys, edit):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(_mv_scenario_with(edit)))
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    assert str(scenario_path) in capsys.readouterr().err
+
+
+def test_ground_truth_non_numeric_line_exits_two_naming_the_file(tmp_path, capsys):
+    bundle = tmp_path / "mv_438076"
+    shutil.copytree(MV_DIR, bundle)
+    truth = bundle / "ground_truth.json"
+    payload = _read_json(truth)
+    payload["syscalls"][0]["line"] = "x"
+    truth.write_text(json.dumps(payload))
+    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
+    assert code == EXIT_CONFIG
+    assert str(truth) in capsys.readouterr().err
 
 
 def test_ground_truth_wrong_json_type_exits_two(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import re
 from pathlib import Path
 
@@ -13,16 +14,7 @@ from conftest import GZIP_DIR, MV_DIR
 from racerepro import csource
 from racerepro.catalog import bundled_catalog
 from racerepro.cli import EXIT_OK, main
-from racerepro.csource import (
-    StaleIndexError,
-    _line_starts,
-    find_syscall_sites,
-    index_tree,
-    load_index,
-    mask_code,
-    save_index,
-    tree_content_hash,
-)
+from racerepro.csource import _line_starts, index_tree, mask_code
 
 SYSCALLS = frozenset({"open", "close", "read", "unlink", "rename", "stat"})
 
@@ -200,12 +192,23 @@ def test_function_records(snippet_index):
     assert remove_target.start_line <= 7 <= remove_target.end_line
 
 
+def _syscall_sites(index, syscall: str) -> list[tuple[str, str, int]]:
+    """Every call-position site of a syscall: (file, function, line), sorted."""
+    sites = [
+        (record.file, record.name, line)
+        for record in index.functions
+        for name, line in record.call_sites
+        if name == syscall
+    ]
+    return sorted(sites, key=lambda s: (s[0], s[2]))
+
+
 def test_syscall_sites_exclude_comments_and_strings(snippet_index):
-    sites = find_syscall_sites(snippet_index, "unlink")
+    sites = _syscall_sites(snippet_index, "unlink")
     # exactly one real unlink call: line 7
     assert sites == [("mover.c", "remove_target", 7)]
-    assert find_syscall_sites(snippet_index, "rename") == [("mover.c", "do_move", 16)]
-    assert find_syscall_sites(snippet_index, "stat") == [("mover.c", "do_move", 18)]
+    assert _syscall_sites(snippet_index, "rename") == [("mover.c", "do_move", 16)]
+    assert _syscall_sites(snippet_index, "stat") == [("mover.c", "do_move", 18)]
 
 
 def test_sites_match_line_scanner_oracle(mv_index):
@@ -225,12 +228,12 @@ def test_sites_match_line_scanner_oracle(mv_index):
                 ):
                     expected.append((record.file, record.name, lineno))
         expected.sort(key=lambda s: (s[0], s[2]))
-        assert find_syscall_sites(mv_index, syscall) == expected, syscall
+        assert _syscall_sites(mv_index, syscall) == expected, syscall
 
 
 def test_call_graph_edges(snippet_index):
     graph = snippet_index.graph
-    assert graph.successors("do_move") == ["remove_target"]
+    assert graph.edges["do_move"] == {"remove_target"}
     assert graph.reaches("do_move", "remove_target")
     assert not graph.reaches("remove_target", "do_move")
 
@@ -256,46 +259,6 @@ def test_index_tree_deterministic_order(tmp_path):
     (tmp_path / "a.c").write_text("int aye (void) { return 0; }\n")
     index = index_tree(tmp_path, SYSCALLS)
     assert [d.path for d in index.docs] == ["a.c", "b.c"]
-
-
-# --- dump / reload ----------------------------------------------------------------
-
-def test_save_load_roundtrip(tmp_path, snippet_index):
-    dump = tmp_path / "index.json"
-    save_index(snippet_index, dump)
-    loaded = load_index(dump)
-    assert [f.name for f in loaded.functions] == ["remove_target", "do_move"]
-    assert loaded.content_hash == snippet_index.content_hash
-    assert find_syscall_sites(loaded, "unlink") == [("mover.c", "remove_target", 7)]
-
-
-def test_stale_index_detection(tmp_path):
-    (tmp_path / "one.c").write_text("int f (void) { return open (\"x\"); }\n")
-    index = index_tree(tmp_path, SYSCALLS)
-    dump = tmp_path / "index.json"
-    save_index(index, dump)
-    (tmp_path / "one.c").write_text("int f (void) { return 1; }\n")
-    with pytest.raises(StaleIndexError):
-        load_index(dump, src_root=tmp_path)
-
-
-def test_tree_content_hash_sensitivity(tmp_path):
-    (tmp_path / "a.c").write_text("int f (void) { return 0; }\n")
-    before = tree_content_hash(tmp_path)
-    (tmp_path / "a.c").write_text("int f (void) { return 1; }\n")
-    assert tree_content_hash(tmp_path) != before
-
-
-@pytest.mark.parametrize("root", [MV_DIR / "src", GZIP_DIR / "src", None])
-def test_index_hash_equals_tree_content_hash(root, tmp_path):
-    if root is None:  # a tree with a subdirectory and a skipped non-C file
-        root = tmp_path
-        (root / "lib").mkdir()
-        (root / "lib" / "util.h").write_text("int helper (int x);\n")
-        (root / "lib" / "util.c").write_text("int helper (int x) { return x; }\n")
-        (root / "main.c").write_text("int main (void) { return helper (0); }\n")
-        (root / "notes.txt").write_text("not indexed\n")
-    assert index_tree(root, SYSCALLS).content_hash == tree_content_hash(root)
 
 
 # --- line starts ----------------------------------------------------------------
@@ -324,15 +287,10 @@ def test_line_starts_match_loop_on_fixtures(root):
 
 # --- the one-slot index memo ------------------------------------------------------
 
-def _dump(index, path: Path) -> bytes:
-    save_index(index, path)
-    return path.read_bytes()
-
-
-def _cold_dump(root: Path, names, path: Path, monkeypatch) -> bytes:
-    """save_index bytes of an index built with the memo slot empty."""
+def _cold_index(root: Path, names, monkeypatch):
+    """An index built with the memo slot empty."""
     monkeypatch.setattr(csource, "_last_index", None)
-    return _dump(index_tree(root, names), path)
+    return index_tree(root, names)
 
 
 def _small_tree(root: Path) -> Path:
@@ -348,7 +306,18 @@ def test_unchanged_tree_returns_the_same_index(tmp_path):
     first = index_tree(src, SYSCALLS)
     second = index_tree(src, SYSCALLS)
     assert second is first
-    assert second.content_hash == tree_content_hash(src)
+
+
+def test_index_memo_keys_on_source_files_in_subdirectories_only(tmp_path):
+    src = _small_tree(tmp_path)
+    (src / "lib").mkdir()
+    (src / "lib" / "util.h").write_text("int helper (int x);\n")
+    (src / "notes.txt").write_text("not indexed\n")
+    first = index_tree(src, SYSCALLS)
+    (src / "notes.txt").write_text("edited, still not indexed\n")
+    assert index_tree(src, SYSCALLS) is first
+    (src / "lib" / "util.h").write_text("int helper (int y);\n")
+    assert index_tree(src, SYSCALLS) is not first
 
 
 def _edit_same_length(src: Path) -> None:
@@ -374,9 +343,7 @@ def test_changed_tree_gives_a_fresh_index(change, tmp_path, monkeypatch):
         assert (src / "a.c").stat().st_size == size
     fresh = index_tree(src, SYSCALLS)
     assert fresh is not before
-    assert fresh.content_hash == tree_content_hash(src) != before.content_hash
-    warm = _dump(fresh, tmp_path / "warm.json")
-    assert warm == _cold_dump(src, SYSCALLS, tmp_path / "cold.json", monkeypatch)
+    assert fresh == _cold_index(src, SYSCALLS, monkeypatch)
 
 
 def test_other_syscall_names_give_a_fresh_index(tmp_path, monkeypatch):
@@ -386,15 +353,14 @@ def test_other_syscall_names_give_a_fresh_index(tmp_path, monkeypatch):
     fresh = index_tree(src, names)
     assert fresh is not before
     assert fresh.functions[0].syscall_sites == []
-    warm = _dump(fresh, tmp_path / "warm.json")
-    assert warm == _cold_dump(src, names, tmp_path / "cold.json", monkeypatch)
+    assert fresh == _cold_index(src, names, monkeypatch)
 
 
 def test_pipeline_runs_share_the_index_without_changing_it(tmp_path):
     src = MV_DIR / "src"
     names = frozenset(bundled_catalog().entries)
     index = index_tree(src, names)
-    before = _dump(index, tmp_path / "before.json")
+    before = copy.deepcopy(index)
     dirs = [tmp_path / "run1", tmp_path / "run2"]
     for out_dir in dirs:
         code = main([
@@ -404,7 +370,7 @@ def test_pipeline_runs_share_the_index_without_changing_it(tmp_path):
         ])
         assert code == EXIT_OK
     assert index_tree(src, names) is index
-    assert _dump(index, tmp_path / "after.json") == before
+    assert index == before
     names_written = sorted(p.name for p in dirs[0].iterdir())
     assert names_written == sorted(p.name for p in dirs[1].iterdir())
     for name in names_written:

@@ -134,8 +134,9 @@ def test_load_parses_octal_modes(tmp_path):
 
 def test_bundled_mv_scenario_shape(mv_scenario):
     assert mv_scenario.process_names == ["mv", "cat"]
-    assert [op.kind for op in mv_scenario.trace("mv")] == ["unlink", "rename"]
-    assert [op.kind for op in mv_scenario.trace("cat")] == ["open"]
+    traces = dict(mv_scenario.processes)
+    assert [op.kind for op in traces["mv"]] == ["unlink", "rename"]
+    assert [op.kind for op in traces["cat"]] == ["open"]
     assert mv_scenario.oracle.kind == "open-enoent"
 
 
@@ -293,17 +294,35 @@ def test_reproduce_mv_on_first_ranked_point(mv_scenario, mv_ranking, mv_ranked_f
 
 
 def test_reproduce_second_point_fires_gives_attempts_two():
-    src_map = {("gzip.c", "treat_file", 57): ("writer", 3)}
-    scn = _two_proc(Oracle(kind="final-mode", path="f", expected_mode=0o444), src_map)
+    # tamperer first: undelayed, its chmod finds no f and the mode ends 444
+    src_map = {("gzip.c", "treat_file", 57): ("tamperer", 0)}
+    two = _two_proc(Oracle(kind="final-mode", path="f", expected_mode=0o444), src_map)
+    scn = Scenario("tamperer-first", two.processes[::-1], [], two.oracle, src_map)
     points = [
-        _point("before", "gzip.c", "treat_file", 57, rank=1),
-        _point("after", "gzip.c", "treat_file", 57, rank=2),
+        _point("after", "gzip.c", "treat_file", 57, rank=1),
+        _point("before", "gzip.c", "treat_file", 57, rank=2),
     ]
-    # before: tamperer's chmod lands ahead of the final chmod -> mode ends 444
+    assert run_schedule(scn, baseline_schedule(scn)).verdict == VERDICT_PASS
+    # after: the order is the undelayed one; before: the chmod lands last
     assert run_schedule(scn, schedule_with_delay(scn, points[0])).verdict == VERDICT_PASS
     result = reproduce(scn, points)
     assert (result.reproduced, result.attempts) == (True, 2)
     assert result.point_used is points[1]
+    assert not result.fails_undelayed
+
+
+def test_reproduce_credits_no_point_when_the_undelayed_order_fails():
+    # writer then tamperer: the tamperer's chmod lands last without any delay
+    src_map = {("gzip.c", "treat_file", 57): ("writer", 3)}
+    scn = _two_proc(Oracle(kind="final-mode", path="f", expected_mode=0o444), src_map)
+    ghost = _point("before", "nowhere.c", "f", 1, rank=1)
+    mapped = _point("after", "gzip.c", "treat_file", 57, rank=2)
+    result = reproduce(scn, [ghost, mapped])
+    assert (result.reproduced, result.attempts) == (True, 1)
+    assert result.fails_undelayed
+    assert result.point_used is None
+    assert result.schedule.steps == baseline_schedule(scn).steps
+    assert result.schedule.injected_delays == []
 
 
 def test_reproduce_empty_points_is_zero_attempts(mv_scenario):

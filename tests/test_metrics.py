@@ -319,8 +319,7 @@ def test_pipeline_runs_each_stage_once(monkeypatch):
     locate_calls = _counting(monkeypatch, "locate")
     pipe = _mv_pipeline()
     assert pipe.result.reproduced
-    assert pipe.points_for(pipe.ranking) is pipe.points
-    assert pipe.points_for(pipe.apriori) is pipe.points
+    assert pipe.apriori_points is pipe.points
     assert pipe.keys is pipe.keys
     assert (len(index_calls), len(locate_calls)) == (1, 1)
 

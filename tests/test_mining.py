@@ -330,3 +330,28 @@ def test_same_function_name_in_two_files_keeps_each_files_syscall(tmp_path):
         ("w.c", "rename", "before"), ("w.c", "rename", "after"),
         ("v.c", "unlink", "before"), ("v.c", "unlink", "after"),
     ]
+
+
+TWO_ON_ONE_LINE = """\
+int
+swap (const char *a, const char *b)
+{
+  if (rename (a, b) < 0 && unlink (b) < 0)
+    return -1;
+  return 0;
+}
+"""
+
+
+def test_sites_on_one_line_keep_their_own_syscalls(tmp_path):
+    (tmp_path / "w.c").write_text(TWO_ON_ONE_LINE)
+    index = index_tree(tmp_path, SYSCALLS)
+    pair = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=1)])
+    (point,) = locate(pair, _ranked(["w.c"]), index)
+    assert (point.syscall, point.line) == ("unlink", 4)
+    assert (point.pair_partner.syscall, point.pair_partner.line) == ("rename", 4)
+    every = locate(PairRanking(entries=[], enumerate_all=True), _ranked(["w.c"]), index)
+    assert [(p.syscall, p.line, p.placement) for p in every] == [
+        ("rename", 4, "before"), ("rename", 4, "after"),
+        ("unlink", 4, "before"), ("unlink", 4, "after"),
+    ]

@@ -29,21 +29,25 @@ def _report(body: str, subject: str = "subject") -> BugReport:
     return BugReport.from_parts("t", subject, body)
 
 
+def _category(spec, name: str):
+    return next(cat for cat in spec.categories if cat.name == name)
+
+
 # --- parsing ------------------------------------------------------------------
 
 def test_parse_mv_tsl_shape():
     spec = parse_tsl(MV_TSL)
     assert [c.name for c in spec.categories] == ["options", "inputs"]
-    options = spec.category("options")
+    options = _category(spec, "options")
     assert [c.value for c in options.choices] == ["none", "-f", "-i"]
     assert options.choices[2].error
-    inputs = spec.category("inputs")
+    inputs = _category(spec, "inputs")
     assert inputs.choices[1].single
 
 
 def test_parse_skips_comments_and_blanks():
     spec = parse_tsl("# header\n\ncategory a:\n  # note\n  choice x\n")
-    assert [c.value for c in spec.category("a").choices] == ["x"]
+    assert [c.value for c in _category(spec, "a").choices] == ["x"]
 
 
 def test_parse_if_tag():
@@ -51,7 +55,7 @@ def test_parse_if_tag():
         "category mode:\n  choice fast\n  choice slow\n"
         "category retry:\n  choice on [if mode=slow]\n  choice off\n"
     )
-    on = spec.category("retry").choices[0]
+    on = _category(spec, "retry").choices[0]
     assert on.conditions == (("mode", "slow"),)
 
 
@@ -72,11 +76,6 @@ def test_parse_if_tag():
 def test_parse_errors(text):
     with pytest.raises(TslError):
         parse_tsl(text)
-
-
-def test_unknown_category_lookup():
-    with pytest.raises(KeyError):
-        parse_tsl("category a:\n  choice x\n").category("b")
 
 
 # --- expansion ----------------------------------------------------------------

@@ -34,7 +34,7 @@ def _do(fs: VirtualFS, syscall: str, *args):
 def test_rename_moves_node_then_stat_sees_it():
     fs = _fs(bar="payload")
     assert _do(fs, "rename", "bar", "foo").result == OK
-    assert not fs.exists("bar")
+    assert fs.node("bar") is None
     event = _do(fs, "stat", "foo")
     assert (event.result, event.detail) == (OK, "file 644")
 
@@ -161,7 +161,7 @@ def test_unlink_directory_is_eisdir():
     fs = VirtualFS()
     _do(fs, "mkdir", "d")
     assert _do(fs, "unlink", "d").result == EISDIR
-    assert fs.exists("d")
+    assert fs.node("d") is not None
 
 
 def test_stat_detail_is_kind_and_octal_mode():
