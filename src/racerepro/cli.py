@@ -63,24 +63,17 @@ def _ranking_payload(ranking: PairRanking) -> dict:
     }
 
 
+def _point_payload(p: InstrumentationPoint) -> dict:
+    """A point's rank, site and placement (its pair partner is added by the caller)."""
+    return {"rank": p.rank, **p.site._asdict(), "placement": p.placement}
+
+
 def _points_payload(points: list[InstrumentationPoint]) -> dict:
     out = []
     for p in points:
-        entry = {
-            "rank": p.rank,
-            "syscall": p.syscall,
-            "file": p.file,
-            "function": p.function,
-            "line": p.line,
-            "placement": p.placement,
-        }
+        entry = _point_payload(p)
         if p.pair_partner is not None:
-            entry["pair_partner"] = {
-                "syscall": p.pair_partner.syscall,
-                "file": p.pair_partner.file,
-                "function": p.pair_partner.function,
-                "line": p.pair_partner.line,
-            }
+            entry["pair_partner"] = p.pair_partner._asdict()
         out.append(entry)
     return {"schema": "racerepro/points/v1", "points": out}
 
@@ -138,15 +131,7 @@ def _repro_payload(
             "lines": harness_mod.format_schedule(scenario, result.schedule),
         }
     if result.point_used is not None:
-        p = result.point_used
-        payload["point_used"] = {
-            "rank": p.rank,
-            "syscall": p.syscall,
-            "file": p.file,
-            "function": p.function,
-            "line": p.line,
-            "placement": p.placement,
-        }
+        payload["point_used"] = _point_payload(result.point_used)
     return payload
 
 
@@ -170,6 +155,8 @@ def _pipeline(args: argparse.Namespace) -> Pipeline:
         src_root=getattr(args, "src", None),
         scenario_path=getattr(args, "scenario", None),
         man_dir=args.man_dir,
+        tsl_path=getattr(args, "tsl", None),
+        commands=[n.strip() for n in getattr(args, "commands", "").split(",") if n.strip()],
     )
 
 
@@ -221,16 +208,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_tests(args: argparse.Namespace) -> int:
-    pipe = _pipeline(args)
-    spec = testcases.parse_tsl(Path(args.tsl).read_text("utf-8"))
-    known = [name.strip() for name in args.commands.split(",") if name.strip()]
-    if args.scenario:
-        known.extend(pipe.scenario.process_names)
-    for cat in spec.categories:
-        if cat.name == "command":
-            known.extend(choice.value for choice in cat.choices)
-    partial = testcases.extract_elements(pipe.report, known)
-    cases = testcases.expand_tsl(spec, partial)
+    partial, cases = _pipeline(args).test_cases
     path = _write_json(args.out_dir, "test_cases.json", _test_cases_payload(partial, cases))
     for c in cases:
         marker = " [error]" if c.error else ""
@@ -296,10 +274,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     _write_json(args.out_dir, "pair_ranking.json", _ranking_payload(pipe.ranking))
     _write_json(args.out_dir, "points.json", _points_payload(pipe.points))
     if args.tsl:
-        spec = testcases.parse_tsl(Path(args.tsl).read_text("utf-8"))
-        partial = testcases.extract_elements(pipe.report, pipe.scenario.process_names)
-        cases = testcases.expand_tsl(spec, partial)
-        _write_json(args.out_dir, "test_cases.json", _test_cases_payload(partial, cases))
+        _write_json(args.out_dir, "test_cases.json", _test_cases_payload(*pipe.test_cases))
 
     result = pipe.result
     _write_json(args.out_dir, "repro.json", _repro_payload(pipe.scenario, result))

@@ -25,7 +25,7 @@ VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 
 DEFAULT_MAX_ATTEMPTS = 100
-DEFAULT_ENUMERATE_BOUND = 12
+ENUMERATE_BOUND = 12
 
 ORACLE_KINDS = ("open-enoent", "final-mode", "path-missing", "final-content")
 
@@ -161,23 +161,32 @@ class FieldTypeError(ValueError):
 
 
 @contextmanager
-def required_fields(path: str | Path) -> Iterator[None]:
+def required_fields(path: str | Path, field: str | None = None) -> Iterator[None]:
     """Turn a missing JSON key, a wrong JSON type or a value that does not
     parse while parsing ``path`` into MissingFieldError or FieldTypeError,
-    each naming the file."""
+    each naming the file and, when given, the top-level field."""
+    where = f"{path}:" if field is None else f"{path}: field {field!r}:"
     try:
         yield
     except KeyError as exc:
         raise MissingFieldError(f"{path}: missing field {exc.args[0]!r}") from exc
     except (TypeError, AttributeError) as exc:
-        raise FieldTypeError(f"{path}: wrong JSON type ({exc})") from exc
+        raise FieldTypeError(f"{where} wrong JSON type ({exc})") from exc
     except ValueError as exc:
-        raise FieldTypeError(f"{path}: bad value ({exc})") from exc
+        raise FieldTypeError(f"{where} bad value ({exc})") from exc
+
+
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object in ``path``; any other top-level value is a FieldTypeError."""
+    data = json.loads(Path(path).read_text("utf-8"))
+    if not isinstance(data, dict):
+        raise FieldTypeError(f"{path}: wrong JSON type (top level is a {type(data).__name__})")
+    return data
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    data = json.loads(Path(path).read_text("utf-8"))
-    with required_fields(path):
+    data = load_json_object(path)
+    with required_fields(path, "oracle"):
         oracle_obj = data["oracle"]
         oracle = Oracle(
             kind=oracle_obj["kind"],
@@ -187,25 +196,30 @@ def load_scenario(path: str | Path) -> Scenario:
             ),
             expected_content=oracle_obj.get("content"),
         )
+    with required_fields(path, "src_map"):
         src_map = {
             (m["file"], m["function"], int(m["line"])): (m["process"], int(m["op_index"]))
             for m in data.get("src_map", [])
         }
+    with required_fields(path, "processes"):
+        processes = [
+            (p["name"], [_op_from_json(op) for op in p["trace"]]) for p in data["processes"]
+        ]
+    with required_fields(path, "initial_fs"):
+        initial_fs = [
+            FsEntry(
+                path=e["path"],
+                kind=e.get("kind", KIND_FILE),
+                mode=_parse_mode(e.get("mode", "644")),
+                content=e.get("content", ""),
+            )
+            for e in data.get("initial_fs", [])
+        ]
+    with required_fields(path):
         return Scenario(
             id=str(data.get("id", Path(path).stem)),
-            processes=[
-                (p["name"], [_op_from_json(op) for op in p["trace"]])
-                for p in data["processes"]
-            ],
-            initial_fs=[
-                FsEntry(
-                    path=e["path"],
-                    kind=e.get("kind", KIND_FILE),
-                    mode=_parse_mode(e.get("mode", "644")),
-                    content=e.get("content", ""),
-                )
-                for e in data.get("initial_fs", [])
-            ],
+            processes=processes,
+            initial_fs=initial_fs,
             oracle=oracle,
             src_map=src_map,
         )
@@ -377,16 +391,14 @@ def reproduce(
 
 # --- systematic and random exploration --------------------------------------
 
-def enumerate_interleavings(
-    scn: Scenario, bound: int = DEFAULT_ENUMERATE_BOUND
-) -> list[tuple[InterleavingSchedule, str]]:
+def enumerate_interleavings(scn: Scenario) -> list[tuple[InterleavingSchedule, str]]:
     """All program-order-preserving interleavings with verdicts.
 
-    Guarded by an op-count bound: the count is multinomial in trace lengths.
+    Guarded by ``ENUMERATE_BOUND`` ops: the count is multinomial in trace lengths.
     """
     total = scn.total_ops()
-    if total > bound:
-        raise ValueError(f"scenario has {total} ops, enumeration bound is {bound}")
+    if total > ENUMERATE_BOUND:
+        raise ValueError(f"scenario has {total} ops, enumeration bound is {ENUMERATE_BOUND}")
     names = scn.process_names
     lengths = [len(trace) for _name, trace in scn.processes]
 

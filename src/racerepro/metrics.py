@@ -9,19 +9,19 @@ output only, never to structured artifacts, which stay byte-deterministic.
 
 from __future__ import annotations
 
-import json
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 from . import catalog as catalog_mod
 from . import harness as harness_mod
-from . import mining, retrieval
+from . import mining, retrieval, testcases
 from .catalog import Catalog, KeySystemCalls
 from .csource import SourceIndex, index_tree
-from .mining import InstrumentationPoint, PairRanking, RankEntry, locate
+from .mining import InstrumentationPoint, PairRanking, RankEntry, Site, locate
 from .reports import BugReport, load_report
 from .retrieval import RankedFiles
 
@@ -106,14 +106,11 @@ def perturb_report(report: BugReport, fraction: float, seed: int) -> BugReport:
 
 # --- ground truth -----------------------------------------------------------
 
-SiteId = tuple[str, str, str, int]  # (syscall, file, function, line)
-
-
 @dataclass
 class GroundTruth:
     bug_id: str
     expected_files: list[str]
-    expected_syscalls: list[SiteId]
+    expected_syscalls: list[Site]
 
     def __post_init__(self) -> None:
         if not self.expected_syscalls:
@@ -121,36 +118,34 @@ class GroundTruth:
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
-    data = json.loads(Path(path).read_text("utf-8"))
-    with harness_mod.required_fields(path):
+    data = harness_mod.load_json_object(path)
+    with harness_mod.required_fields(path, "files"):
+        expected_files = [str(f) for f in data["files"]]
+    with harness_mod.required_fields(path, "syscalls"):
         return GroundTruth(
             bug_id=str(data["id"]),
-            expected_files=[str(f) for f in data["files"]],
+            expected_files=expected_files,
             expected_syscalls=[
-                (s["syscall"], s["file"], s["function"], int(s["line"]))
+                Site(s["syscall"], s["file"], s["function"], int(s["line"]))
                 for s in data["syscalls"]
             ],
         )
 
 
-def location_ranking(points: list[InstrumentationPoint]) -> list[SiteId]:
+def location_ranking(points: list[InstrumentationPoint]) -> list[Site]:
     """Ranked distinct syscall locations implied by the point list.
 
     A between-pair point contributes its anchor first, then its partner;
     repeat visits of a site (before/after twins, later files) keep the
     first occurrence.
     """
-    seen: set[SiteId] = set()
-    out: list[SiteId] = []
+    seen: set[Site] = set()
+    out: list[Site] = []
     for point in points:
-        ids = [(point.syscall, point.file, point.function, point.line)]
-        if point.pair_partner is not None:
-            p = point.pair_partner
-            ids.append((p.syscall, p.file, p.function, p.line))
-        for site_id in ids:
-            if site_id not in seen:
-                seen.add(site_id)
-                out.append(site_id)
+        for site in (point.site, point.pair_partner):
+            if site is not None and site not in seen:
+                seen.add(site)
+                out.append(site)
     return out
 
 
@@ -230,11 +225,12 @@ class Pipeline:
     report -> keys -> (index) basic / structured -> file_ranking;
     keys -> apriori / ablation -> ranking; (apriori or ablation,
     file_ranking, index) -> apriori_points / ablation_points -> points;
-    (scenario, points) -> result.  The mode picks file_ranking, ranking,
-    points and result and perturbs the report; the CLI subcommands, the
-    experiment driver and the demos all read their stages from here.
-    Stages call ``load_report``, ``index_tree`` and ``locate`` through this
-    module's globals so that wrappers installed there see every call.
+    (scenario, points) -> result; (tsl, report, commands) -> test_cases.
+    The mode picks file_ranking, ranking, points and result and perturbs
+    the report; the CLI subcommands, the experiment driver and the demos
+    all read their stages from here.  Stages call ``load_report``,
+    ``index_tree``, ``locate`` and the ``testcases`` functions through
+    module globals so that wrappers installed there see every call.
     """
 
     def __init__(
@@ -245,6 +241,8 @@ class Pipeline:
         scenario_path: str | Path | None = None,
         catalog: Catalog | None = None,
         man_dir: str | Path | None = None,
+        tsl_path: str | Path | None = None,
+        commands: Sequence[str] = (),
     ) -> None:
         _validate_config(config)
         self.config = config
@@ -252,6 +250,8 @@ class Pipeline:
         self.src_root = src_root
         self.scenario_path = scenario_path
         self.man_dir = man_dir
+        self.tsl_path = tsl_path
+        self.commands = commands
         if catalog is not None:
             self.catalog = catalog
 
@@ -323,6 +323,25 @@ class Pipeline:
         if config.mode == MODE_RANDOM_BASELINE:
             return harness_mod.random_baseline(self.scenario, config.max_attempts, config.seed)
         return harness_mod.reproduce(self.scenario, self.points, config.max_attempts)
+
+    @cached_property
+    def test_cases(self) -> tuple[testcases.TestCase, list[testcases.TestCase]]:
+        """(elements extracted from the report, expanded TSL test cases).
+
+        Known commands: the given ones, the scenario's process names when
+        there is a scenario, and the spec's ``command`` choices.
+        """
+        spec = testcases.parse_tsl(Path(self.tsl_path).read_text("utf-8"))
+        known = list(self.commands)
+        if self.scenario_path is not None:
+            known.extend(self.scenario.process_names)
+        known.extend(
+            choice.value
+            for category in spec.categories if category.name == "command"
+            for choice in category.choices
+        )
+        partial = testcases.extract_elements(self.report, known)
+        return partial, testcases.expand_tsl(spec, partial)
 
 
 @dataclass

@@ -14,7 +14,8 @@ verified syscall call sites, emitting ordered instrumentation points.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import SOURCE_DIRECT, KeySystemCalls
 from .csource import CallGraph, FunctionRecord, SourceIndex
@@ -34,25 +35,20 @@ PLACEMENT_AFTER = "after"
 class TransactionDB:
     """Ordered (sentence index, syscall names in mention order) pairs.
 
-    Only syscall-bearing sentences appear; multiplicity is preserved.  The
-    subject line can optionally join as a pseudo-transaction with index -1.
+    Only syscall-bearing body sentences appear (the subject line does not);
+    multiplicity is preserved.
     """
 
     transactions: list[tuple[int, list[str]]]
 
 
-def build_transactions(
-    report: BugReport, keys: KeySystemCalls, include_subject: bool = False
-) -> TransactionDB:
+def build_transactions(report: BugReport, keys: KeySystemCalls) -> TransactionDB:
     for idx in keys.sentence_mentions:
         if not 0 <= idx < len(report.sentences):
             raise ValueError(f"mention map references missing sentence {idx}")
-    transactions: list[tuple[int, list[str]]] = []
-    if include_subject and keys.subject_mentions:
-        transactions.append((-1, list(keys.subject_mentions)))
-    for idx in sorted(keys.sentence_mentions):
-        transactions.append((idx, list(keys.sentence_mentions[idx])))
-    return TransactionDB(transactions=transactions)
+    return TransactionDB(transactions=[
+        (idx, list(keys.sentence_mentions[idx])) for idx in sorted(keys.sentence_mentions)
+    ])
 
 
 # --- mining -----------------------------------------------------------------
@@ -134,16 +130,9 @@ def rank_interleavings(report: BugReport, keys: KeySystemCalls) -> PairRanking:
 
 # --- instrumentation points -------------------------------------------------
 
-@dataclass(frozen=True)
-class Site:
-    syscall: str
-    file: str
-    function: str
-    line: int
+class Site(NamedTuple):
+    """One syscall call site in the source; equal to its plain tuple."""
 
-
-@dataclass(frozen=True)
-class PairPartner:
     syscall: str
     file: str
     function: str
@@ -158,14 +147,15 @@ class InstrumentationPoint:
     function: str
     line: int
     placement: str  # between-pair | before | after
-    pair_partner: PairPartner | None = None
+    pair_partner: Site | None = None
+
+    @property
+    def site(self) -> Site:
+        return Site(self.syscall, self.file, self.function, self.line)
 
 
-@dataclass
-class _Pending:
-    site: Site
-    placement: str
-    partner: PairPartner | None = None
+#: (site, placement, pair partner) before ranks are assigned
+_Located = tuple[Site, str, Site | None]
 
 
 def _functions_by_file(index: SourceIndex) -> dict[str, list[FunctionRecord]]:
@@ -177,7 +167,11 @@ def _functions_by_file(index: SourceIndex) -> dict[str, list[FunctionRecord]]:
 
 
 def _sites_in_file(records: list[FunctionRecord]) -> list[Site]:
-    """Every syscall site of the file's functions, each with its own syscall, by line."""
+    """Every syscall site of the file's functions, each with its own syscall.
+
+    Sites are in file order: by line, and within a line in token order
+    (the sort is stable over each function's token-ordered sites).
+    """
     sites = [
         Site(name, record.file, record.name, line)
         for record in records
@@ -194,31 +188,31 @@ def _pair_point(
     first: str,
     second: str,
     unconnected: list[str],
-) -> _Pending | None:
+) -> _Located | None:
     """Resolve one pair to a between-pair point in this file, or None.
 
-    ``sites`` are the file's syscall sites.  A pair whose sites sit in
-    functions the call graph does not connect is ordered by file line and
-    described in ``unconnected``.
+    ``sites`` are the file's syscall sites in file order.  Sites in one
+    function, or in functions the call graph does not connect, anchor at
+    the earlier site in that order (two calls on one line go by position);
+    unconnected pairs are also described in ``unconnected``.  Otherwise
+    the call graph's direction decides.
     """
     sites_a = [s for s in sites if s.syscall == first]
     sites_b = [s for s in sites if s.syscall == second]
     if not sites_a or not sites_b:
         return None
 
+    def in_file_order(a: Site, b: Site) -> tuple[Site, Site]:
+        return (a, b) if sites.index(a) < sites.index(b) else (b, a)
+
     # same-function combinations: minimal line distance, then earliest line
-    combos = [
-        (a, b)
-        for a in sites_a
-        for b in sites_b
-        if a.function == b.function and a.line != b.line
-    ]
+    combos = [(a, b) for a in sites_a for b in sites_b if a.function == b.function]
     if combos:
         a, b = min(
             combos,
             key=lambda ab: (abs(ab[0].line - ab[1].line), min(ab[0].line, ab[1].line)),
         )
-        anchor, partner = (a, b) if a.line < b.line else (b, a)
+        anchor, partner = in_file_order(a, b)
     else:
         # cross-function: earliest site per member, ordered by call-graph reachability
         a, b = sites_a[0], sites_b[0]
@@ -227,13 +221,9 @@ def _pair_point(
         elif graph.reaches(b.function, a.function):
             anchor, partner = b, a
         else:
-            anchor, partner = (a, b) if a.line <= b.line else (b, a)
+            anchor, partner = in_file_order(a, b)
             unconnected.append(f"({first},{second}) {a.function}/{b.function} in {path}")
-    return _Pending(
-        site=anchor,
-        placement=PLACEMENT_BETWEEN,
-        partner=PairPartner(partner.syscall, partner.file, partner.function, partner.line),
-    )
+    return anchor, PLACEMENT_BETWEEN, partner
 
 
 def locate(
@@ -248,15 +238,15 @@ def locate(
     order (inner loop).  Pairs yield one between-pair point anchored at the
     earlier call; singletons yield a before and an after point per site.
     """
-    pending: list[_Pending] = []
+    located: list[_Located] = []
     unconnected: list[str] = []
     by_file = _functions_by_file(index)
     for path in ranked_files.top(top_files):
         sites = _sites_in_file(by_file.get(path, []))
         if ranking.enumerate_all:
             for site in sites:
-                pending.append(_Pending(site, PLACEMENT_BEFORE))
-                pending.append(_Pending(site, PLACEMENT_AFTER))
+                located.append((site, PLACEMENT_BEFORE, None))
+                located.append((site, PLACEMENT_AFTER, None))
             continue
         for entry in ranking.entries:
             if len(entry.items) == 2:
@@ -264,29 +254,21 @@ def locate(
                     sites, index.graph, path, entry.items[0], entry.items[1], unconnected
                 )
                 if point is not None:
-                    pending.append(point)
+                    located.append(point)
             else:
                 for site in sites:
                     if site.syscall == entry.items[0]:
-                        pending.append(_Pending(site, PLACEMENT_BEFORE))
-                        pending.append(_Pending(site, PLACEMENT_AFTER))
+                        located.append((site, PLACEMENT_BEFORE, None))
+                        located.append((site, PLACEMENT_AFTER, None))
 
     if unconnected:
         log.warning(
             "%d pair(s) span unconnected functions, using file-line order; first: %s",
             len(unconnected), unconnected[0],
         )
-    if not pending:
+    if not located:
         log.warning("no instrumentation points found in the top %d files", top_files)
     return [
-        InstrumentationPoint(
-            rank=i,
-            syscall=p.site.syscall,
-            file=p.site.file,
-            function=p.site.function,
-            line=p.site.line,
-            placement=p.placement,
-            pair_partner=p.partner,
-        )
-        for i, p in enumerate(pending, start=1)
+        InstrumentationPoint(i, *site, placement=placement, pair_partner=partner)
+        for i, (site, placement, partner) in enumerate(located, start=1)
     ]

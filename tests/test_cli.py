@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from conftest import MV_DIR
+from conftest import GZIP_DIR, MV_DIR
 from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, main
 from racerepro.harness import load_scenario, random_baseline
 
@@ -242,6 +242,46 @@ def test_pipeline_artifacts_are_byte_identical_across_runs(tmp_path):
         assert first == second, name
 
 
+#: single-stage subcommand, the artifact it shares with pipeline, its input flags
+STAGE_COMMANDS = [
+    ("extract", "keys.json", ("--report",)),
+    ("rank-files", "ranked_files.json", ("--report", "--src")),
+    ("mine-pairs", "pair_ranking.json", ("--report",)),
+    ("locate", "points.json", ("--report", "--src")),
+    ("reproduce", "repro.json", ("--report", "--src", "--scenario")),
+    ("gen-tests", "test_cases.json", ("--report", "--tsl", "--scenario")),
+]
+
+
+@pytest.mark.parametrize("fixture_dir", [MV_DIR, GZIP_DIR], ids=["mv", "gzip"])
+def test_each_subcommand_writes_the_bytes_pipeline_writes(tmp_path, fixture_dir):
+    inputs = {
+        "--report": str(fixture_dir / f"{fixture_dir.name}.txt"),
+        "--src": str(fixture_dir / "src"),
+        "--scenario": str(fixture_dir / "scenario.json"),
+        "--tsl": MV_TSL,
+    }
+
+    def run(command, flags, mode):
+        out = tmp_path / mode / command
+        argv = [command, *(arg for flag in flags for arg in (flag, inputs[flag]))]
+        code = main([*argv, "--mode", mode, "--out-dir", str(out)])
+        assert code in (EXIT_OK, EXIT_NOT_REPRODUCED), (mode, command)
+        return out
+
+    for mode in ("structured-ir", "basic-ir", "no-apriori"):
+        whole = run("pipeline", ("--report", "--src", "--scenario", "--tsl"), mode)
+        for command, artifact, flags in STAGE_COMMANDS:
+            alone = (run(command, flags, mode) / artifact).read_bytes()
+            if (mode, command) == ("no-apriori", "mine-pairs"):
+                # the one exception: mine-pairs writes the mined ranking in every mode
+                assert alone != (whole / artifact).read_bytes()
+                mined = tmp_path / "structured-ir" / "pipeline" / artifact
+                assert alone == mined.read_bytes()
+            else:
+                assert alone == (whole / artifact).read_bytes(), (mode, command)
+
+
 # --- usage errors -----------------------------------------------------------------
 
 def test_unknown_mode_exits_two(tmp_path, capsys):
@@ -308,6 +348,8 @@ def test_scenario_wrong_json_type_exits_two(tmp_path, capsys, payload):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(scenario_path) in err and "wrong JSON type" in err
+    if isinstance(payload, dict):
+        assert "field 'processes'" in err
 
 
 def _mv_scenario_with(edit) -> dict:
@@ -328,6 +370,9 @@ def _bad_mode(payload):
     payload["initial_fs"][0]["mode"] = "9z"
 
 
+EDITED_FIELD = {_bad_line: "src_map", _bad_op_index: "src_map", _bad_mode: "initial_fs"}
+
+
 @pytest.mark.parametrize("edit", [_bad_line, _bad_op_index, _bad_mode])
 def test_scenario_non_numeric_value_exits_two_naming_the_file(tmp_path, capsys, edit):
     scenario_path = tmp_path / "scenario.json"
@@ -337,7 +382,8 @@ def test_scenario_non_numeric_value_exits_two_naming_the_file(tmp_path, capsys, 
         "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
     ])
     assert code == EXIT_CONFIG
-    assert str(scenario_path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(scenario_path) in err and f"field {EDITED_FIELD[edit]!r}" in err
 
 
 def test_ground_truth_non_numeric_line_exits_two_naming_the_file(tmp_path, capsys):
@@ -349,7 +395,8 @@ def test_ground_truth_non_numeric_line_exits_two_naming_the_file(tmp_path, capsy
     truth.write_text(json.dumps(payload))
     code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
     assert code == EXIT_CONFIG
-    assert str(truth) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(truth) in err and "field 'syscalls'" in err
 
 
 def test_ground_truth_wrong_json_type_exits_two(tmp_path, capsys):
@@ -361,6 +408,19 @@ def test_ground_truth_wrong_json_type_exits_two(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(truth) in err and "wrong JSON type" in err
+
+
+def test_ground_truth_wrong_field_type_names_the_field(tmp_path, capsys):
+    bundle = tmp_path / "mv_438076"
+    shutil.copytree(MV_DIR, bundle)
+    truth = bundle / "ground_truth.json"
+    payload = _read_json(truth)
+    payload["files"] = 5
+    truth.write_text(json.dumps(payload))
+    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(truth) in err and "field 'files': wrong JSON type" in err
 
 
 def test_ground_truth_missing_field_exits_two(tmp_path, capsys):

@@ -22,7 +22,7 @@ from racerepro.harness import (
     save_scenario,
     schedule_with_delay,
 )
-from racerepro.mining import InstrumentationPoint, PairPartner, locate
+from racerepro.mining import InstrumentationPoint, locate
 
 
 def _point(placement: str, file: str, function: str, line: int, rank: int = 1):
@@ -239,9 +239,17 @@ def test_mv_buggy_order_fails(mv_scenario):
 # --- enumeration ------------------------------------------------------------------
 
 def test_enumerate_respects_bound():
-    scn = _two_proc(Oracle(kind="final-mode", path="f", expected_mode=0o444))
-    with pytest.raises(ValueError):
-        enumerate_interleavings(scn, bound=3)
+    scn = Scenario(
+        id="thirteen-ops",
+        processes=[
+            ("a", [SyscallOp("stat", ("f",))] * 7),
+            ("b", [SyscallOp("stat", ("f",))] * 6),
+        ],
+        initial_fs=[],
+        oracle=Oracle(kind="path-missing", path="f"),
+    )
+    with pytest.raises(ValueError, match="13 ops"):
+        enumerate_interleavings(scn)
 
 
 def test_enumerate_mv_finds_exactly_one_failure(mv_scenario):

@@ -34,7 +34,7 @@ from racerepro.metrics import (
     run_experiment,
     run_fixture,
 )
-from racerepro.mining import InstrumentationPoint, PairPartner
+from racerepro.mining import InstrumentationPoint, Site
 from racerepro.reports import BugReport
 
 
@@ -212,7 +212,7 @@ def test_ground_truth_requires_syscalls(tmp_path):
 
 
 def test_location_ranking_anchor_then_partner_dedup():
-    partner = PairPartner(syscall="rename", file="a.c", function="f", line=9)
+    partner = Site(syscall="rename", file="a.c", function="f", line=9)
     points = [
         InstrumentationPoint(rank=1, syscall="unlink", file="a.c", function="f",
                              line=3, placement="between-pair", pair_partner=partner),

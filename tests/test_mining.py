@@ -53,12 +53,10 @@ def test_build_transactions_orders_by_sentence():
     assert db.transactions == [(0, ["unlink", "rename"]), (2, ["rename"])]
 
 
-def test_build_transactions_subject_flag():
+def test_build_transactions_leaves_out_the_subject():
     report = BugReport.from_parts("t", "unlink here", "a.")
     keys = _keys({0: ["rename"]}, subject=["unlink"])
     assert build_transactions(report, keys).transactions == [(0, ["rename"])]
-    with_subject = build_transactions(report, keys, include_subject=True)
-    assert with_subject.transactions == [(-1, ["unlink"]), (0, ["rename"])]
 
 
 def test_build_transactions_rejects_dangling_sentence_index():
@@ -343,13 +341,16 @@ swap (const char *a, const char *b)
 """
 
 
-def test_sites_on_one_line_keep_their_own_syscalls(tmp_path):
+def test_sites_on_one_line_keep_their_own_syscalls(tmp_path, caplog):
     (tmp_path / "w.c").write_text(TWO_ON_ONE_LINE)
     index = index_tree(tmp_path, SYSCALLS)
     pair = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=1)])
-    (point,) = locate(pair, _ranked(["w.c"]), index)
-    assert (point.syscall, point.line) == ("unlink", 4)
-    assert (point.pair_partner.syscall, point.pair_partner.line) == ("rename", 4)
+    with caplog.at_level("WARNING"):
+        (point,) = locate(pair, _ranked(["w.c"]), index)
+    # one function, one line: the earlier call in the line anchors the pair
+    assert (point.syscall, point.line) == ("rename", 4)
+    assert (point.pair_partner.syscall, point.pair_partner.line) == ("unlink", 4)
+    assert not caplog.records
     every = locate(PairRanking(entries=[], enumerate_all=True), _ranked(["w.c"]), index)
     assert [(p.syscall, p.line, p.placement) for p in every] == [
         ("rename", 4, "before"), ("rename", 4, "after"),
