@@ -64,18 +64,15 @@ def _ranking_payload(ranking: PairRanking) -> dict:
 
 
 def _point_payload(p: InstrumentationPoint) -> dict:
-    """A point's rank, site and placement (its pair partner is added by the caller)."""
-    return {"rank": p.rank, **p.site._asdict(), "placement": p.placement}
+    """A point's rank, site, placement and, when it has one, its pair partner."""
+    entry = {"rank": p.rank, **p.site._asdict(), "placement": p.placement}
+    if p.pair_partner is not None:
+        entry["pair_partner"] = p.pair_partner._asdict()
+    return entry
 
 
 def _points_payload(points: list[InstrumentationPoint]) -> dict:
-    out = []
-    for p in points:
-        entry = _point_payload(p)
-        if p.pair_partner is not None:
-            entry["pair_partner"] = p.pair_partner._asdict()
-        out.append(entry)
-    return {"schema": "racerepro/points/v1", "points": out}
+    return {"schema": "racerepro/points/v1", "points": [_point_payload(p) for p in points]}
 
 
 def _ranked_files_payload(ranked: retrieval.RankedFiles) -> dict:

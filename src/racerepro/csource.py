@@ -1,15 +1,19 @@
 """Lexical indexing of a C source tree.
 
-A tolerant scanner, not a C parser: comments, string/char literals, and
-preprocessor lines are masked (structure and line numbers preserved), then
-function definitions are detected as ``identifier (args) {`` at brace depth
-zero.  Within each body, identifiers in call position (``name (`` after
-trivia) become call sites; everything else contributes to the
-variable-name field (an over-approximation that is harmless for TF-IDF).
+A tolerant scanner, not a C parser.  One regex pass over each file's raw
+text reads its code tokens (identifiers and ``( ) { } ;``) and skips
+comments, string/char literals and preprocessor lines whole, so token
+offsets, and the line numbers taken from them, are those of the original
+text.  Function definitions are detected as ``identifier (args) {`` at
+brace depth zero.  Within each body, identifiers in call position
+(``name (`` after trivia) become call sites; everything else contributes
+to the variable-name field (an over-approximation that is harmless for
+TF-IDF).
 
 Each file yields one retrieval document with exactly four field token
 streams: file_name, function_names, variable_names, and
-full_text_with_comments (the only field built from the unmasked text).
+full_text_with_comments (the only field that also reads comments,
+literals and directives).
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .reports import MODE_C_SOURCE, TokenStream, preprocess_tokens, tokenize
+from .reports import MODE_C_SOURCE, TokenStream, preprocess
 
 SOURCE_SUFFIXES = (".c", ".h")
 
-_IDENT_OR_PUNCT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(){};]")
 _NEWLINE_RE = re.compile("\n")
 
 
@@ -81,48 +84,23 @@ class SourceIndex:
     diagnostics: list[str] = field(default_factory=list)
 
 
-# --- masking ----------------------------------------------------------------
+# --- scanning ---------------------------------------------------------------
 
-#: One alternative per masked construct, tried left to right over the text.
-#: An alternative's named group is the span to blank; without one the whole
-#: match is blanked.  So a directive keeps its indentation and a literal its
-#: delimiters.
-_MASK_RE = re.compile(
+#: One alternative per lexical construct, tried left to right over the raw
+#: text.  Only ``ident`` and ``punct`` matches are code tokens; a directive,
+#: comment or literal is matched whole, so nothing inside it reads as code.
+_SCAN_RE = re.compile(
     r"""
-      ^[ \t]*(?P<directive>\#(?:\\\n|[^\n])*)   # preprocessor line, \-continued
-    | //[^\n]*                                  # line comment
-    | /\*[\s\S]*?(?:\*/|\Z)                     # block comment, open to EOF
-    | "(?P<string>[^"\\]*(?:\\[\s\S]?[^"\\]*)*)"?  # string literal
-    | '(?P<char>[^'\\]*(?:\\[\s\S]?[^'\\]*)*)'?    # char literal
+      (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>[(){};])
+    | ^[ \t]*\#(?:\\\n|[^\n])*          # preprocessor line, \-continued
+    | //[^\n]*                          # line comment
+    | /\*[\s\S]*?(?:\*/|\Z)             # block comment, open to EOF
+    | "[^"\\]*(?:\\[\s\S]?[^"\\]*)*"?   # string literal
+    | '[^'\\]*(?:\\[\s\S]?[^'\\]*)*'?   # char literal
     """,
     re.MULTILINE | re.VERBOSE,
 )
-
-
-def _blank_match(m: re.Match[str]) -> str:
-    start, end = m.span(m.lastgroup or 0)
-    text = m.string
-    blanked = "\n".join(" " * len(line) for line in text[start:end].split("\n"))
-    return text[m.start() : start] + blanked + text[end : m.end()]
-
-
-def mask_code(text: str) -> str:
-    """Blank out comments, string/char literals, and preprocessor lines.
-
-    The result has identical length and newline positions, so offsets and
-    line numbers computed on it are valid for the original text.  A
-    preprocessor line starts at a ``#`` preceded on its line by blanks only
-    and runs to an unescaped newline; literal delimiters are kept.
-    """
-    return _MASK_RE.sub(_blank_match, text)
-
-
-# --- scanning ---------------------------------------------------------------
-
-@dataclass
-class _Tok:
-    text: str
-    pos: int
 
 
 def _line_starts(text: str) -> list[int]:
@@ -134,26 +112,18 @@ def _line_of(starts: list[int], pos: int) -> int:
     return bisect.bisect_right(starts, pos)
 
 
-@dataclass
-class _FileScan:
-    functions: list[FunctionRecord]
-    variables: list[str]  # deduplicated, first-occurrence order
-
-
-def _scan_file(rel_path: str, masked: str) -> _FileScan:
-    starts = _line_starts(masked)
-    toks = [_Tok(m.group(), m.start()) for m in _IDENT_OR_PUNCT_RE.finditer(masked)]
+def _scan_file(rel_path: str, text: str) -> tuple[list[FunctionRecord], dict[str, None]]:
+    """The function records of one file and its variable names, in
+    first-occurrence order."""
+    starts = _line_starts(text)
+    # (text, offset, is identifier) per code token
+    toks = [
+        (m.group(), m.start(), m.lastgroup == "ident")
+        for m in _SCAN_RE.finditer(text)
+        if m.lastgroup
+    ]
     functions: list[FunctionRecord] = []
-    variables: list[str] = []
-    seen_vars: set[str] = set()
-
-    def note_var(name: str) -> None:
-        if name not in seen_vars:
-            seen_vars.add(name)
-            variables.append(name)
-
-    def is_ident(tok: _Tok) -> bool:
-        return tok.text[0].isalpha() or tok.text[0] == "_"
+    variables: dict[str, None] = {}
 
     i = 0
     n = len(toks)
@@ -161,75 +131,66 @@ def _scan_file(rel_path: str, masked: str) -> _FileScan:
     depth = 0  # brace depth inside the current function body
 
     while i < n:
-        tok = toks[i]
+        tok, pos, is_ident = toks[i]
         if current is None:
-            if is_ident(tok):
-                nxt = toks[i + 1] if i + 1 < n else None
-                if nxt is not None and nxt.text == "(":
+            if is_ident:
+                if i + 1 < n and toks[i + 1][0] == "(":
                     # match parens; a following '{' makes this a definition
                     pdepth = 0
                     j = i + 1
                     while j < n:
-                        if toks[j].text == "(":
+                        if toks[j][0] == "(":
                             pdepth += 1
-                        elif toks[j].text == ")":
+                        elif toks[j][0] == ")":
                             pdepth -= 1
                             if pdepth == 0:
                                 break
                         j += 1
-                    after = toks[j + 1] if j + 1 < n else None
-                    if after is not None and after.text == "{":
+                    if j + 1 < n and toks[j + 1][0] == "{":
                         current = FunctionRecord(
-                            name=tok.text,
+                            name=tok,
                             file=rel_path,
-                            start_line=_line_of(starts, tok.pos),
-                            end_line=_line_of(starts, after.pos),
+                            start_line=_line_of(starts, pos),
+                            end_line=_line_of(starts, toks[j + 1][1]),
                         )
                         depth = 1
                         # parameter identifiers count as variables
-                        for k in range(i + 2, j):
-                            if is_ident(toks[k]):
-                                note_var(toks[k].text)
+                        for name, _pos, name_is_ident in toks[i + 2 : j]:
+                            if name_is_ident:
+                                variables[name] = None
                         i = j + 2
                         continue
                     # top-level call position (e.g. global initializer): skip it
                     i = j + 1 if j < n else n
                     continue
-                note_var(tok.text)
+                variables[tok] = None
             i += 1
             continue
 
         # inside a function body
-        if tok.text == "{":
+        if tok == "{":
             depth += 1
-        elif tok.text == "}":
+        elif tok == "}":
             depth -= 1
             if depth == 0:
-                current.end_line = _line_of(starts, tok.pos)
+                current.end_line = _line_of(starts, pos)
                 functions.append(current)
                 current = None
-        elif is_ident(tok):
-            nxt = toks[i + 1] if i + 1 < n else None
-            if nxt is not None and nxt.text == "(":
-                current.call_sites.append((tok.text, _line_of(starts, tok.pos)))
+        elif is_ident:
+            if i + 1 < n and toks[i + 1][0] == "(":
+                current.call_sites.append((tok, _line_of(starts, pos)))
             else:
-                note_var(tok.text)
+                variables[tok] = None
         i += 1
 
     if current is not None:
         # unterminated body (truncated file): close at last line
         current.end_line = len(starts)
         functions.append(current)
-    return _FileScan(functions=functions, variables=variables)
+    return functions, variables
 
 
 # --- indexing ---------------------------------------------------------------
-
-def _expand(names: list[str]) -> TokenStream:
-    """Identifier list -> whole tokens plus compound sub-tokens, preprocessed."""
-    raw = " ".join(names)
-    return preprocess_tokens(tokenize(raw), MODE_C_SOURCE)
-
 
 def _tree_files(src_root: Path) -> list[Path]:
     return sorted(
@@ -293,22 +254,21 @@ def _build_index(
     functions: list[FunctionRecord] = []
     for path, rel, data in sources:
         text = data.decode("utf-8", errors="replace")
-        scan = _scan_file(rel, mask_code(text))
-        for record in scan.functions:
+        file_functions, variables = _scan_file(rel, text)
+        for record in file_functions:
             record.syscall_sites = [
                 (name, line) for name, line in record.call_sites if name in syscall_names
             ]
-        functions.extend(scan.functions)
+        functions.extend(file_functions)
+        names = " ".join(f.name for f in file_functions)
         docs.append(
             SourceDoc(
                 path=rel,
                 fields={
-                    "file_name": _expand([path.name]),
-                    "function_names": _expand([f.name for f in scan.functions]),
-                    "variable_names": _expand(scan.variables),
-                    "full_text_with_comments": preprocess_tokens(
-                        tokenize(text), MODE_C_SOURCE
-                    ),
+                    "file_name": preprocess(path.name, MODE_C_SOURCE),
+                    "function_names": preprocess(names, MODE_C_SOURCE),
+                    "variable_names": preprocess(" ".join(variables), MODE_C_SOURCE),
+                    "full_text_with_comments": preprocess(text, MODE_C_SOURCE),
                 },
             )
         )

@@ -141,9 +141,17 @@ def _parse_mode(value: int | str) -> int:
     return int(value)
 
 
+def json_list(value: object) -> list:
+    """``value`` if it is a JSON array.  Anything else is a TypeError, so a
+    string or object is never iterated as if it were a list."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def _op_from_json(obj: dict) -> SyscallOp:
     args = []
-    for i, arg in enumerate(obj["args"]):
+    for i, arg in enumerate(json_list(obj["args"])):
         if obj["kind"] in ("chmod", "mkdir", "mknod") and i == 1:
             args.append(_parse_mode(arg))
         else:
@@ -199,11 +207,12 @@ def load_scenario(path: str | Path) -> Scenario:
     with required_fields(path, "src_map"):
         src_map = {
             (m["file"], m["function"], int(m["line"])): (m["process"], int(m["op_index"]))
-            for m in data.get("src_map", [])
+            for m in json_list(data.get("src_map", []))
         }
     with required_fields(path, "processes"):
         processes = [
-            (p["name"], [_op_from_json(op) for op in p["trace"]]) for p in data["processes"]
+            (p["name"], [_op_from_json(op) for op in json_list(p["trace"])])
+            for p in json_list(data["processes"])
         ]
     with required_fields(path, "initial_fs"):
         initial_fs = [
@@ -213,7 +222,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 mode=_parse_mode(e.get("mode", "644")),
                 content=e.get("content", ""),
             )
-            for e in data.get("initial_fs", [])
+            for e in json_list(data.get("initial_fs", []))
         ]
     with required_fields(path):
         return Scenario(
@@ -223,31 +232,6 @@ def load_scenario(path: str | Path) -> Scenario:
             oracle=oracle,
             src_map=src_map,
         )
-
-
-def save_scenario(scn: Scenario, path: str | Path) -> None:
-    oracle: dict = {"kind": scn.oracle.kind, "path": scn.oracle.path}
-    if scn.oracle.expected_mode is not None:
-        oracle["mode"] = f"{scn.oracle.expected_mode:o}"
-    if scn.oracle.expected_content is not None:
-        oracle["content"] = scn.oracle.expected_content
-    payload = {
-        "id": scn.id,
-        "processes": [
-            {"name": name, "trace": [{"kind": op.kind, "args": list(op.args)} for op in trace]}
-            for name, trace in scn.processes
-        ],
-        "initial_fs": [
-            {"path": e.path, "kind": e.kind, "mode": f"{e.mode:o}", "content": e.content}
-            for e in scn.initial_fs
-        ],
-        "oracle": oracle,
-        "src_map": [
-            {"file": f, "function": fn, "line": ln, "process": proc, "op_index": idx}
-            for (f, fn, ln), (proc, idx) in scn.src_map.items()
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
 # --- schedules --------------------------------------------------------------

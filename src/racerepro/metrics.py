@@ -120,14 +120,14 @@ class GroundTruth:
 def load_ground_truth(path: str | Path) -> GroundTruth:
     data = harness_mod.load_json_object(path)
     with harness_mod.required_fields(path, "files"):
-        expected_files = [str(f) for f in data["files"]]
+        expected_files = [str(f) for f in harness_mod.json_list(data["files"])]
     with harness_mod.required_fields(path, "syscalls"):
         return GroundTruth(
             bug_id=str(data["id"]),
             expected_files=expected_files,
             expected_syscalls=[
                 Site(s["syscall"], s["file"], s["function"], int(s["line"]))
-                for s in data["syscalls"]
+                for s in harness_mod.json_list(data["syscalls"])
             ],
         )
 

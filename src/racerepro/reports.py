@@ -54,10 +54,7 @@ C_RESERVED_WORDS = _load_wordlist("c_reserved.txt")
 
 def split_identifier(token: str) -> list[str]:
     """Split a compound identifier on underscores and camelCase boundaries."""
-    parts: list[str] = []
-    for chunk in token.split("_"):
-        parts.extend(_CAMEL_RE.findall(chunk))
-    return parts
+    return _CAMEL_RE.findall(token)
 
 
 def tokenize(text: str, split_compounds: bool = True) -> TokenStream:

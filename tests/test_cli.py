@@ -123,6 +123,11 @@ def test_reproduce_mv_exits_zero(tmp_path, capsys):
         "cat:open(foo)",
         "mv:rename(bar, foo) @ copy.c:copy_internal:309",
     ]
+    used = payload["point_used"]
+    assert (used["placement"], used["syscall"], used["line"]) == ("between-pair", "unlink", 307)
+    assert used["pair_partner"] == {
+        "syscall": "rename", "file": "copy.c", "function": "copy_internal", "line": 309,
+    }
     out = capsys.readouterr().out
     assert "reproduced: True in 1 attempts" in out
 
@@ -352,6 +357,22 @@ def test_scenario_wrong_json_type_exits_two(tmp_path, capsys, payload):
         assert "field 'processes'" in err
 
 
+def test_scenario_args_string_exits_two_naming_the_field(tmp_path, capsys):
+    payload = _read_json(MV_DIR / "scenario.json")
+    op = payload["processes"][0]["trace"][1]
+    assert op["kind"] == "rename"
+    op["args"] = "xy"  # would otherwise run as rename("x", "y")
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(payload))
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(scenario_path) in err and "field 'processes': wrong JSON type" in err
+
+
 def _mv_scenario_with(edit) -> dict:
     payload = _read_json(MV_DIR / "scenario.json")
     edit(payload)
@@ -416,6 +437,19 @@ def test_ground_truth_wrong_field_type_names_the_field(tmp_path, capsys):
     truth = bundle / "ground_truth.json"
     payload = _read_json(truth)
     payload["files"] = 5
+    truth.write_text(json.dumps(payload))
+    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(truth) in err and "field 'files': wrong JSON type" in err
+
+
+def test_ground_truth_files_string_exits_two_naming_the_field(tmp_path, capsys):
+    bundle = tmp_path / "mv_438076"
+    shutil.copytree(MV_DIR, bundle)
+    truth = bundle / "ground_truth.json"
+    payload = _read_json(truth)
+    payload["files"] = "copy.c"
     truth.write_text(json.dumps(payload))
     code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
     assert code == EXIT_CONFIG

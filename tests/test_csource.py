@@ -1,4 +1,4 @@
-"""Lexical C indexing: masking, function records, call sites, call graph."""
+"""Lexical C indexing: the one-pass scanner, function records, call sites, call graph."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from conftest import GZIP_DIR, MV_DIR
 from racerepro import csource
 from racerepro.catalog import bundled_catalog
 from racerepro.cli import EXIT_OK, main
-from racerepro.csource import _line_starts, index_tree, mask_code
+from racerepro.csource import _SCAN_RE, _line_starts, index_tree
 
 SYSCALLS = frozenset({"open", "close", "read", "unlink", "rename", "stat"})
 
@@ -47,35 +47,45 @@ def snippet_index(tmp_path):
     return index_tree(tmp_path, SYSCALLS)
 
 
-# --- masking ------------------------------------------------------------------
+# --- what the scanner reads and skips -------------------------------------------
 
-def test_mask_preserves_length_and_newlines():
-    masked = mask_code(SNIPPET)
-    assert len(masked) == len(SNIPPET)
-    assert [i for i, c in enumerate(masked) if c == "\n"] == [
-        i for i, c in enumerate(SNIPPET) if c == "\n"
+_CODE_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(){};]")
+
+
+def _code_tokens(text: str) -> list[tuple[str, int]]:
+    """(token, offset) of every code token the one-pass scanner reads."""
+    return [(m.group(), m.start()) for m in _SCAN_RE.finditer(text) if m.lastgroup]
+
+
+def _oracle_tokens(text: str) -> list[tuple[str, int]]:
+    """(token, offset) of every code token left by the masking oracle."""
+    return [(m.group(), m.start()) for m in _CODE_TOKEN_RE.finditer(_mask_code_oracle(text))]
+
+
+def test_scan_offsets_index_the_raw_text():
+    toks = _code_tokens(SNIPPET)
+    assert toks
+    assert all(SNIPPET[pos : pos + len(tok)] == tok for tok, pos in toks)
+
+
+def test_scan_skips_comments_strings_and_preprocessor():
+    words = {tok for tok, _pos in _code_tokens(SNIPPET)}
+    assert not {"helper", "mention", "drops", "include", "stdio", "s", "n"} & words
+    unlinks = [pos for tok, pos in _code_tokens(SNIPPET) if tok == "unlink"]
+    assert unlinks == [SNIPPET.index("unlink (path)")]  # the real call survives
+
+
+def test_scan_block_comment_spanning_lines():
+    text = "int x; /* a\nb\nc */ int y;"
+    assert _code_tokens(text) == [
+        ("int", 0), ("x", 4), (";", 5), ("int", 19), ("y", 23), (";", 24),
     ]
 
 
-def test_mask_blanks_comments_strings_and_preprocessor():
-    masked = mask_code(SNIPPET)
-    assert "helper with an unlink mention" not in masked
-    assert "drops the file" not in masked
-    assert "#include" not in masked
-    assert "unlink(%s)" not in masked  # string literal content
-    assert "unlink (path)" in masked  # the real call survives
-
-
-def test_mask_block_comment_spanning_lines():
-    text = "int x; /* a\nb\nc */ int y;"
-    masked = mask_code(text)
-    assert len(masked) == len(text)
-    assert "int x;" in masked and "int y;" in masked
-    assert "a" not in masked.replace("int", "")  # comment body gone
-
-
 def _mask_code_oracle(text: str) -> str:
-    """Character-by-character state machine that mask_code must agree with."""
+    """Character-by-character state machine: the raw text with comments,
+    literal contents and preprocessor lines blanked.  The scanner's code
+    tokens must be exactly the code tokens left in its output."""
     out = list(text)
     n = len(text)
     i = 0
@@ -161,12 +171,7 @@ _C_ISH = st.text(
 @settings(max_examples=2000, deadline=None, derandomize=True)
 @given(text=_C_ISH)
 def test_mask_matches_state_machine_oracle(text):
-    masked = mask_code(text)
-    assert masked == _mask_code_oracle(text)
-    assert len(masked) == len(text)
-    assert [i for i, c in enumerate(masked) if c == "\n"] == [
-        i for i, c in enumerate(text) if c == "\n"
-    ]
+    assert _code_tokens(text) == _oracle_tokens(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -179,7 +184,7 @@ def test_mask_matches_state_machine_oracle(text):
     "int a; # not a directive",
 ])
 def test_mask_edge_cases_match_oracle(text):
-    assert mask_code(text) == _mask_code_oracle(text)
+    assert _code_tokens(text) == _oracle_tokens(text)
 
 
 # --- scanning -------------------------------------------------------------------
@@ -212,7 +217,8 @@ def test_syscall_sites_exclude_comments_and_strings(snippet_index):
 
 
 def test_sites_match_line_scanner_oracle(mv_index):
-    """Independent oracle: regex over masked lines, scoped to function spans.
+    """Independent oracle: regex over the masking oracle's lines, scoped to
+    function spans.
 
     The scanner records the called identifier's line; the regex oracle only
     recognizes single-line calls, which is all the fixture trees use.
@@ -221,7 +227,7 @@ def test_sites_match_line_scanner_oracle(mv_index):
     for syscall in ("unlink", "rename", "link"):
         expected = []
         for record in mv_index.functions:
-            masked = mask_code((src_root / record.file).read_text())
+            masked = _mask_code_oracle((src_root / record.file).read_text())
             for lineno, line in enumerate(masked.splitlines(), start=1):
                 if record.start_line <= lineno <= record.end_line and re.search(
                     rf"\b{syscall}\s*\(", line
@@ -281,7 +287,7 @@ def test_line_starts_edge_cases_match_loop(text):
 def test_line_starts_match_loop_on_fixtures(root):
     for path in sorted(root.rglob("*.[ch]")):
         text = path.read_text("utf-8", errors="replace")
-        for variant in (text, mask_code(text)):
+        for variant in (text, _mask_code_oracle(text)):
             assert _line_starts(variant) == _line_starts_loop(variant), path
 
 

@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racerepro.reports import (
+    _CAMEL_RE,
     C_RESERVED_WORDS,
     MODE_C_SOURCE,
     MODE_TEXT,
@@ -116,6 +119,20 @@ def test_split_identifier():
     assert split_identifier("copy_internal") == ["copy", "internal"]
     assert split_identifier("HTTPServer") == ["HTTP", "Server"]
     assert split_identifier("plain") == ["plain"]
+
+
+def _split_identifier_loop(token: str) -> list[str]:
+    """The per-chunk loop ``split_identifier`` replaced, kept as its oracle."""
+    parts: list[str] = []
+    for chunk in token.split("_"):
+        parts.extend(_CAMEL_RE.findall(chunk))
+    return parts
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(word=st.text(alphabet=st.sampled_from(list("aBcDxY09_")), min_size=1, max_size=24))
+def test_split_identifier_matches_per_chunk_loop(word):
+    assert split_identifier(word) == _split_identifier_loop(word)
 
 
 # --- preprocessing --------------------------------------------------------------
