@@ -37,7 +37,9 @@ EXIT_CONFIG = 2
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return path
 
 

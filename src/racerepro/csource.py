@@ -13,7 +13,10 @@ TF-IDF).
 Each file yields one retrieval document with exactly four field token
 streams: file_name, function_names, variable_names, and
 full_text_with_comments (the only field that also reads comments,
-literals and directives).
+literals and directives).  Each distinct raw word is preprocessed once per
+build.  The ``SourceIndex`` also carries the four field TF-IDF indexes
+(term counts and norms, see ``retrieval``), built once with the tree, so
+ranking any number of reports against a remembered tree builds none.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .reports import MODE_C_SOURCE, TokenStream, preprocess
+from . import retrieval
+from .reports import MODE_C_SOURCE, TokenStream, preprocess_words
 
 SOURCE_SUFFIXES = (".c", ".h")
 
@@ -79,6 +83,8 @@ class CallGraph:
 @dataclass
 class SourceIndex:
     docs: list[SourceDoc]
+    #: one TF-IDF index per field name in ``retrieval.FIELD_NAMES``
+    field_indexes: dict[str, retrieval.TfIdfIndex]
     functions: list[FunctionRecord]
     graph: CallGraph
     diagnostics: list[str] = field(default_factory=list)
@@ -89,15 +95,19 @@ class SourceIndex:
 #: One alternative per lexical construct, tried left to right over the raw
 #: text.  Only ``ident`` and ``punct`` matches are code tokens; a directive,
 #: comment or literal is matched whole, so nothing inside it reads as code.
+#: A directive's ``#`` may follow blanks and closed block comments (the
+#: preprocessor reads a comment as a blank); a literal ends at its closing
+#: quote or at an unescaped newline, as a compiler ends it.
 _SCAN_RE = re.compile(
     r"""
       (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<punct>[(){};])
-    | ^[ \t]*\#(?:\\\n|[^\n])*          # preprocessor line, \-continued
+    | ^[ \t]*(?:/\*[^*]*\*+(?:[^/*][^*]*\*+)*/[ \t]*)*
+      \#(?:\\\n|[^\n])*                 # preprocessor line, \-continued
     | //[^\n]*                          # line comment
     | /\*[\s\S]*?(?:\*/|\Z)             # block comment, open to EOF
-    | "[^"\\]*(?:\\[\s\S]?[^"\\]*)*"?   # string literal
-    | '[^'\\]*(?:\\[\s\S]?[^'\\]*)*'?   # char literal
+    | "[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?   # string literal
+    | '[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?   # char literal
     """,
     re.MULTILINE | re.VERBOSE,
 )
@@ -252,6 +262,7 @@ def _build_index(
     """Scan (path, relative path, bytes) triples into a SourceIndex."""
     docs: list[SourceDoc] = []
     functions: list[FunctionRecord] = []
+    terms: dict[str, TokenStream] = {}  # raw word -> its terms, for this build only
     for path, rel, data in sources:
         text = data.decode("utf-8", errors="replace")
         file_functions, variables = _scan_file(rel, text)
@@ -265,10 +276,10 @@ def _build_index(
             SourceDoc(
                 path=rel,
                 fields={
-                    "file_name": preprocess(path.name, MODE_C_SOURCE),
-                    "function_names": preprocess(names, MODE_C_SOURCE),
-                    "variable_names": preprocess(" ".join(variables), MODE_C_SOURCE),
-                    "full_text_with_comments": preprocess(text, MODE_C_SOURCE),
+                    "file_name": preprocess_words(path.name, MODE_C_SOURCE, terms),
+                    "function_names": preprocess_words(names, MODE_C_SOURCE, terms),
+                    "variable_names": preprocess_words(" ".join(variables), MODE_C_SOURCE, terms),
+                    "full_text_with_comments": preprocess_words(text, MODE_C_SOURCE, terms),
                 },
             )
         )
@@ -279,4 +290,10 @@ def _build_index(
             if callee in graph.nodes:
                 graph.add_edge(record.name, callee)
 
-    return SourceIndex(docs=docs, functions=functions, graph=graph, diagnostics=diagnostics)
+    return SourceIndex(
+        docs=docs,
+        field_indexes=retrieval.build_field_indexes(docs),
+        functions=functions,
+        graph=graph,
+        diagnostics=diagnostics,
+    )

@@ -278,11 +278,11 @@ class Pipeline:
 
     @cached_property
     def basic(self) -> RankedFiles:
-        return retrieval.rank_basic(self.report, self.index.docs)
+        return retrieval.rank_basic(self.report, self.index)
 
     @cached_property
     def structured(self) -> RankedFiles:
-        return retrieval.rank_structured(self.report, self.keys, self.index.docs)
+        return retrieval.rank_structured(self.report, self.keys, self.index)
 
     @cached_property
     def file_ranking(self) -> RankedFiles:

@@ -99,6 +99,22 @@ def preprocess(text: str, mode: str = MODE_TEXT) -> TokenStream:
     return preprocess_tokens(tokenize(text), mode)
 
 
+def preprocess_words(text: str, mode: str, memo: dict[str, TokenStream]) -> TokenStream:
+    """``preprocess(text, mode)``, running the pipeline once per distinct word.
+
+    ``memo`` maps each raw word already seen to its terms and gains the new
+    ones; a word's terms do not depend on its neighbours, so reusing them
+    gives the same stream.  The caller owns the memo and its lifetime.
+    """
+    out: TokenStream = []
+    for raw in _WORD_RE.findall(text):
+        terms = memo.get(raw)
+        if terms is None:
+            terms = memo[raw] = preprocess_tokens(tokenize(raw), mode)
+        out += terms
+    return out
+
+
 # --- sentence segmentation --------------------------------------------------
 
 def split_sentences(body: str) -> list[str]:

@@ -5,10 +5,17 @@ ln(N / df), L2-normalized document vectors, cosine similarity.  Queries are
 weighted with the same idf; terms absent from the corpus vocabulary are
 skipped.  Zero vectors (empty docs, all-shared vocabulary) score 0.
 
+An index keeps integer term counts and one norm per document, not the
+normalized vectors (the layout of Zobel & Moffat, "Inverted files for text
+search engines", 2006); a document weight ``count * idf / norm`` is
+computed where a score needs it.  A ``SourceIndex`` carries the four field
+indexes of its tree, built once by ``build_field_indexes``.
+
 Two rankers sit on top:
 
 * ``rank_basic`` treats the whole report as one query against whole-file
-  token streams (one index, one search per file);
+  token streams (the ``full_text_with_comments`` index, one search per
+  file);
 * ``rank_structured`` runs 12 searches (3 queries x 4 source fields, each
   field with its own index) and averages with a fixed divisor of 12.
 """
@@ -24,7 +31,7 @@ from .reports import MODE_C_SOURCE, BugReport, TokenStream, preprocess, preproce
 
 if TYPE_CHECKING:
     from .catalog import KeySystemCalls
-    from .csource import SourceDoc
+    from .csource import SourceDoc, SourceIndex
 
 QUERY_NAMES = ("subject", "body", "syscalls")
 FIELD_NAMES = ("file_name", "function_names", "variable_names", "full_text_with_comments")
@@ -42,7 +49,10 @@ DEFAULT_TOP_FILES = 10
 @dataclass
 class TfIdfIndex:
     idf: dict[str, float]
-    doc_vectors: dict[str, dict[str, float]]
+    #: raw term counts per document, terms in first-occurrence order
+    counts: dict[str, Counter[str]]
+    #: L2 norm of each document's tf-idf vector (0.0 for a zero vector)
+    norms: dict[str, float]
 
 
 def _normalize(vec: dict[str, float]) -> dict[str, float]:
@@ -67,11 +77,19 @@ def build_index(docs: list[tuple[str, TokenStream]]) -> TfIdfIndex:
         df.update(counts.keys())
 
     idf = {term: math.log(n_docs / count) for term, count in df.items()}
-    doc_vectors = {
-        doc_id: _normalize({t: c * idf[t] for t, c in counts.items()})
+    norms = {
+        doc_id: math.sqrt(sum(w * w for w in (c * idf[t] for t, c in counts.items())))
         for doc_id, counts in term_counts.items()
     }
-    return TfIdfIndex(idf=idf, doc_vectors=doc_vectors)
+    return TfIdfIndex(idf=idf, counts=term_counts, norms=norms)
+
+
+def build_field_indexes(docs: list[SourceDoc]) -> dict[str, TfIdfIndex]:
+    """One index per source field, over the same documents."""
+    return {
+        fname: build_index([(d.path, d.fields[fname]) for d in docs])
+        for fname in FIELD_NAMES
+    }
 
 
 def _query_vector(index: TfIdfIndex, query: TokenStream) -> dict[str, float]:
@@ -79,26 +97,39 @@ def _query_vector(index: TfIdfIndex, query: TokenStream) -> dict[str, float]:
     return _normalize({t: c * index.idf[t] for t, c in counts.items()})
 
 
-def _cosine(qvec: dict[str, float], dvec: dict[str, float]) -> float:
-    """Dot product of two normalized vectors, summed over the smaller one."""
-    if not qvec or not dvec:
+def _cosine(
+    qvec: dict[str, float], counts: Counter[str], norm: float, idf: dict[str, float]
+) -> float:
+    """Dot product of the normalized query and document vectors.
+
+    Summed over the smaller vector in its insertion order (a zero-norm
+    document is empty), so the additions, and the float result, are those
+    of a dot product between two normalized dicts.
+    """
+    if not qvec or norm == 0.0:
         return 0.0
-    if len(qvec) > len(dvec):
-        qvec, dvec = dvec, qvec
-    return sum(w * dvec[t] for t, w in qvec.items() if t in dvec)
+    if len(qvec) > len(counts):
+        return sum(c * idf[t] / norm * qvec[t] for t, c in counts.items() if t in qvec)
+    return sum(w * (counts[t] * idf[t] / norm) for t, w in qvec.items() if t in counts)
 
 
 def similarity(index: TfIdfIndex, query: TokenStream, doc_id: str) -> float:
     """Cosine similarity between the query and one document, in [0, 1]."""
-    if doc_id not in index.doc_vectors:
+    if doc_id not in index.counts:
         raise KeyError(f"unknown document id: {doc_id!r}")
-    return _cosine(_query_vector(index, query), index.doc_vectors[doc_id])
+    return _cosine(
+        _query_vector(index, query), index.counts[doc_id], index.norms[doc_id], index.idf
+    )
 
 
 def _scores(index: TfIdfIndex, query: TokenStream) -> dict[str, float]:
     """Every document's similarity to the query, with one query vector."""
     qvec = _query_vector(index, query)
-    return {doc_id: _cosine(qvec, dvec) for doc_id, dvec in index.doc_vectors.items()}
+    idf, norms = index.idf, index.norms
+    return {
+        doc_id: _cosine(qvec, counts, norms[doc_id], idf)
+        for doc_id, counts in index.counts.items()
+    }
 
 
 def rank(index: TfIdfIndex, query: TokenStream) -> list[tuple[str, float]]:
@@ -135,15 +166,16 @@ def _report_query(report: BugReport) -> TokenStream:
     return preprocess(report.subject + "\n" + report.body)
 
 
-def _as_docs(source: object) -> list[SourceDoc]:
-    """Accept either a SourceIndex or a plain list of SourceDoc."""
-    return list(getattr(source, "docs", source))  # type: ignore[arg-type]
+def _field_indexes(source: SourceIndex | list[SourceDoc]) -> dict[str, TfIdfIndex]:
+    """A SourceIndex's own field indexes, or ones built over a doc list."""
+    if isinstance(source, list):
+        return build_field_indexes(source)
+    return source.field_indexes
 
 
-def rank_basic(report: BugReport, source: object) -> RankedFiles:
+def rank_basic(report: BugReport, source: SourceIndex | list[SourceDoc]) -> RankedFiles:
     """BasicIR baseline: whole report vs whole-file token streams."""
-    docs = _as_docs(source)
-    index = build_index([(d.path, d.fields["full_text_with_comments"]) for d in docs])
+    index = _field_indexes(source)["full_text_with_comments"]
     entries = rank(index, _report_query(report))
     return RankedFiles(entries=entries, scheme="basic")
 
@@ -156,7 +188,7 @@ def _syscall_query(keys: KeySystemCalls) -> TokenStream:
 
 
 def rank_structured(
-    report: BugReport, key_syscalls: KeySystemCalls, source: object
+    report: BugReport, key_syscalls: KeySystemCalls, source: SourceIndex | list[SourceDoc]
 ) -> RankedFiles:
     """Structured ranker: 12 field-scoped searches averaged per file.
 
@@ -164,25 +196,20 @@ def rank_structured(
     multiplicity); each is run against four per-field indexes.  An empty
     query scores 0 everywhere but still counts in the divisor.
     """
-    docs = _as_docs(source)
+    indexes = _field_indexes(source)
     queries: dict[str, TokenStream] = {
         "subject": preprocess(report.subject),
         "body": preprocess(report.body),
         "syscalls": _syscall_query(key_syscalls),
     }
-    indexes = {
-        fname: build_index([(d.path, d.fields[fname]) for d in docs])
-        for fname in FIELD_NAMES
-    }
-    breakdown: dict[str, dict[str, float]] = {d.path: {} for d in docs}
-    totals: dict[str, float] = {d.path: 0.0 for d in docs}
+    breakdown: dict[str, dict[str, float]] = {path: {} for path in indexes["file_name"].counts}
+    totals = dict.fromkeys(breakdown, 0.0)
     for qname in QUERY_NAMES:
         for fname in FIELD_NAMES:
-            scores = _scores(indexes[fname], queries[qname])
-            for doc in docs:
-                score = scores[doc.path]
-                breakdown[doc.path][f"{qname}:{fname}"] = score
-                totals[doc.path] += score
+            search = f"{qname}:{fname}"
+            for path, score in _scores(indexes[fname], queries[qname]).items():
+                breakdown[path][search] = score
+                totals[path] += score
 
     entries = [(path, total / STRUCTURED_SEARCH_COUNT) for path, total in totals.items()]
     entries.sort(key=lambda e: (-e[1], e[0]))

@@ -8,7 +8,7 @@ import shutil
 import pytest
 
 from conftest import GZIP_DIR, MV_DIR
-from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, main
+from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, _write_json, main
 from racerepro.harness import load_scenario, random_baseline
 
 MV_REPORT = str(MV_DIR / "mv_438076.txt")
@@ -245,6 +245,18 @@ def test_pipeline_artifacts_are_byte_identical_across_runs(tmp_path):
         first = (dirs[0] / name).read_bytes()
         second = (dirs[1] / name).read_bytes()
         assert first == second, name
+
+
+def test_streamed_artifact_bytes_equal_the_one_shot_encoding(tmp_path):
+    """``_write_json`` streams with ``json.dump``; the bytes are those of
+    ``json.dumps(..., indent=2, sort_keys=True) + "\\n"``."""
+    payload = {
+        "schema": "x/v1", "b": [0.1, 1e-17, 2.0, -0.0, 1 / 3], "a": {"z": [], "y": {}},
+        "text": "caf\u00e9 \"q\" \\ \n\u2028", "n": None, "t": True, "big": 10**20,
+    }
+    path = _write_json(tmp_path / "out", "p.json", payload)
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 #: single-stage subcommand, the artifact it shares with pipeline, its input flags

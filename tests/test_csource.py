@@ -15,6 +15,7 @@ from racerepro import csource
 from racerepro.catalog import bundled_catalog
 from racerepro.cli import EXIT_OK, main
 from racerepro.csource import _SCAN_RE, _line_starts, index_tree
+from racerepro.reports import MODE_C_SOURCE, preprocess_tokens, preprocess_words, tokenize
 
 SYSCALLS = frozenset({"open", "close", "read", "unlink", "rename", "stat"})
 
@@ -85,7 +86,10 @@ def test_scan_block_comment_spanning_lines():
 def _mask_code_oracle(text: str) -> str:
     """Character-by-character state machine: the raw text with comments,
     literal contents and preprocessor lines blanked.  The scanner's code
-    tokens must be exactly the code tokens left in its output."""
+    tokens must be exactly the code tokens left in its output.
+
+    A block comment reads as a blank, so a ``#`` after blanks and comments
+    still opens a directive; a literal ends at an unescaped newline."""
     out = list(text)
     n = len(text)
     i = 0
@@ -110,14 +114,14 @@ def _mask_code_oracle(text: str) -> str:
                 at_line_start = True
                 i += 1
                 continue
-            at_line_start = ch == "\n"
-            if ch == "/" and nxt == "/":
-                state = "line_comment"
+            if ch == "/" and nxt == "*":
+                state = "block_comment"  # at_line_start carries across it
                 out[i] = out[i + 1] = " "
                 i += 2
                 continue
-            if ch == "/" and nxt == "*":
-                state = "block_comment"
+            at_line_start = ch == "\n"
+            if ch == "/" and nxt == "/":
+                state = "line_comment"
                 out[i] = out[i + 1] = " "
                 i += 2
                 continue
@@ -155,7 +159,10 @@ def _mask_code_oracle(text: str) -> str:
             continue
         if ch == quote:
             state = "code"
-        elif ch != "\n":
+        elif ch == "\n":
+            state = "code"
+            at_line_start = True
+        else:
             out[i] = " "
         i += 1
     return "".join(out)
@@ -182,9 +189,40 @@ def test_mask_matches_state_machine_oracle(text):
     "s = \"a\\\nb\" /**/ t;",
     "/* a */\n#pragma once",
     "int a; # not a directive",
+    "#if 0\nit's old\n#endif\nint f;",
+    "s = \"open\nint t;",
+    "s = 'a\\\nb' c;",
+    "/* hdr */ #define WRAP(f) { f (); }\nint u;",
+    "/* a\n */ #define X\nint v;",
+    "int w; /* a\n */ #define X",
+    "/* a */ x /* b */ #define Y",
 ])
 def test_mask_edge_cases_match_oracle(text):
     assert _code_tokens(text) == _oracle_tokens(text)
+
+
+def test_unterminated_char_literal_ends_at_its_line(tmp_path):
+    (tmp_path / "old.c").write_text(
+        "#if 0\n"
+        "it's old\n"
+        "#endif\n"
+        "int f (void) { return unlink (\"x\"); }\n"
+        "int g (void) { return 'a'; }\n"
+        "int h (void) { return 0; }\n"
+    )
+    index = index_tree(tmp_path, SYSCALLS)
+    assert [f.name for f in index.functions] == ["f", "g", "h"]
+    assert index.functions[0].syscall_sites == [("unlink", 4)]
+
+
+def test_directive_after_a_block_comment_is_not_code(tmp_path):
+    (tmp_path / "wrap.c").write_text(
+        "/* hdr */ #define WRAP(f) { f (); }\n"
+        "int k (void) { return close (0); }\n"
+    )
+    index = index_tree(tmp_path, SYSCALLS)
+    assert [f.name for f in index.functions] == ["k"]
+    assert index.graph.nodes == {"k"}
 
 
 # --- scanning -------------------------------------------------------------------
@@ -265,6 +303,25 @@ def test_index_tree_deterministic_order(tmp_path):
     (tmp_path / "a.c").write_text("int aye (void) { return 0; }\n")
     index = index_tree(tmp_path, SYSCALLS)
     assert [d.path for d in index.docs] == ["a.c", "b.c"]
+
+
+# --- fields --------------------------------------------------------------------
+
+@pytest.mark.parametrize("root", [MV_DIR / "src", GZIP_DIR / "src"])
+def test_per_word_preprocessing_equals_whole_text_preprocessing(root):
+    memo = {}  # shared across the tree's files, as one index build shares it
+    for path in sorted(root.rglob("*.[ch]")):
+        text = path.read_text("utf-8", errors="replace")
+        want = preprocess_tokens(tokenize(text), MODE_C_SOURCE)
+        assert preprocess_words(text, MODE_C_SOURCE, memo) == want, path
+        assert preprocess_words(text, MODE_C_SOURCE, {}) == want, path
+
+
+def test_full_text_field_is_the_preprocessed_file(mv_index):
+    for doc in mv_index.docs:
+        text = (MV_DIR / "src" / doc.path).read_text("utf-8", errors="replace")
+        want = preprocess_tokens(tokenize(text), MODE_C_SOURCE)
+        assert doc.fields["full_text_with_comments"] == want, doc.path
 
 
 # --- line starts ----------------------------------------------------------------

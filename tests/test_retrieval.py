@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from racerepro.catalog import KeyEntry, KeySystemCalls
 from racerepro.csource import SourceDoc, index_tree
 from racerepro.reports import BugReport, preprocess
 from racerepro.retrieval import (
     STRUCTURED_SEARCH_COUNT,
+    build_field_indexes,
     build_index,
     rank,
     rank_basic,
@@ -26,13 +30,16 @@ TOL = 1e-9
 
 def test_shared_vocabulary_gives_zero_vectors():
     index = build_index([("d1", ["alpha", "beta"]), ("d2", ["alpha", "beta"])])
-    assert index.doc_vectors == {"d1": {}, "d2": {}}
+    assert index.idf == {"alpha": 0.0, "beta": 0.0}
+    assert index.norms == {"d1": 0.0, "d2": 0.0}
     assert similarity(index, ["alpha"], "d1") == 0.0
 
 
 def test_single_doc_zero_vector():
     index = build_index([("only", ["alpha", "beta"])])
-    assert index.doc_vectors["only"] == {}
+    assert index.counts["only"] == {"alpha": 1, "beta": 1}
+    assert index.norms["only"] == 0.0
+    assert similarity(index, ["alpha", "beta"], "only") == 0.0
 
 
 def test_empty_corpus_error():
@@ -62,12 +69,77 @@ def test_self_similarity_is_one():
 
 
 def test_unit_norm_doc_vectors():
+    """Counts are raw and in first-occurrence order; count * idf / norm has unit length."""
     index = build_index(
         [("d1", ["a", "a", "b"]), ("d2", ["b", "c"]), ("d3", ["c", "c", "d"])]
     )
-    for vec in index.doc_vectors.values():
-        if vec:
-            assert math.sqrt(sum(w * w for w in vec.values())) == pytest.approx(1.0, abs=TOL)
+    assert list(index.counts["d1"].items()) == [("a", 2), ("b", 1)]
+    assert list(index.counts["d3"].items()) == [("c", 2), ("d", 1)]
+    for doc_id, counts in index.counts.items():
+        norm = index.norms[doc_id]
+        assert norm > 0.0
+        weights = [c * index.idf[t] / norm for t, c in counts.items()]
+        assert math.sqrt(sum(w * w for w in weights)) == pytest.approx(1.0, abs=TOL)
+
+
+# --- counts and norms score exactly as normalized vectors did ----------------------
+
+def _normalize_oracle(vec: dict[str, float]) -> dict[str, float]:
+    norm = math.sqrt(sum(w * w for w in vec.values()))
+    if norm == 0.0:
+        return {}
+    return {term: w / norm for term, w in vec.items()}
+
+
+def _normalized_dict_scores(docs, query) -> dict[str, float]:
+    """The scorer that kept one normalized {term: weight} dict per document,
+    kept as the oracle: every score must equal it bit for bit."""
+    df = Counter()
+    counts = {}
+    for doc_id, tokens in docs:
+        counts[doc_id] = Counter(tokens)
+        df.update(counts[doc_id].keys())
+    idf = {t: math.log(len(docs) / n) for t, n in df.items()}
+    dvecs = {
+        doc_id: _normalize_oracle({t: c * idf[t] for t, c in tc.items()})
+        for doc_id, tc in counts.items()
+    }
+    qcounts = Counter(t for t in query if t in idf)
+    qvec = _normalize_oracle({t: c * idf[t] for t, c in qcounts.items()})
+
+    def cosine(a, b):
+        if not a or not b:
+            return 0.0
+        if len(a) > len(b):
+            a, b = b, a
+        return sum(w * b[t] for t, w in a.items() if t in b)
+
+    return {doc_id: cosine(qvec, dvec) for doc_id, dvec in dvecs.items()}
+
+
+_TERMS = st.sampled_from(["open", "close", "read", "link", "renam", "unlink", "stat"])
+_CORPUS = st.lists(st.lists(_TERMS, max_size=14), min_size=1, max_size=6).map(
+    lambda streams: [(f"d{i}", tokens) for i, tokens in enumerate(streams)]
+)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(docs=_CORPUS, query=st.lists(_TERMS, max_size=12))
+# four terms shared between query and d0, three of them also in d1
+@example(
+    docs=[("d0", ["open", "read", "link", "stat", "read", "open", "open"]),
+          ("d1", ["read", "link", "stat", "close"]), ("d2", ["unlink"])],
+    query=["stat", "link", "read", "open", "open", "close"],
+)
+# zero vectors: every term in every document, and an empty document
+@example(docs=[("d0", ["open", "read"]), ("d1", ["read", "open"]), ("d2", [])],
+         query=["open", "read"])
+def test_counts_and_norms_score_equals_normalized_dict_oracle(docs, query):
+    index = build_index(docs)
+    want = _normalized_dict_scores(docs, query)
+    for doc_id, _tokens in docs:
+        assert similarity(index, query, doc_id) == want[doc_id]
+    assert rank(index, query) == sorted(want.items(), key=lambda e: (-e[1], e[0]))
 
 
 # --- hand-computed 3-document oracle ----------------------------------------------
@@ -180,6 +252,22 @@ def test_structured_divisor_fixed_when_query_empty():
     assert ranked.entries[0] == ("a.c", pytest.approx(want, abs=TOL))
 
 
+@pytest.mark.parametrize("name", ["mv", "gzip"])
+def test_ranking_from_source_index_equals_ranking_from_its_docs(request, name):
+    index = request.getfixturevalue(f"{name}_index")
+    report = request.getfixturevalue(f"{name}_report")
+    keys = request.getfixturevalue(f"{name}_keys")
+    from_index = rank_structured(report, keys, index)
+    from_docs = rank_structured(report, keys, list(index.docs))
+    assert from_index.entries == from_docs.entries
+    assert from_index.breakdown == from_docs.breakdown
+    assert rank_basic(report, index).entries == rank_basic(report, list(index.docs)).entries
+
+
+def test_source_index_carries_its_field_indexes(mv_index):
+    assert mv_index.field_indexes == build_field_indexes(mv_index.docs)
+
+
 def test_structured_invariant_under_doc_permutation(mv_report, mv_keys, mv_index):
     forward = rank_structured(mv_report, mv_keys, mv_index.docs)
     backward = rank_structured(mv_report, mv_keys, list(reversed(mv_index.docs)))
@@ -256,7 +344,7 @@ def test_rank_equals_sorted_per_document_similarity(mv_report, mv_index):
     index = build_index([(d.path, d.fields["full_text_with_comments"]) for d in mv_index.docs])
     query = preprocess(mv_report.subject + "\n" + mv_report.body)
     expected = sorted(
-        ((doc_id, similarity(index, query, doc_id)) for doc_id in index.doc_vectors),
+        ((doc_id, similarity(index, query, doc_id)) for doc_id in index.counts),
         key=lambda e: (-e[1], e[0]),
     )
     assert rank(index, query) == expected
