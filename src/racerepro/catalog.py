@@ -16,17 +16,13 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 
-from .reports import BugReport, preprocess, tokenize
+from .reports import BugReport, InputError, preprocess, reading, tokenize
 from .retrieval import TfIdfIndex, build_index, rank
 
 DEFAULT_DERIVED_N = 10
 
 SOURCE_DIRECT = "direct"
 SOURCE_DERIVED = "derived"
-
-
-class CatalogError(ValueError):
-    """Raised for unusable man-page directories."""
 
 
 @dataclass(frozen=True)
@@ -56,13 +52,14 @@ def load_catalog(man_dir: str | Path) -> Catalog:
     man_dir = Path(man_dir)
     entries: dict[str, ManPageEntry] = {}
     for path in sorted(man_dir.glob("*.txt")):
-        text = path.read_text("utf-8").strip()
+        with reading(path):
+            text = path.read_text("utf-8").strip()
         if not text:
-            raise CatalogError(f"{path}: empty man-page file")
+            raise InputError(f"{path}: empty man-page file")
         name_line = text.splitlines()[0].strip()
         entries[path.stem] = ManPageEntry(syscall_name=path.stem, name_section_text=name_line)
     if not entries:
-        raise CatalogError(f"{man_dir}: no man-page files found")
+        raise InputError(f"{man_dir}: no man-page files found")
     return Catalog(entries=entries)
 
 

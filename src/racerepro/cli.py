@@ -332,8 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (required for stochastic modes)")
         p.add_argument("--mode", default=metrics_mod.MODE_STRUCTURED_IR,
-                       help="pipeline mode: basic-ir | structured-ir | no-apriori | "
-                            "apriori | random-baseline | perturbed@<f>")
+                       help="pipeline mode: " + " | ".join(
+                           f"{m}@<f>" if m == metrics_mod.MODE_PERTURBED else m
+                           for m in metrics_mod.MODES))
 
     p = sub.add_parser("extract", help="extract KeySystemCalls from a report")
     add_common(p, report=True)
@@ -382,8 +383,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # config, report, catalog, TSL, scenario and ground-truth errors
+    except (ValueError, OSError) as exc:
+        # a bad configuration, an unusable input file or --out-dir
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,14 +11,12 @@ a long-enough sleep would produce under the cooperative model.
 
 from __future__ import annotations
 
-import json
 import time
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .mining import InstrumentationPoint
+from .reports import json_of, load_json_object, reading
 from .vfs import ENOENT, OP_ARITY, KIND_FILE, FsEvent, Node, VirtualFS
 
 VERDICT_PASS = "pass"
@@ -71,6 +69,10 @@ class Oracle:
     def __post_init__(self) -> None:
         if self.kind not in ORACLE_KINDS:
             raise ValueError(f"unknown oracle kind: {self.kind!r}")
+        if self.kind == "final-mode" and self.expected_mode is None:
+            raise ValueError("a final-mode oracle needs an expected 'mode'")
+        if self.kind == "final-content" and self.expected_content is None:
+            raise ValueError("a final-content oracle needs an expected 'content'")
 
     def evaluate(self, fs: VirtualFS, events: list[FsEvent]) -> str:
         if self.kind == "open-enoent":
@@ -141,90 +143,48 @@ def _parse_mode(value: int | str) -> int:
     return int(value)
 
 
-def json_list(value: object) -> list:
-    """``value`` if it is a JSON array.  Anything else is a TypeError, so a
-    string or object is never iterated as if it were a list."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return value
-
-
 def _op_from_json(obj: dict) -> SyscallOp:
     args = []
-    for i, arg in enumerate(json_list(obj["args"])):
+    for i, arg in enumerate(json_of(list, obj["args"])):
         if obj["kind"] in ("chmod", "mkdir", "mknod") and i == 1:
             args.append(_parse_mode(arg))
         else:
-            args.append(arg)
+            args.append(json_of(str, arg))
     return SyscallOp(kind=obj["kind"], args=tuple(args))
-
-
-class MissingFieldError(ValueError):
-    """Raised when a scenario or ground-truth file lacks a required field."""
-
-
-class FieldTypeError(ValueError):
-    """Raised when a scenario or ground-truth file holds a wrong JSON type
-    or a value that does not parse."""
-
-
-@contextmanager
-def required_fields(path: str | Path, field: str | None = None) -> Iterator[None]:
-    """Turn a missing JSON key, a wrong JSON type or a value that does not
-    parse while parsing ``path`` into MissingFieldError or FieldTypeError,
-    each naming the file and, when given, the top-level field."""
-    where = f"{path}:" if field is None else f"{path}: field {field!r}:"
-    try:
-        yield
-    except KeyError as exc:
-        raise MissingFieldError(f"{path}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, AttributeError) as exc:
-        raise FieldTypeError(f"{where} wrong JSON type ({exc})") from exc
-    except ValueError as exc:
-        raise FieldTypeError(f"{where} bad value ({exc})") from exc
-
-
-def load_json_object(path: str | Path) -> dict:
-    """The JSON object in ``path``; any other top-level value is a FieldTypeError."""
-    data = json.loads(Path(path).read_text("utf-8"))
-    if not isinstance(data, dict):
-        raise FieldTypeError(f"{path}: wrong JSON type (top level is a {type(data).__name__})")
-    return data
 
 
 def load_scenario(path: str | Path) -> Scenario:
     data = load_json_object(path)
-    with required_fields(path, "oracle"):
+    with reading(path, "oracle"):
         oracle_obj = data["oracle"]
+        mode, content = oracle_obj.get("mode"), oracle_obj.get("content")
         oracle = Oracle(
             kind=oracle_obj["kind"],
-            path=oracle_obj["path"],
-            expected_mode=(
-                _parse_mode(oracle_obj["mode"]) if "mode" in oracle_obj else None
-            ),
-            expected_content=oracle_obj.get("content"),
+            path=json_of(str, oracle_obj["path"]),
+            expected_mode=None if mode is None else _parse_mode(mode),
+            expected_content=None if content is None else json_of(str, content),
         )
-    with required_fields(path, "src_map"):
+    with reading(path, "src_map"):
         src_map = {
             (m["file"], m["function"], int(m["line"])): (m["process"], int(m["op_index"]))
-            for m in json_list(data.get("src_map", []))
+            for m in json_of(list, data.get("src_map", []))
         }
-    with required_fields(path, "processes"):
+    with reading(path, "processes"):
         processes = [
-            (p["name"], [_op_from_json(op) for op in json_list(p["trace"])])
-            for p in json_list(data["processes"])
+            (json_of(str, p["name"]), [_op_from_json(op) for op in json_of(list, p["trace"])])
+            for p in json_of(list, data["processes"])
         ]
-    with required_fields(path, "initial_fs"):
+    with reading(path, "initial_fs"):
         initial_fs = [
             FsEntry(
-                path=e["path"],
+                path=json_of(str, e["path"]),
                 kind=e.get("kind", KIND_FILE),
                 mode=_parse_mode(e.get("mode", "644")),
-                content=e.get("content", ""),
+                content=json_of(str, e.get("content", "")),
             )
-            for e in json_list(data.get("initial_fs", []))
+            for e in json_of(list, data.get("initial_fs", []))
         ]
-    with required_fields(path):
+    with reading(path):
         return Scenario(
             id=str(data.get("id", Path(path).stem)),
             processes=processes,

@@ -22,7 +22,7 @@ from . import mining, retrieval, testcases
 from .catalog import Catalog, KeySystemCalls
 from .csource import SourceIndex, index_tree
 from .mining import InstrumentationPoint, PairRanking, RankEntry, Site, locate
-from .reports import BugReport, load_report
+from .reports import BugReport, json_of, load_json_object, load_report, reading
 from .retrieval import RankedFiles
 
 DEFAULT_RECALL_K = 20
@@ -118,16 +118,17 @@ class GroundTruth:
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
-    data = harness_mod.load_json_object(path)
-    with harness_mod.required_fields(path, "files"):
-        expected_files = [str(f) for f in harness_mod.json_list(data["files"])]
-    with harness_mod.required_fields(path, "syscalls"):
+    data = load_json_object(path)
+    with reading(path, "files"):
+        expected_files = [json_of(str, f) for f in json_of(list, data["files"])]
+    with reading(path, "syscalls"):
         return GroundTruth(
             bug_id=str(data["id"]),
             expected_files=expected_files,
             expected_syscalls=[
-                Site(s["syscall"], s["file"], s["function"], int(s["line"]))
-                for s in harness_mod.json_list(data["syscalls"])
+                Site(*(json_of(str, s[k]) for k in ("syscall", "file", "function")),
+                     int(s["line"]))
+                for s in json_of(list, data["syscalls"])
             ],
         )
 
@@ -331,7 +332,8 @@ class Pipeline:
         Known commands: the given ones, the scenario's process names when
         there is a scenario, and the spec's ``command`` choices.
         """
-        spec = testcases.parse_tsl(Path(self.tsl_path).read_text("utf-8"))
+        with reading(self.tsl_path):
+            spec = testcases.parse_tsl(Path(self.tsl_path).read_text("utf-8"))
         known = list(self.commands)
         if self.scenario_path is not None:
             known.extend(self.scenario.process_names)
@@ -341,7 +343,8 @@ class Pipeline:
             for choice in category.choices
         )
         partial = testcases.extract_elements(self.report, known)
-        return partial, testcases.expand_tsl(spec, partial)
+        with reading(self.tsl_path):
+            return partial, testcases.expand_tsl(spec, partial)
 
 
 @dataclass

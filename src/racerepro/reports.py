@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -32,8 +34,9 @@ _CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 _SENTENCE_RE = re.compile(r"[.?!]+")
 
 
-class ReportFormatError(ValueError):
-    """Raised when a report file does not match the documented input format."""
+class InputError(ValueError):
+    """An unusable input file: report, scenario, ground truth, TSL spec or
+    man page.  The message starts with the file's path."""
 
 
 def _load_wordlist(name: str) -> frozenset[str]:
@@ -151,20 +154,53 @@ class BugReport:
 def load_report(path: str | Path) -> BugReport:
     """Load a report from plain text (``Subject:`` header) or structured JSON."""
     path = Path(path)
-    text = path.read_text("utf-8")
     if path.suffix == ".json":
-        try:
-            data = json.loads(text)
+        data = load_json_object(path)
+        with reading(path):
             report_id = str(data["id"])
-            subject = str(data["subject"])
-            body = str(data.get("body", ""))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ReportFormatError(f"{path}: malformed structured report: {exc}") from exc
+        with reading(path, "subject"):
+            subject = json_of(str, data["subject"])
+        with reading(path, "body"):
+            body = json_of(str, data.get("body", ""))
         return BugReport.from_parts(report_id, subject, body)
 
+    with reading(path):
+        text = path.read_text("utf-8")
     first, _, rest = text.partition("\n")
     if not first.startswith("Subject:"):
-        raise ReportFormatError(f"{path}: first line must start with 'Subject:'")
+        raise InputError(f"{path}: first line must start with 'Subject:'")
     subject = first[len("Subject:"):].strip()
     body = rest.lstrip("\n")
     return BugReport.from_parts(path.stem, subject, body)
+
+
+# --- reading input files ----------------------------------------------------
+
+@contextmanager
+def reading(path: str | Path, field: str | None = None) -> Iterator[None]:
+    """Turn a decode or JSON syntax error, a missing key, a wrong JSON type or a
+    bad value raised while reading ``path`` into an InputError naming the file
+    and, when given, the top-level field.  OS errors, naming their path, pass."""
+    where = f"{path}:" if field is None else f"{path}: field {field!r}:"
+    try:
+        yield
+    except KeyError as exc:
+        raise InputError(f"{path}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise InputError(f"{where} wrong JSON type ({exc})") from exc
+    except ValueError as exc:
+        raise InputError(f"{where} {exc}") from exc
+
+
+def json_of(kind: type, value: object):
+    """``value`` if it is a ``kind`` (list, str, dict), else a TypeError: a
+    string is never iterated as a list, nor an object turned into text."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object in ``path``; any other top-level value is an InputError."""
+    with reading(path):
+        return json_of(dict, json.loads(Path(path).read_text("utf-8")))

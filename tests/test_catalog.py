@@ -10,14 +10,13 @@ import racerepro
 from racerepro.catalog import (
     SOURCE_DERIVED,
     SOURCE_DIRECT,
-    CatalogError,
     bundled_catalog,
     extract,
     extract_derived,
     extract_direct,
     load_catalog,
 )
-from racerepro.reports import BugReport
+from racerepro.reports import BugReport, InputError
 
 
 def make_report(subject: str, body: str) -> BugReport:
@@ -38,13 +37,13 @@ def test_load_catalog_first_line_is_summary(tmp_path):
 
 
 def test_load_catalog_empty_dir(tmp_path):
-    with pytest.raises(CatalogError):
+    with pytest.raises(InputError):
         load_catalog(tmp_path)
 
 
 def test_load_catalog_empty_file(tmp_path):
     (tmp_path / "open.txt").write_text("")
-    with pytest.raises(CatalogError):
+    with pytest.raises(InputError):
         load_catalog(tmp_path)
 
 

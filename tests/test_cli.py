@@ -10,6 +10,7 @@ import pytest
 from conftest import GZIP_DIR, MV_DIR
 from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, _write_json, main
 from racerepro.harness import load_scenario, random_baseline
+from racerepro.metrics import MODES
 
 MV_REPORT = str(MV_DIR / "mv_438076.txt")
 MV_SRC = str(MV_DIR / "src")
@@ -336,7 +337,7 @@ def test_malformed_tsl_exits_two(tmp_path, capsys):
         "--out-dir", str(tmp_path),
     ])
     assert code == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {bad}: line 1: choice outside any category" in capsys.readouterr().err
 
 
 def test_scenario_missing_field_exits_two(tmp_path, capsys):
@@ -480,6 +481,106 @@ def test_ground_truth_missing_field_exits_two(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(truth) in err and "'syscalls'" in err
+
+
+# --- unusable input files: exit 2, naming the file -----------------------------
+
+def test_scenario_json_syntax_error_exits_two_naming_the_file(tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text("{x}")
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    assert f"error: {scenario_path}: Expecting property name" in capsys.readouterr().err
+
+
+def test_ground_truth_json_syntax_error_exits_two_naming_the_file(tmp_path, capsys):
+    bundle = tmp_path / "mv_438076"
+    shutil.copytree(MV_DIR, bundle)
+    truth = bundle / "ground_truth.json"
+    truth.write_text("{x}")
+    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
+    assert code == EXIT_CONFIG
+    assert f"error: {truth}: Expecting property name" in capsys.readouterr().err
+
+
+def test_report_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
+    report = tmp_path / "bug.txt"
+    report.write_bytes(b"Subject: mv race\n\n\xff\xfe body\n")
+    code = main(["extract", "--report", str(report), "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert f"error: {report}: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_report_directory_exits_two_naming_it(tmp_path, capsys):
+    code = main(["extract", "--report", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert f"error: {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
+def test_out_dir_that_is_a_file_exits_two_naming_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("a file\n")
+    code = main(["extract", "--report", MV_REPORT, "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"error: {out}: File exists" in capsys.readouterr().err
+
+
+def test_final_content_oracle_without_content_exits_two(tmp_path, capsys):
+    payload = _read_json(GZIP_DIR / "scenario.json")
+    assert payload["oracle"]["kind"] == "final-content"
+    del payload["oracle"]["content"]  # every schedule would fail, undelayed too
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(payload))
+    code = main([
+        "reproduce", "--report", str(GZIP_DIR / "gzip_371162.txt"),
+        "--src", str(GZIP_DIR / "src"), "--scenario", str(scenario_path),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    assert f"error: {scenario_path}: field 'oracle'" in capsys.readouterr().err
+    assert not (tmp_path / "repro.json").exists()
+
+
+# --- --man-dir and --mode --------------------------------------------------------
+
+def test_extract_takes_its_keys_from_the_man_dir(tmp_path):
+    man_dir = tmp_path / "man"
+    man_dir.mkdir()
+    (man_dir / "rename.txt").write_text("rename - change the name or location of a file\n")
+    (man_dir / "chmod.txt").write_text("chmod - change permissions of a file\n")
+    code = main([
+        "extract", "--report", MV_REPORT, "--man-dir", str(man_dir),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    payload = _read_json(tmp_path / "keys.json")
+    # the bundled catalog also finds unlink (5 mentions); this one knows two calls
+    assert [(e["name"], e["count"]) for e in payload["entries"]] == [("rename", 8)]
+
+
+def test_empty_man_dir_exits_two_naming_it(tmp_path, capsys):
+    man_dir = tmp_path / "man"
+    man_dir.mkdir()
+    code = main([
+        "extract", "--report", MV_REPORT, "--man-dir", str(man_dir),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    assert f"error: {man_dir}: no man-page files found" in capsys.readouterr().err
+
+
+def test_mode_help_lists_every_mode(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "500")
+    with pytest.raises(SystemExit):
+        main(["extract", "--help"])
+    help_line = next(
+        line for line in capsys.readouterr().out.splitlines() if "pipeline mode:" in line
+    )
+    listed = help_line.split("pipeline mode:")[1].split(" | ")
+    assert [m.strip().removesuffix("@<f>") for m in listed] == list(MODES)
 
 
 # --- modes outside eval -----------------------------------------------------------

@@ -69,6 +69,12 @@ def test_oracle_rejects_unknown_kind():
         Oracle(kind="exit-code", path="f")
 
 
+@pytest.mark.parametrize("kind", ["final-mode", "final-content"])
+def test_oracle_needs_its_expected_value(kind):
+    with pytest.raises(ValueError, match=kind):
+        Oracle(kind=kind, path="f")
+
+
 def test_scenario_rejects_duplicate_fs_paths():
     with pytest.raises(ValueError):
         Scenario(

@@ -15,7 +15,7 @@ from racerepro.reports import (
     MODE_TEXT,
     STOP_WORDS,
     BugReport,
-    ReportFormatError,
+    InputError,
     load_report,
     preprocess,
     preprocess_tokens,
@@ -40,7 +40,7 @@ def test_load_plain_text(tmp_path):
 def test_load_missing_subject_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("mv race without a header\n\nbody here.\n")
-    with pytest.raises(ReportFormatError):
+    with pytest.raises(InputError):
         load_report(path)
 
 
@@ -61,8 +61,18 @@ def test_load_structured_json(tmp_path):
 def test_load_malformed_json(tmp_path):
     path = tmp_path / "bug.json"
     path.write_text(json.dumps({"subject": "missing id"}))
-    with pytest.raises(ReportFormatError):
+    with pytest.raises(InputError):
         load_report(path)
+
+
+@pytest.mark.parametrize("field", ["subject", "body"])
+@pytest.mark.parametrize("value", [{"a": 1}, ["s"], 5, None])
+def test_load_json_report_rejects_a_non_string_field(tmp_path, field, value):
+    path = tmp_path / "bug.json"
+    path.write_text(json.dumps({"id": "r-7", "subject": "s", "body": "b", field: value}))
+    with pytest.raises(InputError) as info:
+        load_report(path)
+    assert str(info.value).startswith(f"{path}: field '{field}': wrong JSON type")
 
 
 def test_bundled_mv_fixture_subject_mentions_both_calls(mv_report):
