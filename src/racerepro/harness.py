@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .mining import InstrumentationPoint
 from .reports import json_of, load_json_object, reading
-from .vfs import ENOENT, OP_ARITY, KIND_FILE, FsEvent, Node, VirtualFS
+from .vfs import ENOENT, OP_ARITY, KIND_DIR, KIND_FILE, FsEvent, Node, VirtualFS
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -49,6 +49,10 @@ class FsEntry:
     kind: str = KIND_FILE
     mode: int = 0o644
     content: str = ""
+
+    def __post_init__(self) -> None:
+        if self.kind not in (KIND_FILE, KIND_DIR):
+            raise ValueError(f"unknown initial_fs kind: {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,8 @@ def load_scenario(path: str | Path) -> Scenario:
         )
     with reading(path, "src_map"):
         src_map = {
-            (m["file"], m["function"], int(m["line"])): (m["process"], int(m["op_index"]))
+            (m["file"], m["function"], json_of(int, m["line"])):
+                (m["process"], json_of(int, m["op_index"]))
             for m in json_of(list, data.get("src_map", []))
         }
     with reading(path, "processes"):
@@ -297,10 +302,12 @@ def reproduce(
 
     The undelayed order runs first; when it already fails, that is the
     result (one attempt, no point credited).  Otherwise a point with no
-    src_map entry cannot steer the schedule: it uses up an attempt without
-    a run.
+    src_map entry cannot steer the schedule, and a point whose schedule
+    already ran and passed in this call (the undelayed order included)
+    cannot change the verdict: each uses up an attempt without a run.
     """
     start = time.perf_counter()
+    passed: set[tuple[tuple[str, int], ...]] = set()
     if max_attempts >= 1:
         base = baseline_schedule(scn)
         if run_schedule(scn, base).verdict == VERDICT_FAIL:
@@ -311,6 +318,7 @@ def reproduce(
                 wall_time=time.perf_counter() - start,
                 fails_undelayed=True,
             )
+        passed.add(tuple(base.steps))
     attempts = 0
     for point in points:
         if attempts >= max_attempts:
@@ -320,6 +328,10 @@ def reproduce(
             sched = schedule_with_delay(scn, point)
         except KeyError:
             continue
+        key = tuple(sched.steps)
+        if key in passed:
+            continue
+        passed.add(key)
         if run_schedule(scn, sched).verdict == VERDICT_FAIL:
             return ReproResult(
                 reproduced=True,
@@ -338,29 +350,40 @@ def reproduce(
 def enumerate_interleavings(scn: Scenario) -> list[tuple[InterleavingSchedule, str]]:
     """All program-order-preserving interleavings with verdicts.
 
-    Guarded by ``ENUMERATE_BOUND`` ops: the count is multinomial in trace lengths.
+    A depth-first walk over shared prefixes: each op runs once per prefix,
+    on a clone of the prefix's filesystem for every branch but the last,
+    which takes the prefix's own.  Interleavings come in the order of trying
+    processes in scenario order at each step.  Guarded by
+    ``ENUMERATE_BOUND`` ops: the count is multinomial in trace lengths.
     """
     total = scn.total_ops()
     if total > ENUMERATE_BOUND:
         raise ValueError(f"scenario has {total} ops, enumeration bound is {ENUMERATE_BOUND}")
-    names = scn.process_names
-    lengths = [len(trace) for _name, trace in scn.processes]
-
-    results: list[tuple[InterleavingSchedule, str]] = []
+    procs = list(enumerate(scn.processes))
+    progress = [0] * len(procs)
     prefix: list[tuple[str, int]] = []
+    events: list[FsEvent] = []
+    results: list[tuple[InterleavingSchedule, str]] = []
 
-    def recurse(progress: tuple[int, ...]) -> None:
+    def walk(fs: VirtualFS) -> None:
         if len(prefix) == total:
-            sched = InterleavingSchedule(steps=list(prefix))
-            results.append((sched, run_schedule(scn, sched).verdict))
+            verdict = scn.oracle.evaluate(fs, events)
+            results.append((InterleavingSchedule(steps=list(prefix)), verdict))
             return
-        for pi, name in enumerate(names):
-            if progress[pi] < lengths[pi]:
-                prefix.append((name, progress[pi]))
-                recurse(progress[:pi] + (progress[pi] + 1,) + progress[pi + 1 :])
-                prefix.pop()
+        ready = [(pi, name, trace) for pi, (name, trace) in procs if progress[pi] < len(trace)]
+        for pi, name, trace in ready:
+            child = fs if pi == ready[-1][0] else fs.clone()
+            op_idx = progress[pi]
+            op = trace[op_idx]
+            prefix.append((name, op_idx))
+            events.append(child.apply(name, op_idx, op.kind, op.args))
+            progress[pi] += 1
+            walk(child)
+            progress[pi] -= 1
+            events.pop()
+            prefix.pop()
 
-    recurse(tuple(0 for _ in names))
+    walk(scn.build_fs())
     return results
 
 
@@ -369,12 +392,14 @@ def random_baseline(scn: Scenario, runs: int = 100, seed: int = 0) -> ReproResul
 
     Each run shuffles the multiset of process tokens; the k-th occurrence of
     a name becomes that process's op k, giving a uniform distribution over
-    distinct interleavings.
+    distinct interleavings.  A draw that already ran and passed in this call
+    uses up its attempt without a second run.
     """
     import random
 
     rng = random.Random(seed)
     tokens = [name for name, trace in scn.processes for _ in trace]
+    passed: set[tuple[tuple[str, int], ...]] = set()
     start = time.perf_counter()
     for attempt in range(1, runs + 1):
         shuffled = list(tokens)
@@ -385,6 +410,10 @@ def random_baseline(scn: Scenario, runs: int = 100, seed: int = 0) -> ReproResul
             idx = counters.get(name, 0)
             counters[name] = idx + 1
             steps.append((name, idx))
+        key = tuple(steps)
+        if key in passed:
+            continue
+        passed.add(key)
         sched = InterleavingSchedule(steps=steps)
         if run_schedule(scn, sched).verdict == VERDICT_FAIL:
             return ReproResult(

@@ -127,7 +127,7 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
             expected_files=expected_files,
             expected_syscalls=[
                 Site(*(json_of(str, s[k]) for k in ("syscall", "file", "function")),
-                     int(s["line"]))
+                     json_of(int, s["line"]))
                 for s in json_of(list, data["syscalls"])
             ],
         )

@@ -193,10 +193,11 @@ def reading(path: str | Path, field: str | None = None) -> Iterator[None]:
 
 
 def json_of(kind: type, value: object):
-    """``value`` if it is a ``kind`` (list, str, dict), else a TypeError: a
-    string is never iterated as a list, nor an object turned into text."""
-    if not isinstance(value, kind):
-        raise TypeError(f"expected a {kind.__name__}, got {type(value).__name__}")
+    """``value`` if its type is exactly ``kind`` (list, str, dict, int), else a
+    TypeError: a string is never iterated as a list, an object never turned
+    into text, and a float or a bool never taken for an int."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 

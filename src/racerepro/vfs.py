@@ -74,11 +74,8 @@ class VirtualFS:
     # --- syscall semantics ---------------------------------------------
 
     def apply(self, process: str, op_index: int, syscall: str, args: tuple) -> FsEvent:
-        lo, hi = OP_ARITY[syscall]
-        if not lo <= len(args) <= hi:
-            raise ValueError(f"{syscall} takes {lo}..{hi} args, got {args!r}")
-        handler = getattr(self, f"_op_{syscall}")
-        result, detail = handler(*args)
+        """Run one op; its arity was checked when the op was built (``SyscallOp``)."""
+        result, detail = self._HANDLERS[syscall](self, *args)
         return FsEvent(
             process=process,
             op_index=op_index,
@@ -162,3 +159,18 @@ class VirtualFS:
         if node is None:
             return ENOENT, ""
         return OK, f"{node.kind} {node.mode:o}"
+
+    #: op kind -> handler
+    _HANDLERS = {
+        "open": _op_open,
+        "close": _op_close,
+        "read": _op_read,
+        "write": _op_write,
+        "unlink": _op_unlink,
+        "rename": _op_rename,
+        "link": _op_link,
+        "mkdir": _op_mkdir,
+        "mknod": _op_mknod,
+        "chmod": _op_chmod,
+        "stat": _op_stat,
+    }

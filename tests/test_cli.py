@@ -420,6 +420,53 @@ def test_scenario_non_numeric_value_exits_two_naming_the_file(tmp_path, capsys, 
     assert str(scenario_path) in err and f"field {EDITED_FIELD[edit]!r}" in err
 
 
+def _float_line(payload):
+    payload["src_map"][0]["line"] = 307.9  # int() would map it to line 307
+
+
+def _float_op_index(payload):
+    payload["src_map"][0]["op_index"] = 0.0
+
+
+def _bool_line(payload):
+    payload["src_map"][0]["line"] = True
+
+
+def _socket_kind(payload):
+    payload["initial_fs"][0]["kind"] = "socket"  # only files and dirs are modelled
+
+
+EDITED_FIELD.update({_float_line: "src_map", _float_op_index: "src_map",
+                     _bool_line: "src_map", _socket_kind: "initial_fs"})
+
+
+@pytest.mark.parametrize("edit", [_float_line, _float_op_index, _bool_line, _socket_kind])
+def test_scenario_value_outside_the_model_exits_two_naming_the_field(tmp_path, capsys, edit):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(_mv_scenario_with(edit)))
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {scenario_path}: field {EDITED_FIELD[edit]!r}" in err
+    assert not (tmp_path / "repro.json").exists()
+
+
+@pytest.mark.parametrize("line", [307.9, True])
+def test_ground_truth_non_integer_line_exits_two_naming_the_field(tmp_path, capsys, line):
+    bundle = tmp_path / "mv_438076"
+    shutil.copytree(MV_DIR, bundle)
+    truth = bundle / "ground_truth.json"
+    payload = _read_json(truth)
+    payload["syscalls"][0]["line"] = line
+    truth.write_text(json.dumps(payload))
+    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
+    assert code == EXIT_CONFIG
+    assert f"error: {truth}: field 'syscalls': wrong JSON type" in capsys.readouterr().err
+
+
 def test_ground_truth_non_numeric_line_exits_two_naming_the_file(tmp_path, capsys):
     bundle = tmp_path / "mv_438076"
     shutil.copytree(MV_DIR, bundle)

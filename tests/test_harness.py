@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
+from racerepro import harness
 from racerepro.harness import (
     VERDICT_FAIL,
     VERDICT_PASS,
@@ -60,8 +63,11 @@ def test_syscallop_rejects_unknown_kind():
 
 
 def test_syscallop_rejects_bad_arity():
+    # the only arity check: VirtualFS.apply trusts the ops it is given
     with pytest.raises(ValueError):
         SyscallOp("rename", ("only-one",))
+    with pytest.raises(ValueError):
+        SyscallOp("open", ("a", "b"))
 
 
 def test_oracle_rejects_unknown_kind():
@@ -373,7 +379,141 @@ def test_reproduce_honors_budget(mv_scenario):
     assert (result.reproduced, result.attempts) == (False, 2)
 
 
+def _reproduce_running_every_point(scn, points, max_attempts):
+    """The reference: the loop with no memory, so a repeated schedule runs again.
+
+    Returns (reproduced, attempts, point used, steps, fails undelayed) and
+    the steps of every schedule it ran, in order."""
+    ran = []
+
+    def verdict(sched):
+        ran.append(tuple(sched.steps))
+        return run_schedule(scn, sched).verdict
+
+    if max_attempts >= 1:
+        base = baseline_schedule(scn)
+        if verdict(base) == VERDICT_FAIL:
+            return (True, 1, None, base.steps, True), ran
+    attempts = 0
+    for point in points:
+        if attempts >= max_attempts:
+            break
+        attempts += 1
+        try:
+            sched = schedule_with_delay(scn, point)
+        except KeyError:
+            continue
+        if verdict(sched) == VERDICT_FAIL:
+            return (True, attempts, point, sched.steps, False), ran
+    return (False, attempts, None, None, False), ran
+
+
+def _count_runs(monkeypatch) -> Counter:
+    """Count harness.run_schedule calls by schedule steps."""
+    runs: Counter = Counter()
+    real = harness.run_schedule
+
+    def counting(scn, sched):
+        runs[tuple(sched.steps)] += 1
+        return real(scn, sched)
+
+    monkeypatch.setattr(harness, "run_schedule", counting)
+    return runs
+
+
+MV_AT = ("copy.c", "copy_internal")
+GZIP_AT = ("gzip.c", "finish_output")
+GHOST = _point("before", "nowhere.c", "f", 1)
+
+
+def _mv(placement, line):
+    return _point(placement, *MV_AT, line)
+
+
+def _gz(placement, line):
+    return _point(placement, *GZIP_AT, line)
+
+
+# mv: before 307 lets cat run first (passes), after 309 is the undelayed order,
+# after 307 and before 309 are the one failing order.  gzip: after 52 and
+# before 57 let the watcher's write land before the chmod (fails); before 52,
+# after 57, before 62 and after 62 pass, the last two being the undelayed order.
+REPEATS = {
+    "mv, never fails": ("mv_scenario", [GHOST, _mv("before", 307), _mv("after", 309), GHOST,
+                                        _mv("before", 307), _mv("after", 309), _mv("before", 307)], 100),
+    "mv, fails last": ("mv_scenario", [_mv("before", 307), GHOST, _mv("after", 309),
+                                       _mv("before", 307), GHOST, _mv("before", 309)], 100),
+    "mv, budget": ("mv_scenario", [_mv("before", 307), _mv("before", 307), GHOST,
+                                   _mv("after", 307)], 3),
+    "gzip, fails late": ("gzip_scenario", [_gz("before", 52), _gz("after", 57), _gz("before", 62),
+                                           GHOST, _gz("after", 62), _gz("before", 52),
+                                           _gz("after", 57), _gz("before", 57)], 100),
+    "gzip, no budget": ("gzip_scenario", [_gz("after", 52)], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATS))
+def test_reproduce_runs_each_distinct_schedule_once(case, request, monkeypatch):
+    fixture, points, budget = REPEATS[case]
+    scn = request.getfixturevalue(fixture)
+    expected, ran = _reproduce_running_every_point(scn, points, budget)
+    runs = _count_runs(monkeypatch)
+    result = reproduce(scn, points, budget)
+    steps = result.schedule.steps if result.schedule else None
+    assert (result.reproduced, result.attempts, result.point_used, steps,
+            result.fails_undelayed) == expected
+    assert runs == Counter(set(ran))
+    if case != "gzip, no budget":
+        assert len(ran) > len(runs)  # the case repeats a schedule
+
+
+def test_reproduce_failing_undelayed_order_runs_once(monkeypatch):
+    src_map = {("gzip.c", "treat_file", 57): ("writer", 3)}
+    scn = _two_proc(Oracle(kind="final-mode", path="f", expected_mode=0o444), src_map)
+    points = [_point("after", "gzip.c", "treat_file", 57)] * 3
+    expected, ran = _reproduce_running_every_point(scn, points, 100)
+    runs = _count_runs(monkeypatch)
+    result = reproduce(scn, points)
+    assert (result.reproduced, result.attempts, result.point_used, result.schedule.steps,
+            result.fails_undelayed) == expected
+    assert runs == Counter(ran) == Counter({tuple(baseline_schedule(scn).steps): 1})
+
+
 # --- random baseline -------------------------------------------------------------
+
+def _random_baseline_running_every_draw(scn, runs, seed):
+    """The reference: every draw runs, repeats included.
+
+    Returns (reproduced, attempts, steps) and the steps of every run."""
+    rng = random.Random(seed)
+    tokens = [name for name, trace in scn.processes for _ in trace]
+    ran = []
+    for attempt in range(1, runs + 1):
+        shuffled = list(tokens)
+        rng.shuffle(shuffled)
+        counters: dict[str, int] = {}
+        steps = []
+        for name in shuffled:
+            idx = counters.get(name, 0)
+            counters[name] = idx + 1
+            steps.append((name, idx))
+        ran.append(tuple(steps))
+        if run_schedule(scn, InterleavingSchedule(steps=steps)).verdict == VERDICT_FAIL:
+            return (True, attempt, steps), ran
+    return (False, runs, None), ran
+
+
+@pytest.mark.parametrize("fixture", ["mv_scenario", "gzip_scenario"])
+@pytest.mark.parametrize("seed", range(10))
+def test_random_baseline_runs_each_distinct_draw_once(fixture, seed, request, monkeypatch):
+    scn = request.getfixturevalue(fixture)
+    expected, ran = _random_baseline_running_every_draw(scn, 100, seed)
+    runs = _count_runs(monkeypatch)
+    result = random_baseline(scn, runs=100, seed=seed)
+    steps = result.schedule.steps if result.schedule else None
+    assert (result.reproduced, result.attempts, steps) == expected
+    assert runs == Counter(set(ran))
+
 
 def test_random_baseline_is_seed_deterministic(mv_scenario):
     a = random_baseline(mv_scenario, runs=50, seed=11)

@@ -1,7 +1,7 @@
 """Property suites over the pipeline's core invariants.
 
 Each suite runs 1000 generated cases (derandomized, so CI is stable).
-The acceptance gate imports and re-runs these six functions directly.
+The acceptance gate imports and re-runs the first six of them directly.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from racerepro.csource import index_tree
 from racerepro.harness import (
+    ORACLE_KINDS,
+    FsEntry,
     InterleavingSchedule,
     Oracle,
     Scenario,
@@ -283,3 +285,97 @@ def test_tsl_frame_count_matches_oracle(spec):
         for combo in product(*(plain[name] for name in names))
     }
     assert base_setups == oracle
+
+
+# --- 7: prefix-sharing enumeration equals replaying every interleaving ---------------
+
+_PATHS = ("f", "g", "h")
+_CONTENTS = ("a", "b")
+_MODES = (0o444, 0o600, 0o644)
+
+
+@st.composite
+def _fs_ops(draw) -> SyscallOp:
+    """Ops that alias (link), move, mutate, delete and create nodes."""
+    kind = draw(st.sampled_from(("link", "rename", "write", "chmod", "unlink", "open", "mknod")))
+    path = draw(st.sampled_from(_PATHS))
+    extra = {"link": _PATHS, "rename": _PATHS, "write": _CONTENTS, "chmod": _MODES}
+    if kind in extra:
+        return SyscallOp(kind, (path, draw(st.sampled_from(extra[kind]))))
+    return SyscallOp(kind, (path,))
+
+
+@st.composite
+def _fs_scenarios(draw):
+    """Two processes of one to three ops, or three of one or two."""
+    initial_fs = [FsEntry(path="g", mode=0o444, content="a")]  # read-only: writes are EACCES
+    if draw(st.booleans()):
+        initial_fs.append(FsEntry(path="f", kind=draw(st.sampled_from(("file", "dir")))))
+    n_procs = draw(st.integers(2, 3))
+    trace = st.lists(_fs_ops(), min_size=1, max_size=3 if n_procs == 2 else 2)
+    kind = draw(st.sampled_from(ORACLE_KINDS))
+    oracle = Oracle(
+        kind=kind,
+        path=draw(st.sampled_from(_PATHS)),
+        expected_mode=draw(st.sampled_from(_MODES)) if kind == "final-mode" else None,
+        expected_content=draw(st.sampled_from(_CONTENTS)) if kind == "final-content" else None,
+    )
+    return Scenario(
+        id="generated-fs",
+        processes=[(f"p{pi}", draw(trace)) for pi in range(n_procs)],
+        initial_fs=initial_fs,
+        oracle=oracle,
+    )
+
+
+class _Recording:
+    """An oracle that also keeps the state and log each verdict was given on,
+    with the paths that share a node named by the first of them."""
+
+    def __init__(self, oracle: Oracle) -> None:
+        self.oracle, self.seen = oracle, []
+
+    def evaluate(self, fs, events) -> str:
+        first: dict[int, str] = {}
+        self.seen.append((
+            {path: (node.kind, node.mode, node.content, first.setdefault(id(node), path))
+             for path, node in sorted(fs.paths.items())},
+            list(events),
+        ))
+        return self.oracle.evaluate(fs, events)
+
+
+def _enumerate_by_replay(scn: Scenario) -> list[tuple[list[tuple[str, int]], str]]:
+    """The reference: every interleaving replayed from the initial filesystem."""
+    names = scn.process_names
+    lengths = [len(trace) for _name, trace in scn.processes]
+    results: list[tuple[list[tuple[str, int]], str]] = []
+    prefix: list[tuple[str, int]] = []
+
+    def recurse(progress: tuple[int, ...]) -> None:
+        if len(prefix) == sum(lengths):
+            sched = InterleavingSchedule(steps=list(prefix))
+            results.append((sched.steps, run_schedule(scn, sched).verdict))
+            return
+        for pi, name in enumerate(names):
+            if progress[pi] < lengths[pi]:
+                prefix.append((name, progress[pi]))
+                recurse(progress[:pi] + (progress[pi] + 1,) + progress[pi + 1 :])
+                prefix.pop()
+
+    recurse(tuple(0 for _ in names))
+    return results
+
+
+@RUNS
+@given(scn=_fs_scenarios())
+def test_enumeration_equals_replaying_every_interleaving(scn):
+    shared = [(sched.steps, verdict) for sched, verdict in enumerate_interleavings(scn)]
+    assert shared == _enumerate_by_replay(scn)
+
+    # the final state and log of every leaf, not only what the oracle looks at
+    scn.oracle = _Recording(scn.oracle)
+    enumerate_interleavings(scn)
+    walked, scn.oracle.seen = scn.oracle.seen, []
+    _enumerate_by_replay(scn)
+    assert walked == scn.oracle.seen
