@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from racerepro.harness import SyscallOp
 from racerepro.vfs import (
     EACCES,
     EEXIST,
@@ -176,6 +177,15 @@ def test_event_carries_process_and_op_index():
     fs = _fs(foo="x")
     event = fs.apply("mv", 7, "open", ("foo",))
     assert (event.process, event.op_index, event.args) == ("mv", 7, ("foo",))
+
+
+def test_apply_rejects_bad_arity():
+    # An op reaches VirtualFS.apply only as a SyscallOp, whose constructor is the
+    # one arity check; apply itself trusts the ops it is given.
+    with pytest.raises(ValueError):
+        SyscallOp("rename", ("foo",))
+    with pytest.raises(ValueError):
+        SyscallOp("open", ("a", "b"))
 
 
 def test_arity_table_covers_every_handler():
