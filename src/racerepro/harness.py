@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .mining import InstrumentationPoint
 from .reports import json_of, load_json_object, reading
-from .vfs import ENOENT, OP_ARITY, KIND_DIR, KIND_FILE, FsEvent, Node, VirtualFS
+from .vfs import ENOENT, OP_ARITY, KIND_DIR, KIND_FILE, Node, VirtualFS, path_args
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -59,7 +59,7 @@ class FsEntry:
 class Oracle:
     """Built-in failure predicates; a scenario picks exactly one.
 
-    * open-enoent: some open(path) in the log failed with ENOENT;
+    * open-enoent: some open(path) failed with ENOENT;
     * final-mode: path's final mode differs from expected (missing fails);
     * path-missing: path is absent from the final filesystem;
     * final-content: path's final content differs from expected (missing fails).
@@ -78,13 +78,15 @@ class Oracle:
         if self.kind == "final-content" and self.expected_content is None:
             raise ValueError("a final-content oracle needs an expected 'content'")
 
-    def evaluate(self, fs: VirtualFS, events: list[FsEvent]) -> str:
+    def watches(self, op: SyscallOp) -> bool:
+        """Whether an ENOENT from ``op`` trips this oracle: an open of its path."""
+        return self.kind == "open-enoent" and op.kind == "open" and op.args[0] == self.path
+
+    def evaluate(self, fs: VirtualFS, open_failed: bool) -> str:
+        """The verdict on the final ``fs``; ``open_failed`` says whether an op
+        this oracle ``watches`` failed with ENOENT on the way there."""
         if self.kind == "open-enoent":
-            failed = any(
-                ev.syscall == "open" and ev.args[0] == self.path and ev.result == ENOENT
-                for ev in events
-            )
-            return VERDICT_FAIL if failed else VERDICT_PASS
+            return VERDICT_FAIL if open_failed else VERDICT_PASS
         node = fs.node(self.path)
         if self.kind == "final-mode":
             ok = node is not None and node.mode == self.expected_mode
@@ -141,10 +143,12 @@ class Scenario:
 
 
 def _parse_mode(value: int | str) -> int:
-    """Modes are octal strings in scenario files ("644") or plain ints."""
-    if isinstance(value, str):
-        return int(value, 8)
-    return int(value)
+    """Modes are octal strings in scenario files ("644") or exact JSON
+    integers, from 0 to 0o7777."""
+    mode = int(value, 8) if isinstance(value, str) else json_of(int, value)
+    if not 0 <= mode <= 0o7777:
+        raise ValueError(f"mode {value!r} is outside 0..7777 (octal)")
+    return mode
 
 
 def _op_from_json(obj: dict) -> SyscallOp:
@@ -170,8 +174,8 @@ def load_scenario(path: str | Path) -> Scenario:
         )
     with reading(path, "src_map"):
         src_map = {
-            (m["file"], m["function"], json_of(int, m["line"])):
-                (m["process"], json_of(int, m["op_index"]))
+            (json_of(str, m["file"]), json_of(str, m["function"]), json_of(int, m["line"])):
+                (json_of(str, m["process"]), json_of(int, m["op_index"]))
             for m in json_of(list, data.get("src_map", []))
         }
     with reading(path, "processes"):
@@ -264,20 +268,20 @@ def _check_schedule(scn: Scenario, sched: InterleavingSchedule) -> None:
 @dataclass
 class RunResult:
     fs: VirtualFS
-    events: list[FsEvent]
     verdict: str
 
 
 def run_schedule(scn: Scenario, sched: InterleavingSchedule) -> RunResult:
-    """Execute one interleaving; deterministic state, log, and verdict."""
+    """Execute one interleaving; deterministic final state and verdict."""
     _check_schedule(scn, sched)
     fs = scn.build_fs()
     traces = dict(scn.processes)
-    events = [
-        fs.apply(proc, op_idx, traces[proc][op_idx].kind, traces[proc][op_idx].args)
-        for proc, op_idx in sched.steps
-    ]
-    return RunResult(fs=fs, events=events, verdict=scn.oracle.evaluate(fs, events))
+    open_failed = False
+    for proc, op_idx in sched.steps:
+        op = traces[proc][op_idx]
+        if fs.apply(op.kind, op.args) == ENOENT and scn.oracle.watches(op):
+            open_failed = True
+    return RunResult(fs=fs, verdict=scn.oracle.evaluate(fs, open_failed))
 
 
 # --- reproduction loop ------------------------------------------------------
@@ -350,40 +354,56 @@ def reproduce(
 def enumerate_interleavings(scn: Scenario) -> list[tuple[InterleavingSchedule, str]]:
     """All program-order-preserving interleavings with verdicts.
 
-    A depth-first walk over shared prefixes: each op runs once per prefix,
-    on a clone of the prefix's filesystem for every branch but the last,
-    which takes the prefix's own.  Interleavings come in the order of trying
-    processes in scenario order at each step.  Guarded by
+    A depth-first walk over shared prefixes on one filesystem: each op runs
+    once per prefix, and an undo entry taken before it (each path it names,
+    with that path's node or its absence, and the node's mode and content)
+    is put back when the walk returns from the branch.  Nodes go back by
+    reference, so hard-link aliasing survives.  Interleavings come in the
+    order of trying processes in scenario order at each step.  Guarded by
     ``ENUMERATE_BOUND`` ops: the count is multinomial in trace lengths.
     """
     total = scn.total_ops()
     if total > ENUMERATE_BOUND:
         raise ValueError(f"scenario has {total} ops, enumeration bound is {ENUMERATE_BOUND}")
-    procs = list(enumerate(scn.processes))
+    oracle = scn.oracle
+    # per process: its name and, per op, (kind, args, paths named, watched by the oracle)
+    procs = [
+        (name, [(op.kind, op.args, path_args(op.kind, op.args), oracle.watches(op))
+                for op in trace])
+        for name, trace in scn.processes
+    ]
     progress = [0] * len(procs)
     prefix: list[tuple[str, int]] = []
-    events: list[FsEvent] = []
     results: list[tuple[InterleavingSchedule, str]] = []
+    fs = scn.build_fs()
+    paths = fs.paths
 
-    def walk(fs: VirtualFS) -> None:
+    def walk(open_failures: int) -> None:
         if len(prefix) == total:
-            verdict = scn.oracle.evaluate(fs, events)
+            verdict = oracle.evaluate(fs, open_failures > 0)
             results.append((InterleavingSchedule(steps=list(prefix)), verdict))
             return
-        ready = [(pi, name, trace) for pi, (name, trace) in procs if progress[pi] < len(trace)]
-        for pi, name, trace in ready:
-            child = fs if pi == ready[-1][0] else fs.clone()
+        for pi, (name, ops) in enumerate(procs):
             op_idx = progress[pi]
-            op = trace[op_idx]
+            if op_idx == len(ops):
+                continue
+            kind, args, named, watched = ops[op_idx]
+            undo = [(p, n, n.mode, n.content) if (n := paths.get(p)) is not None
+                    else (p, None, 0, "") for p in named]
             prefix.append((name, op_idx))
-            events.append(child.apply(name, op_idx, op.kind, op.args))
             progress[pi] += 1
-            walk(child)
+            failed = fs.apply(kind, args) == ENOENT and watched
+            walk(open_failures + failed)
             progress[pi] -= 1
-            events.pop()
             prefix.pop()
+            for p, n, mode, content in reversed(undo):
+                if n is None:
+                    paths.pop(p, None)
+                else:
+                    paths[p] = n
+                    n.mode, n.content = mode, content
 
-    walk(scn.build_fs())
+    walk(0)
     return results
 
 

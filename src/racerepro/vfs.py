@@ -1,9 +1,9 @@
 """In-memory POSIX-like filesystem model for deterministic replay.
 
 Paths map to nodes; hard links are shared node references, so rename and
-link preserve aliasing.  Operations never raise on filesystem errors:
-failures (ENOENT, EEXIST, EACCES, EISDIR) are recorded as events and
-execution continues, matching how the traced programs behave.
+link preserve aliasing.  Operations never raise on filesystem errors: each
+returns "ok" or an errno name (ENOENT, EEXIST, EACCES, EISDIR) and execution
+continues, matching how the traced programs behave.
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ OP_ARITY: dict[str, tuple[int, int]] = {
 }
 
 
+def path_args(syscall: str, args: tuple) -> tuple:
+    """The paths an op names, the only ones whose entry or node it can change:
+    both arguments of rename and link, else the first (write's content and a
+    mode are not paths)."""
+    return args if syscall in ("rename", "link") else args[:1]
+
+
 @dataclass
 class Node:
     kind: str
@@ -42,123 +49,83 @@ class Node:
     content: str = ""
 
 
-@dataclass(frozen=True)
-class FsEvent:
-    """One executed syscall: who ran it, what it did, how it ended."""
-
-    process: str
-    op_index: int
-    syscall: str
-    args: tuple
-    result: str  # "ok" or an errno name
-    detail: str = ""  # observed content / kind / mode for read & stat
-
-
 @dataclass
 class VirtualFS:
     paths: dict[str, Node] = field(default_factory=dict)
-
-    def clone(self) -> "VirtualFS":
-        """Deep copy preserving hard-link aliasing between paths."""
-        memo: dict[int, Node] = {}
-        paths: dict[str, Node] = {}
-        for path, node in self.paths.items():
-            if id(node) not in memo:
-                memo[id(node)] = Node(kind=node.kind, mode=node.mode, content=node.content)
-            paths[path] = memo[id(node)]
-        return VirtualFS(paths=paths)
 
     def node(self, path: str) -> Node | None:
         return self.paths.get(path)
 
     # --- syscall semantics ---------------------------------------------
 
-    def apply(self, process: str, op_index: int, syscall: str, args: tuple) -> FsEvent:
-        """Run one op; its arity was checked when the op was built (``SyscallOp``)."""
-        result, detail = self._HANDLERS[syscall](self, *args)
-        return FsEvent(
-            process=process,
-            op_index=op_index,
-            syscall=syscall,
-            args=tuple(args),
-            result=result,
-            detail=detail,
-        )
+    def apply(self, syscall: str, args: tuple) -> str:
+        """Run one op and return "ok" or its errno name; its arity was checked
+        when the op was built (``SyscallOp``)."""
+        return self._HANDLERS[syscall](self, *args)
 
-    def _op_open(self, path: str) -> tuple[str, str]:
-        if path not in self.paths:
-            return ENOENT, ""
-        return OK, ""
+    def _op_open(self, path: str) -> str:
+        return OK if path in self.paths else ENOENT
 
-    def _op_close(self, path: str) -> tuple[str, str]:
-        return OK, ""
+    # read and stat, like open, only look the path up
+    _op_read = _op_stat = _op_open
 
-    def _op_read(self, path: str) -> tuple[str, str]:
+    def _op_close(self, path: str) -> str:
+        return OK
+
+    def _op_write(self, path: str, content: str) -> str:
         node = self.paths.get(path)
         if node is None:
-            return ENOENT, ""
-        return OK, node.content
-
-    def _op_write(self, path: str, content: str) -> tuple[str, str]:
-        node = self.paths.get(path)
-        if node is None:
-            return ENOENT, ""
+            return ENOENT
         if not node.mode & 0o222:
-            return EACCES, ""
+            return EACCES
         node.content = content
-        return OK, ""
+        return OK
 
-    def _op_unlink(self, path: str) -> tuple[str, str]:
+    def _op_unlink(self, path: str) -> str:
         node = self.paths.get(path)
         if node is None:
-            return ENOENT, ""
+            return ENOENT
         if node.kind == KIND_DIR:
-            return EISDIR, ""
+            return EISDIR
         del self.paths[path]
-        return OK, ""
+        return OK
 
-    def _op_rename(self, src: str, dst: str) -> tuple[str, str]:
+    def _op_rename(self, src: str, dst: str) -> str:
         node = self.paths.get(src)
         if node is None:
-            return ENOENT, ""
+            return ENOENT
         # atomic replace: dst simultaneously points at src's node
         del self.paths[src]
         self.paths[dst] = node
-        return OK, ""
+        return OK
 
-    def _op_link(self, src: str, dst: str) -> tuple[str, str]:
+    def _op_link(self, src: str, dst: str) -> str:
         node = self.paths.get(src)
         if node is None:
-            return ENOENT, ""
+            return ENOENT
         if dst in self.paths:
-            return EEXIST, ""
+            return EEXIST
         self.paths[dst] = node
-        return OK, ""
+        return OK
 
-    def _op_mkdir(self, path: str, mode: int = 0o755) -> tuple[str, str]:
+    def _op_mkdir(self, path: str, mode: int = 0o755) -> str:
         if path in self.paths:
-            return EEXIST, ""
+            return EEXIST
         self.paths[path] = Node(kind=KIND_DIR, mode=mode)
-        return OK, ""
+        return OK
 
-    def _op_mknod(self, path: str, mode: int = 0o644) -> tuple[str, str]:
+    def _op_mknod(self, path: str, mode: int = 0o644) -> str:
         if path in self.paths:
-            return EEXIST, ""
+            return EEXIST
         self.paths[path] = Node(kind=KIND_FILE, mode=mode)
-        return OK, ""
+        return OK
 
-    def _op_chmod(self, path: str, mode: int) -> tuple[str, str]:
+    def _op_chmod(self, path: str, mode: int) -> str:
         node = self.paths.get(path)
         if node is None:
-            return ENOENT, ""
+            return ENOENT
         node.mode = mode
-        return OK, ""
-
-    def _op_stat(self, path: str) -> tuple[str, str]:
-        node = self.paths.get(path)
-        if node is None:
-            return ENOENT, ""
-        return OK, f"{node.kind} {node.mode:o}"
+        return OK
 
     #: op kind -> handler
     _HANDLERS = {

@@ -19,6 +19,15 @@ MV_DIR = FIXTURES / "mv_438076"
 GZIP_DIR = FIXTURES / "gzip_371162"
 
 
+def fs_state(fs) -> dict[str, tuple[str, int, str, str]]:
+    """A filesystem as plain data: each path with its node's kind, mode and
+    content, and the first path (in sorted order) that shares that node, so
+    hard-link groups compare too."""
+    first: dict[int, str] = {}
+    return {path: (node.kind, node.mode, node.content, first.setdefault(id(node), path))
+            for path, node in sorted(fs.paths.items())}
+
+
 # --- shared pipeline fixtures -------------------------------------------------
 
 @pytest.fixture(scope="session")

@@ -59,3 +59,16 @@ def test_tracing_hooks_install_and_restore_every_attribute():
         for attr, value in saved.items():
             assert now[attr] is value, (owner, attr)
     assert logger.filters == filters
+
+
+def test_traced_enumeration_counts_its_ops_and_interleavings(mv_scenario):
+    # a walk that applied ops without going through VirtualFS.apply would read 0 here
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, {m.__name__.rsplit(".", 1)[-1]: m for m in MODULES})
+        results = harness.enumerate_interleavings(mv_scenario)
+    finally:
+        tracer.restore()
+    assert tracer.counts["harness.interleavings_explored"] == len(results) > 0
+    assert tracer.counts["vfs.apply.calls"] > 0

@@ -436,11 +436,31 @@ def _socket_kind(payload):
     payload["initial_fs"][0]["kind"] = "socket"  # only files and dirs are modelled
 
 
+def _int_file(payload):
+    for entry in payload["src_map"]:  # no point would map: exit 1 unless rejected
+        entry["file"] = 7
+
+
+def _float_mode(payload):
+    payload["initial_fs"][0]["mode"] = 420.9  # int() would read it as 0o644
+
+
+def _bool_chmod_mode(payload):
+    payload["processes"][0]["trace"].append({"kind": "chmod", "args": ["foo", True]})
+
+
+def _negative_mode(payload):
+    payload["initial_fs"][0]["mode"] = "-644"  # int(_, 8) reads it as -420
+
+
 EDITED_FIELD.update({_float_line: "src_map", _float_op_index: "src_map",
-                     _bool_line: "src_map", _socket_kind: "initial_fs"})
+                     _bool_line: "src_map", _socket_kind: "initial_fs", _int_file: "src_map",
+                     _float_mode: "initial_fs", _bool_chmod_mode: "processes",
+                     _negative_mode: "initial_fs"})
 
 
-@pytest.mark.parametrize("edit", [_float_line, _float_op_index, _bool_line, _socket_kind])
+@pytest.mark.parametrize("edit", [_float_line, _float_op_index, _bool_line, _socket_kind,
+                                  _int_file, _float_mode, _bool_chmod_mode, _negative_mode])
 def test_scenario_value_outside_the_model_exits_two_naming_the_field(tmp_path, capsys, edit):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(_mv_scenario_with(edit)))

@@ -15,7 +15,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fs_state
 from racerepro.csource import index_tree
 from racerepro.harness import (
     ORACLE_KINDS,
@@ -183,12 +183,8 @@ def test_replay_deterministic(scn, seed):
 
     first = run_schedule(scn, sched)
     second = run_schedule(scn, sched)
-    assert first.events == second.events
     assert first.verdict == second.verdict
-    snapshot = lambda fs: {  # noqa: E731
-        path: (node.kind, node.mode, node.content) for path, node in fs.paths.items()
-    }
-    assert snapshot(first.fs) == snapshot(second.fs)
+    assert fs_state(first.fs) == fs_state(second.fs)
 
 
 # --- 5: the index finds exactly the authored sites ------------------------------------
@@ -329,20 +325,18 @@ def _fs_scenarios(draw):
 
 
 class _Recording:
-    """An oracle that also keeps the state and log each verdict was given on,
-    with the paths that share a node named by the first of them."""
+    """An oracle that also keeps the final state (with its hard-link groups)
+    and the open-failure flag each verdict was given on."""
 
     def __init__(self, oracle: Oracle) -> None:
         self.oracle, self.seen = oracle, []
 
-    def evaluate(self, fs, events) -> str:
-        first: dict[int, str] = {}
-        self.seen.append((
-            {path: (node.kind, node.mode, node.content, first.setdefault(id(node), path))
-             for path, node in sorted(fs.paths.items())},
-            list(events),
-        ))
-        return self.oracle.evaluate(fs, events)
+    def watches(self, op: SyscallOp) -> bool:
+        return self.oracle.watches(op)
+
+    def evaluate(self, fs, open_failed: bool) -> str:
+        self.seen.append((fs_state(fs), open_failed))
+        return self.oracle.evaluate(fs, open_failed)
 
 
 def _enumerate_by_replay(scn: Scenario) -> list[tuple[list[tuple[str, int]], str]]:
@@ -373,7 +367,7 @@ def test_enumeration_equals_replaying_every_interleaving(scn):
     shared = [(sched.steps, verdict) for sched, verdict in enumerate_interleavings(scn)]
     assert shared == _enumerate_by_replay(scn)
 
-    # the final state and log of every leaf, not only what the oracle looks at
+    # the final state and open-failure flag of every leaf, not only what the oracle looks at
     scn.oracle = _Recording(scn.oracle)
     enumerate_interleavings(scn)
     walked, scn.oracle.seen = scn.oracle.seen, []

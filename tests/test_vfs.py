@@ -26,55 +26,57 @@ def _fs(**files: str) -> VirtualFS:
     return fs
 
 
-def _do(fs: VirtualFS, syscall: str, *args):
-    return fs.apply("p", 0, syscall, tuple(args))
+def _do(fs: VirtualFS, syscall: str, *args) -> str:
+    return fs.apply(syscall, tuple(args))
 
 
 # --- happy paths ----------------------------------------------------------------
 
 def test_rename_moves_node_then_stat_sees_it():
     fs = _fs(bar="payload")
-    assert _do(fs, "rename", "bar", "foo").result == OK
+    assert _do(fs, "rename", "bar", "foo") == OK
     assert fs.node("bar") is None
-    event = _do(fs, "stat", "foo")
-    assert (event.result, event.detail) == (OK, "file 644")
+    assert _do(fs, "stat", "foo") == OK
+    node = fs.node("foo")
+    assert (node.kind, node.mode) == (KIND_FILE, 0o644)
 
 
 def test_rename_replaces_destination_atomically():
     fs = _fs(bar="new", foo="old")
-    assert _do(fs, "rename", "bar", "foo").result == OK
-    assert _do(fs, "read", "foo").detail == "new"
+    assert _do(fs, "rename", "bar", "foo") == OK
+    assert _do(fs, "read", "foo") == OK
+    assert fs.node("foo").content == "new"
 
 
 def test_unlink_then_open_is_enoent():
     fs = _fs(foo="x")
-    assert _do(fs, "unlink", "foo").result == OK
-    assert _do(fs, "open", "foo").result == ENOENT
+    assert _do(fs, "unlink", "foo") == OK
+    assert _do(fs, "open", "foo") == ENOENT
 
 
 def test_read_reports_content_in_detail():
     fs = _fs(foo="hello")
-    event = _do(fs, "read", "foo")
-    assert (event.result, event.detail) == (OK, "hello")
+    assert _do(fs, "read", "foo") == OK
+    assert fs.node("foo").content == "hello"
 
 
 def test_write_updates_content():
     fs = _fs(foo="old")
-    assert _do(fs, "write", "foo", "new").result == OK
+    assert _do(fs, "write", "foo", "new") == OK
     assert fs.node("foo").content == "new"
 
 
 def test_chmod_changes_only_mode():
     fs = _fs(foo="keep")
-    assert _do(fs, "chmod", "foo", 0o444).result == OK
+    assert _do(fs, "chmod", "foo", 0o444) == OK
     node = fs.node("foo")
     assert (node.mode, node.content, node.kind) == (0o444, "keep", KIND_FILE)
 
 
 def test_mkdir_and_mknod_create_with_modes():
     fs = VirtualFS()
-    assert _do(fs, "mkdir", "d", 0o700).result == OK
-    assert _do(fs, "mknod", "f", 0o600).result == OK
+    assert _do(fs, "mkdir", "d", 0o700) == OK
+    assert _do(fs, "mknod", "f", 0o600) == OK
     assert (fs.node("d").kind, fs.node("d").mode) == (KIND_DIR, 0o700)
     assert (fs.node("f").kind, fs.node("f").mode) == (KIND_FILE, 0o600)
 
@@ -88,16 +90,16 @@ def test_mkdir_and_mknod_default_modes():
 
 
 def test_close_always_succeeds():
-    assert _do(VirtualFS(), "close", "ghost").result == OK
+    assert _do(VirtualFS(), "close", "ghost") == OK
 
 
 # --- hard links -----------------------------------------------------------------
 
 def test_link_aliases_share_writes():
     fs = _fs(src="v1")
-    assert _do(fs, "link", "src", "alias").result == OK
+    assert _do(fs, "link", "src", "alias") == OK
     _do(fs, "write", "alias", "v2")
-    assert _do(fs, "read", "src").detail == "v2"
+    assert fs.node("src").content == "v2"
     _do(fs, "chmod", "src", 0o400)
     assert fs.node("alias").mode == 0o400
 
@@ -105,8 +107,9 @@ def test_link_aliases_share_writes():
 def test_unlink_one_alias_keeps_the_other():
     fs = _fs(src="v1")
     _do(fs, "link", "src", "alias")
-    assert _do(fs, "unlink", "src").result == OK
-    assert _do(fs, "read", "alias").detail == "v1"
+    assert _do(fs, "unlink", "src") == OK
+    assert _do(fs, "read", "alias") == OK
+    assert fs.node("alias").content == "v1"
 
 
 def test_rename_preserves_aliasing():
@@ -114,10 +117,11 @@ def test_rename_preserves_aliasing():
     _do(fs, "link", "src", "alias")
     _do(fs, "rename", "alias", "moved")
     _do(fs, "write", "moved", "v2")
-    assert _do(fs, "read", "src").detail == "v2"
+    assert fs.node("src").content == "v2"
+    assert fs.node("src") is fs.node("moved")
 
 
-# --- error events, never exceptions -----------------------------------------------
+# --- errno results, never exceptions --------------------------------------------
 
 @pytest.mark.parametrize(
     "syscall,args",
@@ -133,51 +137,44 @@ def test_rename_preserves_aliasing():
     ],
 )
 def test_missing_path_is_enoent_event(syscall, args):
-    event = _do(VirtualFS(), syscall, *args)
-    assert event.result == ENOENT
-    assert event.syscall == syscall
+    assert _do(VirtualFS(), syscall, *args) == ENOENT
 
 
 def test_link_to_existing_destination_is_eexist():
     fs = _fs(src="a", dst="b")
-    assert _do(fs, "link", "src", "dst").result == EEXIST
+    assert _do(fs, "link", "src", "dst") == EEXIST
     assert fs.node("dst").content == "b"
 
 
 def test_mkdir_mknod_on_existing_path_is_eexist():
     fs = _fs(f="x")
-    assert _do(fs, "mkdir", "f").result == EEXIST
-    assert _do(fs, "mknod", "f").result == EEXIST
+    assert _do(fs, "mkdir", "f") == EEXIST
+    assert _do(fs, "mknod", "f") == EEXIST
 
 
 def test_write_without_write_bit_is_eacces():
     fs = VirtualFS()
     fs.paths["ro"] = Node(kind=KIND_FILE, mode=0o444, content="keep")
-    event = _do(fs, "write", "ro", "clobber")
-    assert event.result == EACCES
+    assert _do(fs, "write", "ro", "clobber") == EACCES
     assert fs.node("ro").content == "keep"
 
 
 def test_unlink_directory_is_eisdir():
     fs = VirtualFS()
     _do(fs, "mkdir", "d")
-    assert _do(fs, "unlink", "d").result == EISDIR
+    assert _do(fs, "unlink", "d") == EISDIR
     assert fs.node("d") is not None
 
 
 def test_stat_detail_is_kind_and_octal_mode():
     fs = VirtualFS()
     _do(fs, "mkdir", "d", 0o750)
-    assert _do(fs, "stat", "d").detail == "dir 750"
+    assert _do(fs, "stat", "d") == OK
+    node = fs.node("d")
+    assert (node.kind, node.mode) == (KIND_DIR, 0o750)
 
 
-# --- event records ----------------------------------------------------------------
-
-def test_event_carries_process_and_op_index():
-    fs = _fs(foo="x")
-    event = fs.apply("mv", 7, "open", ("foo",))
-    assert (event.process, event.op_index, event.args) == ("mv", 7, ("foo",))
-
+# --- op table -------------------------------------------------------------------
 
 def test_apply_rejects_bad_arity():
     # An op reaches VirtualFS.apply only as a SyscallOp, whose constructor is the
@@ -193,19 +190,3 @@ def test_arity_table_covers_every_handler():
     for syscall in OP_ARITY:
         assert VirtualFS._HANDLERS[syscall] is getattr(VirtualFS, f"_op_{syscall}")
 
-
-# --- clone ------------------------------------------------------------------------
-
-def test_clone_is_independent():
-    fs = _fs(foo="v1")
-    copy = fs.clone()
-    _do(fs, "write", "foo", "v2")
-    assert copy.node("foo").content == "v1"
-
-
-def test_clone_preserves_aliasing():
-    fs = _fs(src="v1")
-    _do(fs, "link", "src", "alias")
-    copy = fs.clone()
-    assert copy.node("src") is copy.node("alias")
-    assert copy.node("src") is not fs.node("src")
