@@ -15,7 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import catalog as catalog_mod
 from . import harness as harness_mod
 from . import metrics as metrics_mod
 from . import retrieval, testcases
@@ -136,6 +135,16 @@ def _repro_payload(
 
 # --- subcommands ------------------------------------------------------------
 
+#: flag -> (ExperimentConfig field, help); a subcommand that does not take
+#: a flag leaves its field at the config's default
+CONFIG_FLAGS = {
+    "--n-derived": ("n_derived", "top-n cut for derived syscall extraction"),
+    "--top-files": ("top_files", "files searched for instrumentation points"),
+    "--top-n": ("recall_k", "K for recall@K in evaluation"),
+    "--max-attempts": ("max_attempts", "reproduction attempt budget"),
+}
+
+
 def _pipeline(args: argparse.Namespace) -> Pipeline:
     """The stages for these arguments; the mode and config are validated here."""
     mode, fraction = metrics_mod.parse_mode(args.mode)
@@ -143,17 +152,14 @@ def _pipeline(args: argparse.Namespace) -> Pipeline:
         mode=mode,
         perturb_fraction=fraction,
         seed=args.seed,
-        n_derived=args.n_derived,
-        top_files=args.top_files,
-        recall_k=args.top_n,
-        max_attempts=args.max_attempts,
+        **{name: getattr(args, name) for name, _ in CONFIG_FLAGS.values() if hasattr(args, name)},
     )
     return Pipeline(
         config,
         report_path=getattr(args, "report", None),
         src_root=getattr(args, "src", None),
         scenario_path=getattr(args, "scenario", None),
-        man_dir=args.man_dir,
+        man_dir=getattr(args, "man_dir", None),
         tsl_path=getattr(args, "tsl", None),
         commands=[n.strip() for n in getattr(args, "commands", "").split(",") if n.strip()],
     )
@@ -302,8 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, report=False, src=False,
-                   scenario=False, tsl=False) -> None:
+    def add_common(p: argparse.ArgumentParser, *flags: str, report=False, src=False,
+                   scenario=False, tsl=False, catalog=True) -> None:
         if report:
             p.add_argument("--report", required=True, type=Path,
                            help="bug report (.txt with Subject: line, or .json)")
@@ -316,19 +322,17 @@ def _build_parser() -> argparse.ArgumentParser:
         if tsl:
             p.add_argument("--tsl", type=Path, default=None,
                            help="TSL category-partition spec file")
-        p.add_argument("--man-dir", type=Path, default=None,
-                       help="man-page catalog directory (default: bundled)")
+        if catalog:
+            p.add_argument("--man-dir", type=Path, default=None,
+                           help="man-page catalog directory (default: bundled)")
+            flags = ("--n-derived", *flags)
+        for flag in flags:
+            name, text = CONFIG_FLAGS[flag]
+            default = getattr(ExperimentConfig, name)
+            p.add_argument(flag, dest=name, type=int, default=default, metavar="N",
+                           help=f"{text} (default: {default})")
         p.add_argument("--out-dir", type=Path, default=Path("."),
                        help="directory for artifact files (default: .)")
-        p.add_argument("--n-derived", type=int, default=catalog_mod.DEFAULT_DERIVED_N,
-                       help="top-n cut for derived syscall extraction")
-        p.add_argument("--top-files", type=int, default=retrieval.DEFAULT_TOP_FILES,
-                       help="files searched for instrumentation points")
-        p.add_argument("--top-n", type=int, default=metrics_mod.DEFAULT_RECALL_K,
-                       help="K for recall@K in evaluation")
-        p.add_argument("--max-attempts", type=int,
-                       default=harness_mod.DEFAULT_MAX_ATTEMPTS,
-                       help="reproduction attempt budget")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (required for stochastic modes)")
         p.add_argument("--mode", default=metrics_mod.MODE_STRUCTURED_IR,
@@ -341,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("rank-files", help="rank source files against the report")
-    add_common(p, report=True, src=True)
+    add_common(p, "--top-files", report=True, src=True)
     p.set_defaults(func=cmd_rank_files)
 
     p = sub.add_parser("mine-pairs", help="mine the ranked syscall pair list")
@@ -349,11 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mine_pairs)
 
     p = sub.add_parser("locate", help="resolve ranked instrumentation points")
-    add_common(p, report=True, src=True)
+    add_common(p, "--top-files", report=True, src=True)
     p.set_defaults(func=cmd_locate)
 
     p = sub.add_parser("gen-tests", help="expand a TSL spec into test cases")
-    add_common(p, report=True)
+    add_common(p, report=True, catalog=False)
     p.add_argument("--tsl", required=True, type=Path, help="TSL spec file")
     p.add_argument("--scenario", type=Path, default=None,
                    help="scenario file (its process names seed known commands)")
@@ -362,17 +366,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_tests)
 
     p = sub.add_parser("reproduce", help="run the ranked reproduction loop")
-    add_common(p, report=True, src=True, scenario=True)
+    add_common(p, "--top-files", "--max-attempts", report=True, src=True, scenario=True)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("eval", help="run the experiment over fixture bundles")
-    add_common(p)
+    add_common(p, "--top-files", "--top-n", "--max-attempts")
     p.add_argument("fixtures", nargs="+",
                    help="fixture bundle directories (report + src/ + scenario.json)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
-    add_common(p, report=True, src=True, scenario=True, tsl=True)
+    add_common(p, "--top-files", "--max-attempts",
+               report=True, src=True, scenario=True, tsl=True)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -11,7 +11,10 @@ a long-enough sleep would produce under the cooperative model.
 
 from __future__ import annotations
 
+import itertools
+import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -193,9 +196,11 @@ def load_scenario(path: str | Path) -> Scenario:
             )
             for e in json_of(list, data.get("initial_fs", []))
         ]
+    with reading(path, "id"):
+        scenario_id = json_of(str, data.get("id", Path(path).stem))
     with reading(path):
         return Scenario(
-            id=str(data.get("id", Path(path).stem)),
+            id=scenario_id,
             processes=processes,
             initial_fs=initial_fs,
             oracle=oracle,
@@ -297,6 +302,25 @@ class ReproResult:
     fails_undelayed: bool = False
 
 
+def _first_failure(
+    scn: Scenario,
+    tries: Iterable[tuple[InterleavingSchedule | None, InstrumentationPoint | None]],
+    passed: set[tuple[tuple[str, int], ...]],
+    start: float,
+) -> ReproResult:
+    """Run ``(schedule, point)`` tries in order, one attempt each, until the
+    oracle fails.  A try with no schedule, or whose steps already ran and
+    passed in this call (``passed``), uses up its attempt without a run."""
+    attempts = 0
+    for attempts, (sched, point) in enumerate(tries, 1):
+        if sched is None or (key := tuple(sched.steps)) in passed:
+            continue
+        passed.add(key)
+        if run_schedule(scn, sched).verdict == VERDICT_FAIL:
+            return ReproResult(True, attempts, sched, point, time.perf_counter() - start)
+    return ReproResult(False, attempts, wall_time=time.perf_counter() - start)
+
+
 def reproduce(
     scn: Scenario,
     points: list[InstrumentationPoint],
@@ -305,48 +329,32 @@ def reproduce(
     """Try points in rank order until the oracle fails or the budget runs out.
 
     The undelayed order runs first; when it already fails, that is the
-    result (one attempt, no point credited).  Otherwise a point with no
-    src_map entry cannot steer the schedule, and a point whose schedule
-    already ran and passed in this call (the undelayed order included)
-    cannot change the verdict: each uses up an attempt without a run.
+    result (one attempt, no point credited).  Otherwise each of the first
+    ``max_attempts`` points is one attempt.  Only the first point with a given
+    delay (mapped process and op index, and whether it yields before the op)
+    gets a schedule.  A point with no src_map entry, a later point with the
+    same delay, and a point whose schedule already ran and passed in this
+    call (the undelayed order included) each use up an attempt without a run.
     """
     start = time.perf_counter()
     passed: set[tuple[tuple[str, int], ...]] = set()
     if max_attempts >= 1:
         base = baseline_schedule(scn)
         if run_schedule(scn, base).verdict == VERDICT_FAIL:
-            return ReproResult(
-                reproduced=True,
-                attempts=1,
-                schedule=base,
-                wall_time=time.perf_counter() - start,
-                fails_undelayed=True,
-            )
+            return ReproResult(True, 1, base, wall_time=time.perf_counter() - start,
+                               fails_undelayed=True)
         passed.add(tuple(base.steps))
-    attempts = 0
-    for point in points:
-        if attempts >= max_attempts:
-            break
-        attempts += 1
-        try:
-            sched = schedule_with_delay(scn, point)
-        except KeyError:
-            continue
-        key = tuple(sched.steps)
-        if key in passed:
-            continue
-        passed.add(key)
-        if run_schedule(scn, sched).verdict == VERDICT_FAIL:
-            return ReproResult(
-                reproduced=True,
-                attempts=attempts,
-                schedule=sched,
-                point_used=point,
-                wall_time=time.perf_counter() - start,
-            )
-    return ReproResult(
-        reproduced=False, attempts=attempts, wall_time=time.perf_counter() - start
-    )
+    built: set[tuple[str, int, bool]] = set()
+
+    def delayed(point: InstrumentationPoint) -> InterleavingSchedule | None:
+        target = scn.map_point(point)
+        if target is None or (delay := (*target, point.placement == "before")) in built:
+            return None
+        built.add(delay)
+        return schedule_with_delay(scn, point)
+
+    tries = ((delayed(point), point) for point in points[:max(max_attempts, 0)])
+    return _first_failure(scn, tries, passed, start)
 
 
 # --- systematic and random exploration --------------------------------------
@@ -415,36 +423,17 @@ def random_baseline(scn: Scenario, runs: int = 100, seed: int = 0) -> ReproResul
     distinct interleavings.  A draw that already ran and passed in this call
     uses up its attempt without a second run.
     """
-    import random
-
     rng = random.Random(seed)
     tokens = [name for name, trace in scn.processes for _ in trace]
-    passed: set[tuple[tuple[str, int], ...]] = set()
-    start = time.perf_counter()
-    for attempt in range(1, runs + 1):
+
+    def draw() -> InterleavingSchedule:
         shuffled = list(tokens)
         rng.shuffle(shuffled)
-        counters: dict[str, int] = {}
-        steps = []
-        for name in shuffled:
-            idx = counters.get(name, 0)
-            counters[name] = idx + 1
-            steps.append((name, idx))
-        key = tuple(steps)
-        if key in passed:
-            continue
-        passed.add(key)
-        sched = InterleavingSchedule(steps=steps)
-        if run_schedule(scn, sched).verdict == VERDICT_FAIL:
-            return ReproResult(
-                reproduced=True,
-                attempts=attempt,
-                schedule=sched,
-                wall_time=time.perf_counter() - start,
-            )
-    return ReproResult(
-        reproduced=False, attempts=runs, wall_time=time.perf_counter() - start
-    )
+        counters = {name: itertools.count() for name in scn.process_names}
+        return InterleavingSchedule(steps=[(name, next(counters[name])) for name in shuffled])
+
+    start = time.perf_counter()
+    return _first_failure(scn, ((draw(), None) for _ in range(runs)), set(), start)
 
 
 # --- rendering --------------------------------------------------------------

@@ -119,11 +119,13 @@ class GroundTruth:
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
     data = load_json_object(path)
+    with reading(path, "id"):
+        bug_id = json_of(str, data["id"])
     with reading(path, "files"):
         expected_files = [json_of(str, f) for f in json_of(list, data["files"])]
     with reading(path, "syscalls"):
         return GroundTruth(
-            bug_id=str(data["id"]),
+            bug_id=bug_id,
             expected_files=expected_files,
             expected_syscalls=[
                 Site(*(json_of(str, s[k]) for k in ("syscall", "file", "function")),

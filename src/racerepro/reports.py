@@ -156,8 +156,8 @@ def load_report(path: str | Path) -> BugReport:
     path = Path(path)
     if path.suffix == ".json":
         data = load_json_object(path)
-        with reading(path):
-            report_id = str(data["id"])
+        with reading(path, "id"):
+            report_id = json_of(str, data["id"])
         with reading(path, "subject"):
             subject = json_of(str, data["subject"])
         with reading(path, "body"):

@@ -302,6 +302,34 @@ def test_each_subcommand_writes_the_bytes_pipeline_writes(tmp_path, fixture_dir)
 
 # --- usage errors -----------------------------------------------------------------
 
+#: per subcommand, its input flags and the stage flags none of its stages read
+#: (eval takes them all)
+NOT_TAKEN = {
+    "extract": (("--report",), ("--top-files", "--top-n", "--max-attempts")),
+    "rank-files": (("--report", "--src"), ("--top-n", "--max-attempts")),
+    "mine-pairs": (("--report",), ("--top-files", "--top-n", "--max-attempts")),
+    "locate": (("--report", "--src"), ("--top-n", "--max-attempts")),
+    "gen-tests": (("--report", "--tsl"),
+                  ("--man-dir", "--n-derived", "--top-files", "--top-n", "--max-attempts")),
+    "reproduce": (("--report", "--src", "--scenario"), ("--top-n",)),
+    "pipeline": (("--report", "--src", "--scenario"), ("--top-n",)),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_inputs, flags) in NOT_TAKEN.items() for flag in flags
+])
+def test_a_flag_no_stage_reads_exits_two(tmp_path, capsys, command, flag):
+    inputs = {"--report": MV_REPORT, "--src": MV_SRC, "--scenario": MV_SCENARIO,
+              "--tsl": MV_TSL}
+    argv = [command, *(arg for f in NOT_TAKEN[command][0] for arg in (f, inputs[f]))]
+    value = str(tmp_path) if flag == "--man-dir" else "1"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value, "--out-dir", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
 def test_unknown_mode_exits_two(tmp_path, capsys):
     code = main([
         "locate", "--report", MV_REPORT, "--src", MV_SRC,
@@ -453,14 +481,19 @@ def _negative_mode(payload):
     payload["initial_fs"][0]["mode"] = "-644"  # int(_, 8) reads it as -420
 
 
+def _object_id(payload):
+    payload["id"] = {"a": 1}  # str() would write "{'a': 1}" into repro.json
+
+
 EDITED_FIELD.update({_float_line: "src_map", _float_op_index: "src_map",
                      _bool_line: "src_map", _socket_kind: "initial_fs", _int_file: "src_map",
                      _float_mode: "initial_fs", _bool_chmod_mode: "processes",
-                     _negative_mode: "initial_fs"})
+                     _negative_mode: "initial_fs", _object_id: "id"})
 
 
 @pytest.mark.parametrize("edit", [_float_line, _float_op_index, _bool_line, _socket_kind,
-                                  _int_file, _float_mode, _bool_chmod_mode, _negative_mode])
+                                  _int_file, _float_mode, _bool_chmod_mode, _negative_mode,
+                                  _object_id])
 def test_scenario_value_outside_the_model_exits_two_naming_the_field(tmp_path, capsys, edit):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(_mv_scenario_with(edit)))
@@ -485,6 +518,27 @@ def test_ground_truth_non_integer_line_exits_two_naming_the_field(tmp_path, caps
     code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
     assert code == EXIT_CONFIG
     assert f"error: {truth}: field 'syscalls': wrong JSON type" in capsys.readouterr().err
+
+
+def test_ground_truth_non_string_id_exits_two_naming_the_field(tmp_path, capsys):
+    bundle = tmp_path / "mv_438076"
+    shutil.copytree(MV_DIR, bundle)
+    truth = bundle / "ground_truth.json"
+    payload = _read_json(truth)
+    payload["id"] = 438076
+    truth.write_text(json.dumps(payload))
+    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
+    assert code == EXIT_CONFIG
+    assert f"error: {truth}: field 'id': wrong JSON type" in capsys.readouterr().err
+
+
+def test_json_report_non_string_id_exits_two_naming_the_field(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"id": ["mv"], "subject": "mv race", "body": "b"}))
+    code = main(["extract", "--report", str(report), "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert f"error: {report}: field 'id': wrong JSON type" in capsys.readouterr().err
+    assert not (tmp_path / "keys.json").exists()
 
 
 def test_ground_truth_non_numeric_line_exits_two_naming_the_file(tmp_path, capsys):

@@ -477,6 +477,47 @@ def test_reproduce_failing_undelayed_order_runs_once(monkeypatch):
     assert runs == Counter(ran) == Counter({tuple(baseline_schedule(scn).steps): 1})
 
 
+def _count_builds(monkeypatch) -> Counter:
+    """Count harness.schedule_with_delay calls by (target, yields before the op)."""
+    builds: Counter = Counter()
+    real = harness.schedule_with_delay
+
+    def counting(scn, point):
+        builds[scn.map_point(point), point.placement == "before"] += 1
+        return real(scn, point)
+
+    monkeypatch.setattr(harness, "schedule_with_delay", counting)
+    return builds
+
+
+# "after" and "between-pair" at one site yield at the same position, so they
+# share a delay; mv after 307 and gzip between-pair 52 are failing orders.
+SHARED_DELAYS = {
+    "mv_scenario": [_mv("before", 307), _mv("after", 309), _mv("between-pair", 309), GHOST,
+                    _mv("before", 307), _mv("between-pair", 309), _mv("after", 307)],
+    "gzip_scenario": [_gz("after", 57), _gz("between-pair", 57), GHOST, _gz("before", 62),
+                      _gz("after", 57), _gz("before", 52), GHOST, _gz("between-pair", 52),
+                      _gz("after", 52)],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(SHARED_DELAYS))
+@pytest.mark.parametrize("budget", [0, 3, 100])
+def test_reproduce_builds_each_delay_once(fixture, budget, request, monkeypatch):
+    scn, points = request.getfixturevalue(fixture), SHARED_DELAYS[fixture]
+    expected, _ran = _reproduce_running_every_point(scn, points, budget)
+    builds = _count_builds(monkeypatch)
+    result = reproduce(scn, points, budget)
+    steps = result.schedule.steps if result.schedule else None
+    assert (result.reproduced, result.attempts, result.point_used, steps,
+            result.fails_undelayed) == expected
+    tried = points[:result.attempts]
+    assert builds == Counter({(scn.map_point(p), p.placement == "before"): 1
+                              for p in tried if scn.map_point(p) is not None})
+    if budget == 100:
+        assert result.reproduced and len(tried) > len(builds)  # a delay repeats
+
+
 # --- random baseline -------------------------------------------------------------
 
 def _random_baseline_running_every_draw(scn, runs, seed):
