@@ -14,7 +14,9 @@ verified syscall call sites, emitting ordered instrumentation points.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 from .catalog import SOURCE_DIRECT, KeySystemCalls
@@ -79,23 +81,11 @@ class PairRanking:
 
 def mine_pairs(db: TransactionDB) -> PairRanking:
     """Apriori capped at 2-itemsets with absolute support >= 1."""
-    first_seen: dict[str, int] = {}
-    singleton_freq: dict[str, int] = {}
-    order = 0
-    for _idx, items in db.transactions:
-        for name in items:
-            if name not in first_seen:
-                first_seen[name] = order
-                order += 1
-            singleton_freq[name] = singleton_freq.get(name, 0) + 1
-
-    pair_freq: dict[tuple[str, str], int] = {}
-    names = sorted(singleton_freq)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            count = sum(1 for _idx, items in db.transactions if a in items and b in items)
-            if count > 0:
-                pair_freq[(a, b)] = count
+    singleton_freq = Counter(name for _idx, items in db.transactions for name in items)
+    pair_freq = Counter(
+        pair for _idx, items in db.transactions for pair in combinations(sorted(set(items)), 2)
+    )
+    first_seen = {name: order for order, name in enumerate(singleton_freq)}
 
     entries: list[RankEntry] = []
     for (a, b), freq in sorted(pair_freq.items(), key=lambda kv: (-kv[1], kv[0])):

@@ -51,6 +51,8 @@ def _load_wordlist(name: str) -> frozenset[str]:
 
 STOP_WORDS = _load_wordlist("stopwords.txt")
 C_RESERVED_WORDS = _load_wordlist("c_reserved.txt")
+#: the words each preprocessing mode drops before stemming
+_DROPPED = {MODE_TEXT: STOP_WORDS, MODE_C_SOURCE: STOP_WORDS | C_RESERVED_WORDS}
 
 
 # --- tokenization -----------------------------------------------------------
@@ -85,16 +87,10 @@ def preprocess_tokens(tokens: TokenStream, mode: str = MODE_TEXT) -> TokenStream
     Applying this to its own output is a fixed point (no re-tokenization
     happens here), which the property suite checks over the fixture corpus.
     """
-    if mode not in (MODE_TEXT, MODE_C_SOURCE):
+    dropped = _DROPPED.get(mode)
+    if dropped is None:
         raise ValueError(f"unknown preprocessing mode: {mode!r}")
-    out: TokenStream = []
-    for tok in tokens:
-        if tok in STOP_WORDS:
-            continue
-        if mode == MODE_C_SOURCE and tok in C_RESERVED_WORDS:
-            continue
-        out.append(stem(tok))
-    return out
+    return [stem(tok) for tok in tokens if tok not in dropped]
 
 
 def preprocess(text: str, mode: str = MODE_TEXT) -> TokenStream:
@@ -202,6 +198,10 @@ def json_of(kind: type, value: object):
 
 
 def load_json_object(path: str | Path) -> dict:
-    """The JSON object in ``path``; any other top-level value is an InputError."""
+    """The JSON object in ``path``; any other top-level value, or nesting too
+    deep to parse, is an InputError."""
     with reading(path):
-        return json_of(dict, json.loads(Path(path).read_text("utf-8")))
+        try:
+            return json_of(dict, json.loads(Path(path).read_text("utf-8")))
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None

@@ -9,7 +9,9 @@ An index keeps integer term counts and one norm per document, not the
 normalized vectors (the layout of Zobel & Moffat, "Inverted files for text
 search engines", 2006); a document weight ``count * idf / norm`` is
 computed where a score needs it.  A ``SourceIndex`` carries the four field
-indexes of its tree, built once by ``build_field_indexes``.
+indexes of its tree, built once by ``build_field_indexes``.  Every sum adds
+left to right from int 0, not through ``sum`` (which compensates float
+rounding since Python 3.12), so scores keep their bits on every Python.
 
 Two rankers sit on top:
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -55,8 +58,15 @@ class TfIdfIndex:
     norms: dict[str, float]
 
 
+def _l2_norm(weights: Iterable[float]) -> float:
+    total = 0
+    for w in weights:
+        total += w * w
+    return math.sqrt(total)
+
+
 def _normalize(vec: dict[str, float]) -> dict[str, float]:
-    norm = math.sqrt(sum(w * w for w in vec.values()))
+    norm = _l2_norm(vec.values())
     if norm == 0.0:
         return {}
     return {term: w / norm for term, w in vec.items()}
@@ -78,7 +88,7 @@ def build_index(docs: list[tuple[str, TokenStream]]) -> TfIdfIndex:
 
     idf = {term: math.log(n_docs / count) for term, count in df.items()}
     norms = {
-        doc_id: math.sqrt(sum(w * w for w in (c * idf[t] for t, c in counts.items())))
+        doc_id: _l2_norm(c * idf[t] for t, c in counts.items())
         for doc_id, counts in term_counts.items()
     }
     return TfIdfIndex(idf=idf, counts=term_counts, norms=norms)
@@ -108,9 +118,16 @@ def _cosine(
     """
     if not qvec or norm == 0.0:
         return 0.0
+    total = 0
     if len(qvec) > len(counts):
-        return sum(c * idf[t] / norm * qvec[t] for t, c in counts.items() if t in qvec)
-    return sum(w * (counts[t] * idf[t] / norm) for t, w in qvec.items() if t in counts)
+        for t, c in counts.items():
+            if t in qvec:
+                total += c * idf[t] / norm * qvec[t]
+    else:
+        for t, w in qvec.items():
+            if t in counts:
+                total += w * (counts[t] * idf[t] / norm)
+    return total
 
 
 def similarity(index: TfIdfIndex, query: TokenStream, doc_id: str) -> float:

@@ -13,79 +13,77 @@ from functools import lru_cache
 _VOWELS = frozenset("aeiou")
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y counts as a vowel when preceded by a consonant
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _pattern(word: str) -> str:
+    """``c`` for each consonant of ``word`` and ``v`` for each vowel.
+
+    A y counts as a vowel when preceded by a consonant, else as a consonant.
+    """
+    out = []
+    kind = "v"
+    for ch in word:
+        if ch in _VOWELS:
+            kind = "v"
+        elif ch == "y":
+            kind = "v" if kind == "c" else "c"
+        else:
+            kind = "c"
+        out.append(kind)
+    return "".join(out)
 
 
 def _measure(stem: str) -> int:
     """Number of vowel-consonant sequences, Porter's m in [C](VC)^m[V]."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        if _is_consonant(stem, i):
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
+    return _pattern(stem).count("vc")
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _pattern(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _pattern(word)[-1] == "c"
 
 
 def _ends_cvc(word: str) -> bool:
     """Consonant-vowel-consonant ending where the final consonant is not w, x, or y."""
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return _pattern(word).endswith("cvc") and word[-1] not in "wxy"
 
 
-# Rule tables for steps 2-4; within a step the longest matching suffix is
-# selected and its condition tested once (no fallthrough), per Porter (1980).
-_STEP2 = [
-    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
-    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
-    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
-    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
-]
-_STEP3 = [
-    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-    ("ical", "ic"), ("ful", ""), ("ness", ""),
-]
-_STEP4 = [
+# Rule tables for steps 2-4, suffix -> replacement; within a step the longest
+# matching suffix is selected and its condition tested once (no fallthrough),
+# per Porter (1980).
+_STEP2 = {
+    "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
+    "izer": "ize", "abli": "able", "alli": "al", "entli": "ent",
+    "eli": "e", "ousli": "ous", "ization": "ize", "ation": "ate",
+    "ator": "ate", "alism": "al", "iveness": "ive", "fulness": "ful",
+    "ousness": "ous", "aliti": "al", "iviti": "ive", "biliti": "ble",
+}
+_STEP3 = {
+    "icate": "ic", "ative": "", "alize": "al", "iciti": "ic",
+    "ical": "ic", "ful": "", "ness": "",
+}
+_STEP4 = dict.fromkeys([
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-]
+], "")
+_LONGEST_SUFFIX = max(map(len, [*_STEP2, *_STEP3, *_STEP4]))
 
 
-def _longest_suffix(word: str, suffixes: list[str]) -> str | None:
-    best = None
-    for sfx in suffixes:
-        if word.endswith(sfx) and (best is None or len(sfx) > len(best)):
-            best = sfx
-    return best
+def _replace_suffix(word: str, table: dict[str, str], min_measure: int) -> str:
+    """Steps 2-4: swap the longest suffix of ``word`` in ``table`` for its
+    replacement when the stem left has a measure of at least ``min_measure``
+    (and, for step 4's ``ion``, ends in s or t)."""
+    for n in range(min(len(word), _LONGEST_SUFFIX), 0, -1):
+        sfx = word[-n:]
+        if sfx in table:
+            stem = word[:-n]
+            if _measure(stem) < min_measure:
+                return word
+            if sfx == "ion" and not stem.endswith(("s", "t")):
+                return word
+            return stem + table[sfx]
+    return word
 
 
 def _step1a(word: str) -> str:
@@ -127,38 +125,6 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _step2(word: str) -> str:
-    sfx = _longest_suffix(word, [s for s, _ in _STEP2])
-    if sfx is None:
-        return word
-    stem = word[: -len(sfx)]
-    if _measure(stem) > 0:
-        return stem + dict(_STEP2)[sfx]
-    return word
-
-
-def _step3(word: str) -> str:
-    sfx = _longest_suffix(word, [s for s, _ in _STEP3])
-    if sfx is None:
-        return word
-    stem = word[: -len(sfx)]
-    if _measure(stem) > 0:
-        return stem + dict(_STEP3)[sfx]
-    return word
-
-
-def _step4(word: str) -> str:
-    sfx = _longest_suffix(word, _STEP4)
-    if sfx is None:
-        return word
-    stem = word[: -len(sfx)]
-    if _measure(stem) <= 1:
-        return word
-    if sfx == "ion" and not stem.endswith(("s", "t")):
-        return word
-    return stem
-
-
 def _step5a(word: str) -> str:
     if not word.endswith("e"):
         return word
@@ -187,9 +153,9 @@ def stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
-    word = _step4(word)
+    word = _replace_suffix(word, _STEP2, 1)
+    word = _replace_suffix(word, _STEP3, 1)
+    word = _replace_suffix(word, _STEP4, 2)
     word = _step5a(word)
     word = _step5b(word)
     return word

@@ -3,7 +3,8 @@
 Each fixture input of the mv bundle (the report, as text and as JSON, the
 scenario, the ground truth and the TSL spec) is cut short, has a byte
 flipped, gets an invalid UTF-8 sequence, or, for JSON, has one value
-swapped for a value of another JSON type.  The mutated file goes through
+swapped for a value of another JSON type or is replaced by a document
+nested too deeply to parse.  The mutated file goes through
 ``cli.main`` with every other input left intact.
 """
 
@@ -26,6 +27,8 @@ FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
 
 SWAPS = (None, True, 0, 1.5, "x", [], {}, ["x"], {"k": "v"})
 INVALID_UTF8 = (b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80")
+#: a JSON document nested deeper than the parser's recursion limit
+TOO_DEEP = b"[" * 100_000
 
 
 def _value_paths(value, path=()):
@@ -69,6 +72,7 @@ def mutations(original: bytes, is_json: bool) -> st.SearchStrategy[bytes]:
                 lambda t: _swapped(original, *t)
             )
         )
+        strategies.append(st.just(TOO_DEEP))
     return st.one_of(strategies)
 
 

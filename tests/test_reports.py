@@ -172,8 +172,9 @@ def test_preprocess_c_source_mode_drops_reserved_words():
 
 
 def test_preprocess_unknown_mode():
-    with pytest.raises(ValueError):
-        preprocess_tokens(["x"], mode="klingon")
+    for tokens in (["x"], []):
+        with pytest.raises(ValueError):
+            preprocess_tokens(tokens, mode="klingon")
 
 
 def test_preprocess_idempotent_on_fixture_reports(mv_report, gzip_report):

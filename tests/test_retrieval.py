@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -84,8 +86,14 @@ def test_unit_norm_doc_vectors():
 
 # --- counts and norms score exactly as normalized vectors did ----------------------
 
+def _left_to_right_sum(values) -> float:
+    """The order the scorer adds in: from int 0, one term at a time (``sum``
+    compensates float rounding since Python 3.12)."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def _normalize_oracle(vec: dict[str, float]) -> dict[str, float]:
-    norm = math.sqrt(sum(w * w for w in vec.values()))
+    norm = math.sqrt(_left_to_right_sum(w * w for w in vec.values()))
     if norm == 0.0:
         return {}
     return {term: w / norm for term, w in vec.items()}
@@ -112,7 +120,7 @@ def _normalized_dict_scores(docs, query) -> dict[str, float]:
             return 0.0
         if len(a) > len(b):
             a, b = b, a
-        return sum(w * b[t] for t, w in a.items() if t in b)
+        return _left_to_right_sum(w * b[t] for t, w in a.items() if t in b)
 
     return {doc_id: cosine(qvec, dvec) for doc_id, dvec in dvecs.items()}
 

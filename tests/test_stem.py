@@ -1,9 +1,14 @@
-"""Frozen oracle vectors for the bundled suffix stripper.
+"""Frozen oracle vectors and a reference body for the bundled suffix stripper.
 
 The expected values are full-pipeline outputs for the step examples in the
 published algorithm description (Porter 1980), plus domain vocabulary.
 They were derived from the algorithm text, not from this implementation,
 so a regression in any step surfaces as a vector mismatch.
+
+``reference_stem`` is the earlier, rule-by-rule body of the stemmer (a
+recursive consonant test, one function per step, suffix lists scanned in
+full).  The table-driven ``stem`` must agree with it on every word of the
+fixtures and bundled data and on generated words ending in Porter suffixes.
 """
 
 from __future__ import annotations
@@ -12,7 +17,194 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES, MV_DIR, ROOT
+from racerepro.cli import EXIT_OK, main
+from racerepro.reports import tokenize
 from racerepro.stem import stem
+
+
+# --- reference body -----------------------------------------------------------
+
+_VOWELS = frozenset("aeiou")
+
+
+def _is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        # y counts as a vowel when preceded by a consonant
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem: str) -> int:
+    """Number of vowel-consonant sequences, Porter's m in [C](VC)^m[V]."""
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        if _is_consonant(stem, i):
+            if prev_vowel:
+                m += 1
+            prev_vowel = False
+        else:
+            prev_vowel = True
+    return m
+
+
+def _has_vowel(stem: str) -> bool:
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _is_consonant(word, len(word) - 1)
+    )
+
+
+def _ends_cvc(word: str) -> bool:
+    """Consonant-vowel-consonant ending where the final consonant is not w, x, or y."""
+    if len(word) < 3:
+        return False
+    return (
+        _is_consonant(word, len(word) - 3)
+        and not _is_consonant(word, len(word) - 2)
+        and _is_consonant(word, len(word) - 1)
+        and word[-1] not in "wxy"
+    )
+
+
+# Rule tables for steps 2-4; within a step the longest matching suffix is
+# selected and its condition tested once (no fallthrough), per Porter (1980).
+_STEP2 = [
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
+    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
+    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+]
+_STEP3 = [
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+]
+_STEP4 = [
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+]
+
+
+def _longest_suffix(word: str, suffixes: list[str]) -> str | None:
+    best = None
+    for sfx in suffixes:
+        if word.endswith(sfx) and (best is None or len(sfx) > len(best)):
+            best = sfx
+    return best
+
+
+def _step1a(word: str) -> str:
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ies"):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        return word[:-1]
+    return word
+
+
+def _step1b(word: str) -> str:
+    if word.endswith("eed"):
+        if _measure(word[:-3]) > 0:
+            return word[:-1]
+        return word
+    stripped = None
+    if word.endswith("ed") and _has_vowel(word[:-2]):
+        stripped = word[:-2]
+    elif word.endswith("ing") and _has_vowel(word[:-3]):
+        stripped = word[:-3]
+    if stripped is None:
+        return word
+    if stripped.endswith(("at", "bl", "iz")):
+        return stripped + "e"
+    if _ends_double_consonant(stripped) and stripped[-1] not in "lsz":
+        return stripped[:-1]
+    if _measure(stripped) == 1 and _ends_cvc(stripped):
+        return stripped + "e"
+    return stripped
+
+
+def _step1c(word: str) -> str:
+    if word.endswith("y") and _has_vowel(word[:-1]):
+        return word[:-1] + "i"
+    return word
+
+
+def _step2(word: str) -> str:
+    sfx = _longest_suffix(word, [s for s, _ in _STEP2])
+    if sfx is None:
+        return word
+    stem = word[: -len(sfx)]
+    if _measure(stem) > 0:
+        return stem + dict(_STEP2)[sfx]
+    return word
+
+
+def _step3(word: str) -> str:
+    sfx = _longest_suffix(word, [s for s, _ in _STEP3])
+    if sfx is None:
+        return word
+    stem = word[: -len(sfx)]
+    if _measure(stem) > 0:
+        return stem + dict(_STEP3)[sfx]
+    return word
+
+
+def _step4(word: str) -> str:
+    sfx = _longest_suffix(word, _STEP4)
+    if sfx is None:
+        return word
+    stem = word[: -len(sfx)]
+    if _measure(stem) <= 1:
+        return word
+    if sfx == "ion" and not stem.endswith(("s", "t")):
+        return word
+    return stem
+
+
+def _step5a(word: str) -> str:
+    if not word.endswith("e"):
+        return word
+    stem = word[:-1]
+    m = _measure(stem)
+    if m > 1 or (m == 1 and not _ends_cvc(stem)):
+        return stem
+    return word
+
+
+def _step5b(word: str) -> str:
+    if word.endswith("ll") and _measure(word) > 1:
+        return word[:-1]
+    return word
+
+
+def reference_stem(word: str) -> str:
+    if len(word) <= 2:
+        return word
+    word = _step1a(word)
+    word = _step1b(word)
+    word = _step1c(word)
+    word = _step2(word)
+    word = _step3(word)
+    word = _step4(word)
+    word = _step5a(word)
+    word = _step5b(word)
+    return word
+
+
+# --- frozen vectors -----------------------------------------------------------
 
 # word -> stem after all five steps
 VECTORS = {
@@ -134,3 +326,52 @@ def test_single_pass_is_not_universally_idempotent() -> None:
 def test_memoized_stem_equals_uncached(word: str) -> None:
     assert stem(word) == stem.__wrapped__(word)
     assert stem(word) == stem.__wrapped__(word)  # second call is a cache hit
+
+
+# --- the table-driven body against the reference --------------------------------
+
+#: every suffix a Porter step tests, so generated words reach every rule
+PORTER_SUFFIXES = sorted({
+    "sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e", "ll",
+    *(s for s, _ in _STEP2), *(s for s, _ in _STEP3), *_STEP4,
+})
+
+
+def _corpus_words() -> list[str]:
+    words: set[str] = set()
+    for root in (FIXTURES, ROOT / "src" / "racerepro" / "data"):
+        for path in root.rglob("*"):
+            if path.is_file():
+                words.update(tokenize(path.read_text("utf-8")))
+    return sorted(words)
+
+
+def test_stem_equals_reference_on_corpus_words() -> None:
+    words = _corpus_words()
+    assert len(words) > 1000
+    assert [w for w in words if stem(w) != reference_stem(w)] == []
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(
+    head=st.text(alphabet="aeiouybcdlmnrstvz", max_size=10),
+    suffix=st.sampled_from(PORTER_SUFFIXES),
+)
+def test_stem_equals_reference_on_suffixed_words(head: str, suffix: str) -> None:
+    assert stem(head + suffix) == reference_stem(head + suffix)
+
+
+def test_long_run_of_ys_stems_without_recursion() -> None:
+    # the consonant test once recursed once per preceding y
+    assert stem("y" * 5000 + "ness") == "y" * 5000
+
+
+def test_rank_files_on_a_tree_holding_a_long_word(tmp_path) -> None:
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "long.c").write_text(
+        "/* " + "y" * 5000 + "ness */\nint f (void) { return unlink (\"x\"); }\n", "utf-8"
+    )
+    code = main(["rank-files", "--report", str(MV_DIR / "mv_438076.txt"), "--src", str(src),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_OK
