@@ -16,16 +16,24 @@ full_text_with_comments (the only field that also reads comments,
 literals and directives).  Each distinct raw word is preprocessed once per
 build.  The ``SourceIndex`` also carries the four field TF-IDF indexes
 (term counts and norms, see ``retrieval``), built once with the tree, so
-ranking any number of reports against a remembered tree builds none.
+ranking any number of reports against a remembered tree builds none, and
+each file's syscall sites, built on the first ``sites_in`` request for
+that file and kept with the index.
+
+``index_tree`` lists the tree with ``os.scandir`` and reads every file on
+each call, to key its one-slot memo on the tree's content; a call that
+hits the memo costs one walk, one read and one hash of the tree.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import retrieval
 from .reports import MODE_C_SOURCE, TokenStream, preprocess_words
@@ -80,14 +88,63 @@ class CallGraph:
         return False
 
 
+class Site(NamedTuple):
+    """One syscall call site in the source; equal to its plain tuple."""
+
+    syscall: str
+    file: str
+    function: str
+    line: int
+
+
+def _file_parts(record: FunctionRecord) -> list[str]:
+    return record.file.split("/")
+
+
+def _file_sites(records: list[FunctionRecord]) -> list[Site]:
+    """Every syscall site of one file's functions, each with its own syscall.
+
+    Sites are in file order: by line, and within a line in token order
+    (the sort is stable over each function's token-ordered sites).
+    """
+    sites = [
+        Site(name, record.file, record.name, line)
+        for record in records
+        for name, line in record.syscall_sites
+    ]
+    sites.sort(key=lambda s: s.line)
+    return sites
+
+
 @dataclass
 class SourceIndex:
     docs: list[SourceDoc]
     #: one TF-IDF index per field name in ``retrieval.FIELD_NAMES``
     field_indexes: dict[str, retrieval.TfIdfIndex]
+    #: each file's records together, files in ``_tree_files`` order
     functions: list[FunctionRecord]
     graph: CallGraph
     diagnostics: list[str] = field(default_factory=list)
+    #: file -> its syscall sites, for the files ``sites_in`` was asked about
+    _sites: dict[str, list[Site]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def sites_in(self, path: str) -> list[Site]:
+        """The file's syscall sites in file order (see ``_file_sites``).
+
+        Built on the first request for the file and kept with the index,
+        so the list is shared and must be treated as read-only.
+        """
+        sites = self._sites.get(path)
+        if sites is None:
+            # the file's records are one slice of ``functions``, which is
+            # sorted by file path components
+            parts = path.split("/")
+            lo = bisect.bisect_left(self.functions, parts, key=_file_parts)
+            hi = bisect.bisect_right(self.functions, parts, lo, key=_file_parts)
+            sites = self._sites[path] = _file_sites(self.functions[lo:hi])
+        return sites
 
 
 # --- scanning ---------------------------------------------------------------
@@ -202,10 +259,32 @@ def _scan_file(rel_path: str, text: str) -> tuple[list[FunctionRecord], dict[str
 
 # --- indexing ---------------------------------------------------------------
 
-def _tree_files(src_root: Path) -> list[Path]:
-    return sorted(
-        p for p in src_root.rglob("*") if p.is_file() and p.suffix in SOURCE_SUFFIXES
-    )
+def _tree_files(src_root: Path) -> list[tuple[str, str]]:
+    """(path, relative path) of every ``.c``/``.h`` file under src_root.
+
+    Files come in ``Path`` order, by relative path components, so ``a/b.c``
+    precedes ``a.c``.  As with ``Path.rglob`` and ``Path.is_file``, a symlink
+    to a file counts and a symlink to a directory is not entered, a name
+    that is only a suffix (``.c``) has none, and a missing root or a plain
+    file lists nothing.
+    """
+    files: list[tuple[str, str]] = []
+    pending = [(os.fspath(src_root), "")]
+    while pending:
+        directory, prefix = pending.pop()
+        try:
+            entries = os.scandir(directory)
+        except OSError:
+            continue
+        with entries:
+            for entry in entries:
+                name = entry.name
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append((entry.path, prefix + name + "/"))
+                elif len(name) > 2 and name.endswith(SOURCE_SUFFIXES) and entry.is_file():
+                    files.append((entry.path, prefix + name))
+    files.sort(key=lambda f: f[1].split("/"))
+    return files
 
 
 #: The one remembered index, with its key: (content hash, unreadable-file
@@ -230,18 +309,18 @@ def index_tree(src_root: str | Path, syscall_names: frozenset[str] | set[str]) -
     if not files:
         raise ValueError(f"{src_root}: no C source files to index")
 
-    sources: list[tuple[Path, str, bytes]] = []
+    sources: list[tuple[str, bytes]] = []
     diagnostics: list[str] = []
     digest = hashlib.sha256()
-    for path in files:
-        rel = path.relative_to(src_root).as_posix()
+    for path, rel in files:
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as f:
+                data = f.read()
         except OSError as exc:
             diagnostics.append(f"skipped {rel}: {exc}")
             continue
         digest.update(rel.encode() + b"\0" + data + b"\0")
-        sources.append((path, rel, data))
+        sources.append((rel, data))
     if not sources:
         raise ValueError(f"{src_root}: every source file was unreadable")
 
@@ -255,15 +334,15 @@ def index_tree(src_root: str | Path, syscall_names: frozenset[str] | set[str]) -
 
 
 def _build_index(
-    sources: list[tuple[Path, str, bytes]],
+    sources: list[tuple[str, bytes]],
     syscall_names: frozenset[str],
     diagnostics: list[str],
 ) -> SourceIndex:
-    """Scan (path, relative path, bytes) triples into a SourceIndex."""
+    """Scan (relative path, bytes) pairs into a SourceIndex."""
     docs: list[SourceDoc] = []
     functions: list[FunctionRecord] = []
     terms: dict[str, TokenStream] = {}  # raw word -> its terms, for this build only
-    for path, rel, data in sources:
+    for rel, data in sources:
         text = data.decode("utf-8", errors="replace")
         file_functions, variables = _scan_file(rel, text)
         for record in file_functions:
@@ -276,7 +355,7 @@ def _build_index(
             SourceDoc(
                 path=rel,
                 fields={
-                    "file_name": preprocess_words(path.name, MODE_C_SOURCE, terms),
+                    "file_name": preprocess_words(rel.rpartition("/")[2], MODE_C_SOURCE, terms),
                     "function_names": preprocess_words(names, MODE_C_SOURCE, terms),
                     "variable_names": preprocess_words(" ".join(variables), MODE_C_SOURCE, terms),
                     "full_text_with_comments": preprocess_words(text, MODE_C_SOURCE, terms),

@@ -17,10 +17,9 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 from .catalog import SOURCE_DIRECT, KeySystemCalls
-from .csource import CallGraph, FunctionRecord, SourceIndex
+from .csource import CallGraph, Site, SourceIndex
 from .reports import BugReport
 from .retrieval import DEFAULT_TOP_FILES, RankedFiles
 
@@ -120,15 +119,6 @@ def rank_interleavings(report: BugReport, keys: KeySystemCalls) -> PairRanking:
 
 # --- instrumentation points -------------------------------------------------
 
-class Site(NamedTuple):
-    """One syscall call site in the source; equal to its plain tuple."""
-
-    syscall: str
-    file: str
-    function: str
-    line: int
-
-
 @dataclass
 class InstrumentationPoint:
     rank: int
@@ -146,29 +136,6 @@ class InstrumentationPoint:
 
 #: (site, placement, pair partner) before ranks are assigned
 _Located = tuple[Site, str, Site | None]
-
-
-def _functions_by_file(index: SourceIndex) -> dict[str, list[FunctionRecord]]:
-    """The index's function records grouped by file, in index order."""
-    by_file: dict[str, list[FunctionRecord]] = {}
-    for record in index.functions:
-        by_file.setdefault(record.file, []).append(record)
-    return by_file
-
-
-def _sites_in_file(records: list[FunctionRecord]) -> list[Site]:
-    """Every syscall site of the file's functions, each with its own syscall.
-
-    Sites are in file order: by line, and within a line in token order
-    (the sort is stable over each function's token-ordered sites).
-    """
-    sites = [
-        Site(name, record.file, record.name, line)
-        for record in records
-        for name, line in record.syscall_sites
-    ]
-    sites.sort(key=lambda s: s.line)
-    return sites
 
 
 def _pair_point(
@@ -230,9 +197,8 @@ def locate(
     """
     located: list[_Located] = []
     unconnected: list[str] = []
-    by_file = _functions_by_file(index)
     for path in ranked_files.top(top_files):
-        sites = _sites_in_file(by_file.get(path, []))
+        sites = index.sites_in(path)
         if ranking.enumerate_all:
             for site in sites:
                 located.append((site, PLACEMENT_BEFORE, None))

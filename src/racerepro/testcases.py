@@ -20,6 +20,7 @@ choice value ``none`` means the empty list); other categories become
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -28,6 +29,10 @@ from .reports import BugReport
 _PROMPT_RE = re.compile(r"^\s*[$%>]\s+(.*)$")
 _QUOTED_RE = re.compile(r'"([^"\n]+)"|`([^`\n]+)`')
 _NUMERIC_RE = re.compile(r"^\d+$")
+
+#: The most frames a spec's plain choices may yield; each further two-choice
+#: category doubles the product, so a larger spec is refused, not expanded.
+MAX_FRAMES = 4096
 
 
 # --- test cases -------------------------------------------------------------
@@ -218,24 +223,25 @@ def _satisfied(choice: Choice, assignment: dict[str, str]) -> bool:
 
 
 def _base_frames(spec: TslSpec) -> list[dict[str, str]]:
-    frames: list[dict[str, str]] = [{}]
-    for cat in spec.categories:
-        plain = [c for c in cat.choices if c.plain]
-        frames = [
-            {**frame, cat.name: choice.value}
-            for frame in frames
-            for choice in plain
-        ]
-    # conditions may reference categories declared in any order, so filter
-    # completed frames rather than pruning during the product
+    """The frames of the plain choices' product that satisfy every [if]
+    condition of their choices, in product order (last category fastest).
+
+    Conditions may reference categories declared in any order, so each
+    completed frame is filtered rather than the product pruned.
+    """
     by_value = {
         (cat.name, c.value): c for cat in spec.categories for c in cat.choices
     }
-    return [
-        frame
-        for frame in frames
-        if all(_satisfied(by_value[(name, value)], frame) for name, value in frame.items())
-    ]
+    names = [cat.name for cat in spec.categories]
+    plain = [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
+    frames: list[dict[str, str]] = []
+    for values in itertools.product(*plain):
+        frame = dict(zip(names, values))
+        if all(_satisfied(by_value[(name, value)], frame) for name, value in frame.items()):
+            if len(frames) == MAX_FRAMES:
+                raise TslError(f"plain choices yield more than {MAX_FRAMES} frames")
+            frames.append(frame)
+    return frames
 
 
 def _special_frame(spec: TslSpec, special_cat: Category, special: Choice) -> dict[str, str]:

@@ -11,6 +11,7 @@ from conftest import GZIP_DIR, MV_DIR
 from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, _write_json, main
 from racerepro.harness import load_scenario, random_baseline
 from racerepro.metrics import MODES
+from racerepro.testcases import MAX_FRAMES
 
 MV_REPORT = str(MV_DIR / "mv_438076.txt")
 MV_SRC = str(MV_DIR / "src")
@@ -366,6 +367,21 @@ def test_malformed_tsl_exits_two(tmp_path, capsys):
     ])
     assert code == EXIT_CONFIG
     assert f"error: {bad}: line 1: choice outside any category" in capsys.readouterr().err
+
+
+def test_tsl_past_the_frame_limit_exits_two(tmp_path, capsys):
+    # 13 two-choice categories: 8,192 frames, twice MAX_FRAMES
+    big = tmp_path / "big.tsl"
+    big.write_text("".join(f"category c{i}:\n  choice x\n  choice y\n" for i in range(13)))
+    code = main([
+        "gen-tests", "--report", MV_REPORT, "--tsl", str(big),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    assert f"error: {big}: plain choices yield more than {MAX_FRAMES} frames" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "test_cases.json").exists()
 
 
 def test_scenario_missing_field_exits_two(tmp_path, capsys):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import hashlib
+import os
 import re
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import GZIP_DIR, MV_DIR
 from racerepro import csource
 from racerepro.catalog import bundled_catalog
-from racerepro.cli import EXIT_OK, main
+from racerepro.cli import EXIT_CONFIG, EXIT_OK, main
 from racerepro.csource import _SCAN_RE, _line_starts, index_tree
 from racerepro.reports import MODE_C_SOURCE, preprocess_tokens, preprocess_words, tokenize
 
@@ -303,6 +305,60 @@ def test_index_tree_deterministic_order(tmp_path):
     (tmp_path / "a.c").write_text("int aye (void) { return 0; }\n")
     index = index_tree(tmp_path, SYSCALLS)
     assert [d.path for d in index.docs] == ["a.c", "b.c"]
+
+
+# --- the tree walk ---------------------------------------------------------------
+
+def _tree_files_oracle(src_root: Path) -> list[Path]:
+    """The ``Path.rglob`` listing ``_tree_files`` replaced, kept as its oracle."""
+    return sorted(
+        p for p in src_root.rglob("*") if p.is_file() and p.suffix in csource.SOURCE_SUFFIXES
+    )
+
+
+def _awkward_tree(root: Path) -> Path:
+    src = root / "src"
+    for rel in ("a.c", "a/b.c", "a/c/d.h", "a-b.c", "z.h", "..c", ".hidden/h.c",
+                "x.c/inner.c", ".c", "notes.txt", "c"):
+        path = src / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(f"int f_{len(rel)} (void) {{ return unlink (\"{rel}\"); }}\n")
+    (src / "link.c").symlink_to("a.c")
+    (src / "gone.c").symlink_to("missing.c")
+    (src / "dirlink").symlink_to("a", target_is_directory=True)
+    os.mkfifo(src / "fifo.c")
+    return src
+
+
+def test_tree_walk_matches_the_rglob_oracle(tmp_path, monkeypatch):
+    src = _awkward_tree(tmp_path)
+    want = _tree_files_oracle(src)
+    rels = [p.relative_to(src).as_posix() for p in want]
+    assert rels == [
+        "..c", ".hidden/h.c", "a/b.c", "a/c/d.h", "a-b.c", "a.c", "link.c",
+        "x.c/inner.c", "z.h",
+    ]
+    assert csource._tree_files(src) == [(str(p), rel) for p, rel in zip(want, rels)]
+
+    digest = hashlib.sha256()
+    for path, rel in zip(want, rels):
+        digest.update(rel.encode() + b"\0" + path.read_bytes() + b"\0")
+    index = _cold_index(src, SYSCALLS, monkeypatch)
+    assert csource._last_index[0][0] == digest.hexdigest()
+    assert [d.path for d in index.docs] == rels
+
+
+@pytest.mark.parametrize("kind", ["file", "missing"])
+def test_src_that_is_no_directory_exits_two(tmp_path, capsys, kind):
+    src = tmp_path / "plain.c"
+    if kind == "file":
+        src.write_text("int f (void) { return 0; }\n")
+    code = main([
+        "rank-files", "--report", str(MV_DIR / "mv_438076.txt"), "--src", str(src),
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {src}: no C source files to index\n"
 
 
 # --- fields --------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
 
-from racerepro.catalog import KeyEntry, KeySystemCalls
-from racerepro.csource import index_tree
+from conftest import GZIP_DIR, MV_DIR
+from racerepro import csource
+from racerepro.catalog import KeyEntry, KeySystemCalls, bundled_catalog
+from racerepro.csource import Site, index_tree
 from racerepro.mining import (
     PairRanking,
     RankEntry,
@@ -356,3 +360,75 @@ def test_sites_on_one_line_keep_their_own_syscalls(tmp_path, caplog):
         ("rename", 4, "before"), ("rename", 4, "after"),
         ("unlink", 4, "before"), ("unlink", 4, "after"),
     ]
+
+
+# --- the index's site map -----------------------------------------------------------
+
+def _sites_by_grouping(index, path: str) -> list[Site]:
+    """Group every record by file, then sort the file's sites by line: how
+    ``locate`` found a file's sites before the index kept them."""
+    by_file = {}
+    for record in index.functions:
+        by_file.setdefault(record.file, []).append(record)
+    sites = [
+        Site(name, record.file, record.name, line)
+        for record in by_file.get(path, [])
+        for name, line in record.syscall_sites
+    ]
+    sites.sort(key=lambda s: s.line)
+    return sites
+
+
+def _nested_tree(root):
+    # string order is a-b.c, a.c, a/b.c; path-component order puts a/b.c first
+    (root / "a").mkdir()
+    (root / "a" / "b.c").write_text("int ab (void) { unlink (\"x\"); return stat (\"x\", 0); }\n")
+    (root / "a-b.c").write_text("int dash (void) { rename (\"x\", \"y\"); }\n")
+    (root / "a.c").write_text("int a1 (void) { return 0; }\nint a2 (void) { open (\"x\"); }\n")
+    (root / "b.h").write_text("int decl (int x);\n")
+    return root
+
+
+@pytest.mark.parametrize("root", [MV_DIR / "src", GZIP_DIR / "src", None])
+def test_sites_in_equals_grouping_every_file(root, tmp_path):
+    names = frozenset(bundled_catalog().entries) | SYSCALLS
+    index = index_tree(root or _nested_tree(tmp_path), names)
+    for path in [d.path for d in index.docs] + ["missing.c", "a"]:
+        assert index.sites_in(path) == _sites_by_grouping(index, path), path
+
+
+def test_two_locates_build_each_top_files_sites_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting(records):
+        built.append(records[0].file if records else None)
+        return file_sites(records)
+
+    file_sites = csource._file_sites
+    monkeypatch.setattr(csource, "_file_sites", counting)
+    index = index_tree(_nested_tree(tmp_path), SYSCALLS)
+    pair = PairRanking(entries=[RankEntry(items=("unlink", "stat"), frequency=1)])
+    every = PairRanking(entries=[], enumerate_all=True)
+    first = locate(pair, _ranked(["a/b.c", "a.c"]), index)
+    second = locate(every, _ranked(["a/b.c", "a.c", "a-b.c"]), index, top_files=2)
+    assert sorted(built) == ["a.c", "a/b.c"]
+    assert [(p.syscall, p.line) for p in first] == [("unlink", 1)]
+    assert [(p.syscall, p.placement) for p in second] == [
+        ("unlink", "before"), ("unlink", "after"), ("stat", "before"), ("stat", "after"),
+        ("open", "before"), ("open", "after"),
+    ]
+
+
+def test_sites_die_with_their_index(tmp_path):
+    (tmp_path / "one").mkdir()
+    (tmp_path / "two").mkdir()
+    (tmp_path / "one" / "w.c").write_text(PAIR_TREE)
+    (tmp_path / "two" / "w.c").write_text(PAIR_TREE.replace("unlink (q)", "stat (q)"))
+    index = index_tree(tmp_path / "one", SYSCALLS)
+    ranking = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=1)])
+    assert locate(ranking, _ranked(["w.c"]), index)
+    old = weakref.ref(index)
+    del index
+    assert index_tree(tmp_path / "two", SYSCALLS) is not None
+    gc.collect()
+    assert old() is None

@@ -6,8 +6,11 @@ import pytest
 
 from racerepro.reports import BugReport
 from racerepro.testcases import (
+    MAX_FRAMES,
     TestCase as Case,
     TslError,
+    _base_frames,
+    _satisfied,
     expand_tsl,
     extract_elements,
     parse_tsl,
@@ -163,6 +166,55 @@ def test_partial_overrides_every_frame():
     # the [single] frame's "bar baz foo" gives way to the extracted inputs
     assert all(c.inputs == ["bar", "foo"] for c in cases)
     assert {tuple(c.options) for c in cases} == {(), ("-f",), ("-i",)}
+
+
+def _base_frames_oracle(spec):
+    """The whole product built as a list, then filtered: the body
+    ``_base_frames`` had before it streamed the product."""
+    frames = [{}]
+    for cat in spec.categories:
+        plain = [c for c in cat.choices if c.plain]
+        frames = [{**frame, cat.name: choice.value} for frame in frames for choice in plain]
+    by_value = {(cat.name, c.value): c for cat in spec.categories for c in cat.choices}
+    return [
+        frame
+        for frame in frames
+        if all(_satisfied(by_value[(name, value)], frame) for name, value in frame.items())
+    ]
+
+
+@pytest.mark.parametrize("text", [
+    MV_TSL,
+    "category mode:\n  choice fast\n  choice slow\n"
+    "category retry:\n  choice on [if mode=slow]\n  choice off\n",
+    "category late:\n  choice a [if early=y]\n  choice b\n  choice c [single]\n"
+    "category early:\n  choice x\n  choice y\n  choice z [error]\n"
+    "category other:\n  choice p\n  choice q\n  choice r\n",
+    "category only:\n  choice s [single]\n",
+])
+def test_base_frames_match_the_whole_product_oracle(text):
+    spec = parse_tsl(text)
+    frames = _base_frames(spec)
+    want = _base_frames_oracle(spec)
+    assert frames == want
+    assert [list(f) for f in frames] == [list(f) for f in want]  # key order too
+
+
+def _two_choice_categories(names) -> str:
+    return "".join(f"category {name}:\n  choice x\n  choice y\n" for name in names)
+
+
+def test_frame_limit_counts_frames_that_survive_the_conditions():
+    # 13 categories give 8,192 combinations, but c0=y and c1=y only go
+    # together, so exactly MAX_FRAMES survive
+    paired = (
+        "category c0:\n  choice x\n  choice y [if c1=y]\n"
+        "category c1:\n  choice x\n  choice y [if c0=y]\n"
+    )
+    rest = _two_choice_categories(f"c{i}" for i in range(2, 13))
+    assert len(_base_frames(parse_tsl(paired + rest))) == MAX_FRAMES
+    with pytest.raises(TslError, match=f"more than {MAX_FRAMES} frames"):
+        _base_frames(parse_tsl(_two_choice_categories(f"c{i}" for i in range(13))))
 
 
 def test_empty_spec_expands_to_nothing():
