@@ -4,8 +4,9 @@ A tolerant scanner, not a C parser.  One regex pass over each file's raw
 text reads its code tokens (identifiers and ``( ) { } ;``) and skips
 comments, string/char literals and preprocessor lines whole, so token
 offsets, and the line numbers taken from them, are those of the original
-text.  Function definitions are detected as ``identifier (args) {`` at
-brace depth zero.  Within each body, identifiers in call position
+text; each token is handled as it is matched, with no token list and no
+look-ahead.  Function definitions are detected as ``identifier (args) {``
+at brace depth zero.  Within each body, identifiers in call position
 (``name (`` after trivia) become call sites; everything else contributes
 to the variable-name field (an over-approximation that is harmless for
 TF-IDF).
@@ -181,75 +182,69 @@ def _line_of(starts: list[int], pos: int) -> int:
 
 def _scan_file(rel_path: str, text: str) -> tuple[list[FunctionRecord], dict[str, None]]:
     """The function records of one file and its variable names, in
-    first-occurrence order."""
+    first-occurrence order.
+
+    The pass holds ``word``, an identifier that the next token makes a call
+    site or a head if it is ``(`` and a variable if not; ``head``, an open
+    top-level ``name ( ... )`` with its identifiers, a definition if ``{``
+    follows its ``)``; and ``current``, the open function.
+    """
     starts = _line_starts(text)
-    # (text, offset, is identifier) per code token
-    toks = [
-        (m.group(), m.start(), m.lastgroup == "ident")
-        for m in _SCAN_RE.finditer(text)
-        if m.lastgroup
-    ]
     functions: list[FunctionRecord] = []
     variables: dict[str, None] = {}
-
-    i = 0
-    n = len(toks)
+    word: str | None = None
+    word_pos = 0
+    head: tuple[str, int, list[str]] | None = None  # name, offset, identifiers
+    parens = 0  # the head's paren depth, 0 once its ``)`` is read
     current: FunctionRecord | None = None
     depth = 0  # brace depth inside the current function body
 
-    while i < n:
-        tok, pos, is_ident = toks[i]
-        if current is None:
-            if is_ident:
-                if i + 1 < n and toks[i + 1][0] == "(":
-                    # match parens; a following '{' makes this a definition
-                    pdepth = 0
-                    j = i + 1
-                    while j < n:
-                        if toks[j][0] == "(":
-                            pdepth += 1
-                        elif toks[j][0] == ")":
-                            pdepth -= 1
-                            if pdepth == 0:
-                                break
-                        j += 1
-                    if j + 1 < n and toks[j + 1][0] == "{":
-                        current = FunctionRecord(
-                            name=tok,
-                            file=rel_path,
-                            start_line=_line_of(starts, pos),
-                            end_line=_line_of(starts, toks[j + 1][1]),
-                        )
-                        depth = 1
-                        # parameter identifiers count as variables
-                        for name, _pos, name_is_ident in toks[i + 2 : j]:
-                            if name_is_ident:
-                                variables[name] = None
-                        i = j + 2
-                        continue
-                    # top-level call position (e.g. global initializer): skip it
-                    i = j + 1 if j < n else n
-                    continue
-                variables[tok] = None
-            i += 1
-            continue
+    for m in _SCAN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue  # directive, comment or literal
+        tok = m.group()
+        if word is not None:
+            if tok == "(":
+                if current is None:
+                    head, parens = (word, word_pos, []), 1
+                else:
+                    current.call_sites.append((word, _line_of(starts, word_pos)))
+                word = None
+                continue
+            variables[word] = None
+            word = None
+        if head is not None:
+            if parens:
+                if kind == "ident":
+                    head[2].append(tok)
+                elif tok == "(":
+                    parens += 1
+                elif tok == ")":
+                    parens -= 1
+                continue
+            if tok == "{":
+                name, pos, params = head
+                line = _line_of(starts, pos)
+                current, depth = FunctionRecord(name, rel_path, line, line), 1
+                variables.update(dict.fromkeys(params))
+                head = None
+                continue
+            head = None  # a declaration or a top-level call, not a definition
+        if kind == "ident":
+            word, word_pos = tok, m.start()
+        elif current is not None:
+            if tok == "{":
+                depth += 1
+            elif tok == "}":
+                depth -= 1
+                if depth == 0:
+                    current.end_line = _line_of(starts, m.start())
+                    functions.append(current)
+                    current = None
 
-        # inside a function body
-        if tok == "{":
-            depth += 1
-        elif tok == "}":
-            depth -= 1
-            if depth == 0:
-                current.end_line = _line_of(starts, pos)
-                functions.append(current)
-                current = None
-        elif is_ident:
-            if i + 1 < n and toks[i + 1][0] == "(":
-                current.call_sites.append((tok, _line_of(starts, pos)))
-            else:
-                variables[tok] = None
-        i += 1
-
+    if word is not None:
+        variables[word] = None
     if current is not None:
         # unterminated body (truncated file): close at last line
         current.end_line = len(starts)
@@ -314,12 +309,16 @@ def index_tree(src_root: str | Path, syscall_names: frozenset[str] | set[str]) -
     digest = hashlib.sha256()
     for path, rel in files:
         try:
+            name = rel.encode()
+        except UnicodeEncodeError:  # the OS name holds bytes that are not UTF-8
+            raise ValueError(f"{src_root}: source file name {rel!r} is not UTF-8") from None
+        try:
             with open(path, "rb") as f:
                 data = f.read()
         except OSError as exc:
             diagnostics.append(f"skipped {rel}: {exc}")
             continue
-        digest.update(rel.encode() + b"\0" + data + b"\0")
+        digest.update(name + b"\0" + data + b"\0")
         sources.append((rel, data))
     if not sources:
         raise ValueError(f"{src_root}: every source file was unreadable")

@@ -213,7 +213,13 @@ def _validate_config(config: ExperimentConfig) -> None:
 
 
 def no_apriori_ranking(keys: KeySystemCalls) -> PairRanking:
-    """Ablation: singletons by raw mention count, no pair formation."""
+    """Ablation: singletons by raw mention count, no pair formation.
+
+    Without keys there is nothing to count, so, as in ``rank_fallback``, the
+    locator enumerates every syscall site.
+    """
+    if not keys.entries:
+        return PairRanking(entries=[], enumerate_all=True)
     counts = {entry.name: entry.count for entry in keys.entries}
     entries = [
         RankEntry(items=(name,), frequency=count)

@@ -20,7 +20,6 @@ choice value ``none`` means the empty list); other categories become
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -226,21 +225,46 @@ def _base_frames(spec: TslSpec) -> list[dict[str, str]]:
     """The frames of the plain choices' product that satisfy every [if]
     condition of their choices, in product order (last category fastest).
 
-    Conditions may reference categories declared in any order, so each
-    completed frame is filtered rather than the product pruned.
+    Categories are assigned depth-first in declaration order.  A choice's
+    conditions are checked as soon as its own category and every category
+    they name have their values, so a condition on an earlier category
+    prunes the search and one on a later category waits for it.
     """
     by_value = {
         (cat.name, c.value): c for cat in spec.categories for c in cat.choices
     }
     names = [cat.name for cat in spec.categories]
+    if not names:
+        return [{}]  # the empty product
     plain = [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
+    # a repeated category name keeps the value of its last declaration
+    last = {name: depth for depth, name in enumerate(names)}
+    # per depth, the (category, value, choice) whose conditions it decides
+    checks: list[list[tuple[str, str, Choice]]] = [[] for _ in names]
+    for (name, value), choice in by_value.items():
+        if choice.conditions:
+            own = last[name]
+            due = max(own, *(last.get(ref, own) for ref, _ in choice.conditions))
+            checks[due].append((name, value, choice))
+
     frames: list[dict[str, str]] = []
-    for values in itertools.product(*plain):
-        frame = dict(zip(names, values))
-        if all(_satisfied(by_value[(name, value)], frame) for name, value in frame.items()):
-            if len(frames) == MAX_FRAMES:
-                raise TslError(f"plain choices yield more than {MAX_FRAMES} frames")
-            frames.append(frame)
+    frame: dict[str, str] = {}
+    untried = [iter(plain[0])]  # per open category, its values not yet tried
+    while untried:
+        depth = len(untried) - 1
+        value = next(untried[depth], None)
+        if value is None:
+            untried.pop()
+            continue
+        frame[names[depth]] = value
+        if not all(frame[n] != v or _satisfied(c, frame) for n, v, c in checks[depth]):
+            continue
+        if depth + 1 < len(names):
+            untried.append(iter(plain[depth + 1]))
+        elif len(frames) == MAX_FRAMES:
+            raise TslError(f"plain choices yield more than {MAX_FRAMES} frames")
+        else:
+            frames.append(dict(frame))
     return frames
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 
 import pytest
@@ -52,6 +53,25 @@ def test_rank_files_puts_copy_c_first(tmp_path, capsys):
     assert payload["scheme"] == "structured"
     assert payload["entries"][0]["path"] == "copy.c"
     assert "copy.c" in capsys.readouterr().out
+
+
+def test_rank_files_names_a_source_file_name_that_is_not_utf8(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "ok.c").write_text("int f (void) { return 0; }\n")
+    try:
+        with open(os.fsencode(src) + b"/x\xff.c", "wb") as f:
+            f.write(b"int g (void) { return 1; }\n")
+    except OSError:
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    code = main([
+        "rank-files", "--report", MV_REPORT, "--src", str(src),
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {src}: source file name 'x\\udcff.c' is not UTF-8\n"
+    )
 
 
 # --- mine-pairs --------------------------------------------------------------

@@ -4,19 +4,29 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import importlib.util
 import os
+import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GZIP_DIR, MV_DIR
+from conftest import FIXTURES, GZIP_DIR, MV_DIR, ROOT
 from racerepro import csource
 from racerepro.catalog import bundled_catalog
 from racerepro.cli import EXIT_CONFIG, EXIT_OK, main
-from racerepro.csource import _SCAN_RE, _line_starts, index_tree
+from racerepro.csource import (
+    _SCAN_RE,
+    FunctionRecord,
+    _line_of,
+    _line_starts,
+    _scan_file,
+    index_tree,
+)
 from racerepro.reports import MODE_C_SOURCE, preprocess_tokens, preprocess_words, tokenize
 
 SYSCALLS = frozenset({"open", "close", "read", "unlink", "rename", "stat"})
@@ -293,6 +303,141 @@ def test_variable_field_collects_identifiers(snippet_index):
     doc = snippet_index.docs[0]
     assert "path" in doc.fields["variable_names"]
     assert doc.fields["file_name"] == ["mover", "c"]
+
+
+def reference_scan(rel_path: str, text: str):
+    """The body ``_scan_file`` had before the one-pass scan: a list of code
+    tokens walked by index, with a nested loop matching a head's parens."""
+    starts = _line_starts(text)
+    # (text, offset, is identifier) per code token
+    toks = [
+        (m.group(), m.start(), m.lastgroup == "ident")
+        for m in _SCAN_RE.finditer(text)
+        if m.lastgroup
+    ]
+    functions: list[FunctionRecord] = []
+    variables: dict[str, None] = {}
+
+    i = 0
+    n = len(toks)
+    current: FunctionRecord | None = None
+    depth = 0  # brace depth inside the current function body
+
+    while i < n:
+        tok, pos, is_ident = toks[i]
+        if current is None:
+            if is_ident:
+                if i + 1 < n and toks[i + 1][0] == "(":
+                    # match parens; a following '{' makes this a definition
+                    pdepth = 0
+                    j = i + 1
+                    while j < n:
+                        if toks[j][0] == "(":
+                            pdepth += 1
+                        elif toks[j][0] == ")":
+                            pdepth -= 1
+                            if pdepth == 0:
+                                break
+                        j += 1
+                    if j + 1 < n and toks[j + 1][0] == "{":
+                        current = FunctionRecord(
+                            name=tok,
+                            file=rel_path,
+                            start_line=_line_of(starts, pos),
+                            end_line=_line_of(starts, toks[j + 1][1]),
+                        )
+                        depth = 1
+                        # parameter identifiers count as variables
+                        for name, _pos, name_is_ident in toks[i + 2 : j]:
+                            if name_is_ident:
+                                variables[name] = None
+                        i = j + 2
+                        continue
+                    # top-level call position (e.g. global initializer): skip it
+                    i = j + 1 if j < n else n
+                    continue
+                variables[tok] = None
+            i += 1
+            continue
+
+        # inside a function body
+        if tok == "{":
+            depth += 1
+        elif tok == "}":
+            depth -= 1
+            if depth == 0:
+                current.end_line = _line_of(starts, pos)
+                functions.append(current)
+                current = None
+        elif is_ident:
+            if i + 1 < n and toks[i + 1][0] == "(":
+                current.call_sites.append((tok, _line_of(starts, pos)))
+            else:
+                variables[tok] = None
+        i += 1
+
+    if current is not None:
+        # unterminated body (truncated file): close at last line
+        current.end_line = len(starts)
+        functions.append(current)
+    return functions, variables
+
+
+def _assert_scans_agree(text: str, rel: str = "t.c") -> None:
+    """Same records (name, file, lines, call sites) and the same variables
+    in the same order from ``_scan_file`` and ``reference_scan``."""
+    def outcome(scan):
+        functions, variables = scan(rel, text)
+        records = [(f.name, f.file, f.start_line, f.end_line, f.call_sites) for f in functions]
+        return records, list(variables)
+
+    assert outcome(_scan_file) == outcome(reference_scan), text
+
+
+def test_scan_matches_reference_on_fixture_files():
+    files = sorted(FIXTURES.rglob("*.[ch]"))
+    assert files
+    for path in files:
+        _assert_scans_agree(path.read_text("utf-8", errors="replace"), path.name)
+
+
+def _load_bench_gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_scan_matches_reference_on_generated_trees(tmp_path):
+    gen = _load_bench_gen()
+    vocab = gen.Vocab(ROOT)
+    for seed in (1, 2):
+        root = tmp_path / str(seed)
+        rels, _plants = gen.write_tree(vocab, random.Random(seed), root, 150, ["open-enoent"])
+        for rel in rels:
+            _assert_scans_agree((root / rel).read_text("utf-8"), rel)
+
+
+#: Fragments of C text weighted toward what moves the scanner's state:
+#: unbalanced parens and braces, and openers of comments, literals and
+#: directives that may or may not close.
+_SCAN_PIECES = (
+    "f", "g", "open", "x_1", "(", "(", ")", ")", "{", "{", "}", "}", ";",
+    " ", "\n", "\t", "1", "/*", "*/", "//", "#", "\\\n", '"', "'", "\\",
+    "/* ( { */", "// ) }\n", '"( {"', "'('", "#define M(a) {\n",
+)
+
+
+def test_scan_matches_reference_on_fuzzed_token_strings():
+    rng = random.Random(20261018)
+    for _ in range(20_000):
+        _assert_scans_agree(
+            "".join(rng.choice(_SCAN_PIECES) for _ in range(rng.randint(0, 40)))
+        )
 
 
 def test_index_tree_empty_dir(tmp_path):

@@ -236,6 +236,20 @@ def test_no_apriori_ranks_by_raw_count(mv_keys):
     assert freqs == sorted(freqs, reverse=True)
 
 
+def test_no_apriori_without_keys_enumerates_every_site(tmp_path):
+    # a report of stop words yields no keys; the ablation drops pair
+    # mining, not the fallback that instruments every site
+    report = tmp_path / "stop_words.txt"
+    report.write_text("Subject: the and of\n\nit is about them and all of the above\n")
+    points = {}
+    for mode in (MODE_STRUCTURED_IR, MODE_NO_APRIORI):
+        pipe = Pipeline(ExperimentConfig(mode=mode), report_path=report, src_root=MV_DIR / "src")
+        assert not pipe.keys.entries
+        assert pipe.ranking.enumerate_all
+        points[mode] = pipe.points
+    assert points[MODE_NO_APRIORI] == points[MODE_STRUCTURED_IR] != []
+
+
 # --- experiment driver -------------------------------------------------------------
 
 def test_empty_corpus_gives_empty_table():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from racerepro import testcases
 from racerepro.reports import BugReport
 from racerepro.testcases import (
     MAX_FRAMES,
@@ -198,6 +201,61 @@ def test_base_frames_match_the_whole_product_oracle(text):
     want = _base_frames_oracle(spec)
     assert frames == want
     assert [list(f) for f in frames] == [list(f) for f in want]  # key order too
+
+
+def _random_spec_text(rng: random.Random) -> str:
+    """A small spec with repeated category names and values, several tags
+    per choice, and conditions on earlier, later and the same categories."""
+    names = [rng.choice("abcd") for _ in range(rng.randint(1, 5))]
+    lines = []
+    for name in names:
+        lines.append(f"category {name}:")
+        for _ in range(rng.randint(1, 3)):
+            tags = []
+            for _ in range(rng.choice((0, 0, 1, 1, 2))):
+                tag = rng.choice(("single", "error", "if", "if", "if"))
+                if tag == "if":
+                    tag = f"if {rng.choice(names)}={rng.choice('xyz')}"
+                tags.append(f"[{tag}]")
+            lines.append(f"  choice {rng.choice('xyz')} {' '.join(tags)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_base_frames_match_the_whole_product_oracle_on_random_specs():
+    rng = random.Random(15)
+    compared = 0
+    while compared < 400:
+        try:
+            spec = parse_tsl(_random_spec_text(rng))
+        except TslError:  # a condition named a value its category lacks
+            continue
+        frames, want = _base_frames(spec), _base_frames_oracle(spec)
+        assert frames == want
+        assert [list(f) for f in frames] == [list(f) for f in want]
+        compared += 1
+
+
+def test_conditions_on_an_earlier_category_prune_the_search(monkeypatch):
+    # c1..c13 each follow c0, so 2 of the 16,384 combinations are frames;
+    # checking every combination would call _satisfied 14 times for each
+    follow = "".join(
+        f"category c{i}:\n  choice x [if c0=x]\n  choice y [if c0=y]\n" for i in range(1, 14)
+    )
+    spec = parse_tsl("category c0:\n  choice x\n  choice y\n" + follow)
+    calls = 0
+    satisfied = testcases._satisfied
+
+    def counted(choice, assignment):
+        nonlocal calls
+        calls += 1
+        return satisfied(choice, assignment)
+
+    monkeypatch.setattr(testcases, "_satisfied", counted)
+    assert _base_frames(spec) == [
+        {f"c{i}": value for i in range(14)} for value in ("x", "y")
+    ]
+    # each of c1..c13 tries its two values under each of the two prefixes
+    assert calls <= 13 * 2 * 2
 
 
 def _two_choice_categories(names) -> str:
