@@ -369,6 +369,14 @@ def enumerate_interleavings(scn: Scenario) -> list[tuple[InterleavingSchedule, s
     reference, so hard-link aliasing survives.  Interleavings come in the
     order of trying processes in scenario order at each step.  Guarded by
     ``ENUMERATE_BOUND`` ops: the count is multinomial in trace lengths.
+
+    Explored states are cached for the call (state-space caching).  Each
+    inner node is keyed by ``_node_key``: the progress vector, whether a
+    watched open has already failed, and the filesystem as a value.  What
+    happens below a node depends only on that key, so a later node with the
+    key of an earlier one runs no op and no oracle: it takes the earlier
+    node's completions, in walk order, after its own prefix, with their
+    verdicts.  The result is the list the full walk would return.
     """
     total = scn.total_ops()
     if total > ENUMERATE_BOUND:
@@ -385,12 +393,21 @@ def enumerate_interleavings(scn: Scenario) -> list[tuple[InterleavingSchedule, s
     results: list[tuple[InterleavingSchedule, str]] = []
     fs = scn.build_fs()
     paths = fs.paths
+    # node key -> the slice of ``results`` that holds its completions
+    walked: dict[tuple, tuple[int, int]] = {}
 
-    def walk(open_failures: int) -> None:
-        if len(prefix) == total:
-            verdict = oracle.evaluate(fs, open_failures > 0)
+    def walk(open_failed: bool) -> None:
+        depth = len(prefix)
+        if depth == total:
+            verdict = oracle.evaluate(fs, open_failed)
             results.append((InterleavingSchedule(steps=list(prefix)), verdict))
             return
+        key = _node_key(progress, open_failed, paths)
+        if (span := walked.get(key)) is not None:
+            results.extend([(InterleavingSchedule(steps=prefix + sched.steps[depth:]), verdict)
+                            for sched, verdict in results[span[0]:span[1]]])
+            return
+        start = len(results)
         for pi, (name, ops) in enumerate(procs):
             op_idx = progress[pi]
             if op_idx == len(ops):
@@ -401,7 +418,7 @@ def enumerate_interleavings(scn: Scenario) -> list[tuple[InterleavingSchedule, s
             prefix.append((name, op_idx))
             progress[pi] += 1
             failed = fs.apply(kind, args) == ENOENT and watched
-            walk(open_failures + failed)
+            walk(open_failed or failed)
             progress[pi] -= 1
             prefix.pop()
             for p, n, mode, content in reversed(undo):
@@ -410,9 +427,20 @@ def enumerate_interleavings(scn: Scenario) -> list[tuple[InterleavingSchedule, s
                 else:
                     paths[p] = n
                     n.mode, n.content = mode, content
+        walked[key] = (start, len(results))
 
-    walk(0)
+    walk(False)
     return results
+
+
+def _node_key(progress: list[int], open_failed: bool, paths: dict[str, Node]) -> tuple:
+    """An enumeration node as a value: the progress vector, the open-failure
+    flag, and per path in path order its node's kind, mode and content and
+    its hard-link group (the index of the node by first appearance)."""
+    groups: dict[int, int] = {}
+    return (tuple(progress), open_failed,
+            tuple([(p, n.kind, n.mode, n.content, groups.setdefault(id(n), len(groups)))
+                   for p, n in sorted(paths.items())]))
 
 
 def random_baseline(scn: Scenario, runs: int = 100, seed: int = 0) -> ReproResult:

@@ -179,6 +179,8 @@ def parse_tsl(text: str) -> TslSpec:
             name = line[len("category "):-1].strip()
             if not name:
                 raise TslError(f"line {lineno}: empty category name")
+            if any(cat.name == name for cat in categories):
+                raise TslError(f"line {lineno}: category {name!r} declared twice")
             current = Category(name=name, choices=[])
             categories.append(current)
             continue
@@ -193,6 +195,10 @@ def parse_tsl(text: str) -> TslSpec:
                 rest = rest[:open_idx].rstrip()
             if not rest:
                 raise TslError(f"line {lineno}: empty choice value")
+            if any(choice.value == rest for choice in current.choices):
+                raise TslError(
+                    f"line {lineno}: choice {rest!r} repeated in category {current.name!r}"
+                )
             current.choices.append(_parse_tags(raw_tags, rest))
             continue
         raise TslError(f"line {lineno}: unrecognized line {line!r}")
@@ -237,14 +243,13 @@ def _base_frames(spec: TslSpec) -> list[dict[str, str]]:
     if not names:
         return [{}]  # the empty product
     plain = [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
-    # a repeated category name keeps the value of its last declaration
-    last = {name: depth for depth, name in enumerate(names)}
+    depth_of = {name: depth for depth, name in enumerate(names)}
     # per depth, the (category, value, choice) whose conditions it decides
     checks: list[list[tuple[str, str, Choice]]] = [[] for _ in names]
     for (name, value), choice in by_value.items():
         if choice.conditions:
-            own = last[name]
-            due = max(own, *(last.get(ref, own) for ref, _ in choice.conditions))
+            own = depth_of[name]
+            due = max(own, *(depth_of.get(ref, own) for ref, _ in choice.conditions))
             checks[due].append((name, value, choice))
 
     frames: list[dict[str, str]] = []

@@ -389,6 +389,20 @@ def test_malformed_tsl_exits_two(tmp_path, capsys):
     assert f"error: {bad}: line 1: choice outside any category" in capsys.readouterr().err
 
 
+def test_tsl_repeating_a_choice_exits_two(tmp_path, capsys):
+    bad = tmp_path / "repeat.tsl"
+    bad.write_text("category a:\n  choice x [if b=y]\n  choice x [single]\n"
+                   "category b:\n  choice y\n  choice z\n")
+    code = main([
+        "gen-tests", "--report", MV_REPORT, "--tsl", str(bad),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    assert f"error: {bad}: line 3: choice 'x' repeated in category 'a'" in (
+        capsys.readouterr().err
+    )
+
+
 def test_tsl_past_the_frame_limit_exits_two(tmp_path, capsys):
     # 13 two-choice categories: 8,192 frames, twice MAX_FRAMES
     big = tmp_path / "big.tsl"

@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from dataclasses import dataclass, fields, replace
 
 import pytest
 
 from conftest import fs_state
 from racerepro import harness
 from racerepro.harness import (
+    ORACLE_KINDS,
     VERDICT_FAIL,
     VERDICT_PASS,
     FsEntry,
@@ -28,6 +30,8 @@ from racerepro.harness import (
     schedule_with_delay,
 )
 from racerepro.mining import InstrumentationPoint, locate
+from racerepro.vfs import ENOENT, Node, VirtualFS, path_args
+from test_properties import _enumerate_by_replay
 
 
 def _point(placement: str, file: str, function: str, line: int, rank: int = 1):
@@ -314,6 +318,164 @@ def test_enumerate_commutative_ops_agree_everywhere():
     )
     verdicts = {verdict for _sched, verdict in enumerate_interleavings(scn)}
     assert verdicts == {VERDICT_PASS}
+
+
+def _enumerate_uncached(scn: Scenario) -> list[tuple[InterleavingSchedule, str]]:
+    """The walk before explored states were cached: every leaf evaluated."""
+    total = scn.total_ops()
+    oracle = scn.oracle
+    procs = [
+        (name, [(op.kind, op.args, path_args(op.kind, op.args), oracle.watches(op))
+                for op in trace])
+        for name, trace in scn.processes
+    ]
+    progress = [0] * len(procs)
+    prefix: list[tuple[str, int]] = []
+    results: list[tuple[InterleavingSchedule, str]] = []
+    fs = scn.build_fs()
+    paths = fs.paths
+
+    def walk(open_failures: int) -> None:
+        if len(prefix) == total:
+            verdict = oracle.evaluate(fs, open_failures > 0)
+            results.append((InterleavingSchedule(steps=list(prefix)), verdict))
+            return
+        for pi, (name, ops) in enumerate(procs):
+            op_idx = progress[pi]
+            if op_idx == len(ops):
+                continue
+            kind, args, named, watched = ops[op_idx]
+            undo = [(p, n, n.mode, n.content) if (n := paths.get(p)) is not None
+                    else (p, None, 0, "") for p in named]
+            prefix.append((name, op_idx))
+            progress[pi] += 1
+            failed = fs.apply(kind, args) == ENOENT and watched
+            walk(open_failures + failed)
+            progress[pi] -= 1
+            prefix.pop()
+            for p, n, mode, content in reversed(undo):
+                if n is None:
+                    paths.pop(p, None)
+                else:
+                    paths[p] = n
+                    n.mode, n.content = mode, content
+
+    walk(0)
+    return results
+
+
+def _as_data(results) -> list:
+    return [(sched.steps, sched.injected_delays, verdict) for sched, verdict in results]
+
+
+@pytest.mark.parametrize("fixture", ["mv_scenario", "gzip_scenario"])
+def test_enumeration_equals_the_uncached_walk_on_the_fixtures(fixture, request):
+    scn = request.getfixturevalue(fixture)
+    assert _as_data(enumerate_interleavings(scn)) == _as_data(_enumerate_uncached(scn))
+
+
+@dataclass
+class _LinkedScenario(Scenario):
+    """A scenario whose initial ``b`` is a hard link to ``a``."""
+
+    def build_fs(self) -> VirtualFS:
+        fs = super().build_fs()
+        fs.paths["b"] = fs.paths["a"]
+        return fs
+
+
+# trace lengths of 10-12 ops in 2-3 processes: 220 to 2,970 interleavings
+_SHAPES = ((5, 5), (6, 5), (6, 6), (9, 3), (6, 2, 2), (7, 3, 1), (5, 3, 2), (8, 2, 2))
+_OPS = ("rename", "link", "unlink", "mknod", "mkdir", "chmod", "write", "open")
+
+
+def _bench_scale_scenario(seed: int) -> Scenario:
+    """Seeded ops over a hard-linked pair (a, b), a directory d and an absent
+    c; the shape and the oracle kind follow from the seed, so every shape
+    meets every oracle kind."""
+    rng = random.Random(seed)
+    names = ("a", "b", "c", "d")
+
+    def op() -> SyscallOp:
+        kind = rng.choice(_OPS)
+        if kind in ("rename", "link"):
+            return SyscallOp(kind, tuple(rng.sample(names, 2)))
+        extra = {"chmod": (0o444, 0o644), "write": ("x", "y"), "mknod": (0o644,), "mkdir": (0o755,)}
+        if kind in extra:
+            return SyscallOp(kind, (rng.choice(names), rng.choice(extra[kind])))
+        return SyscallOp(kind, (rng.choice(names),))
+
+    kind = ORACLE_KINDS[seed % len(ORACLE_KINDS)]
+    shape = _SHAPES[seed // len(ORACLE_KINDS) % len(_SHAPES)]
+    return _LinkedScenario(
+        id=f"bench-scale-{seed}",
+        processes=[(f"p{i}", [op() for _ in range(n)]) for i, n in enumerate(shape)],
+        initial_fs=[FsEntry(path="a", content="x"), FsEntry(path="d", kind="dir", mode=0o755)],
+        oracle=Oracle(kind=kind, path=rng.choice(("a", "b", "c")),
+                      expected_mode=0o644 if kind == "final-mode" else None,
+                      expected_content="x" if kind == "final-content" else None),
+    )
+
+
+_BENCH_SEEDS = range(2 * len(ORACLE_KINDS) * len(_SHAPES))
+
+
+@pytest.mark.parametrize("seed", _BENCH_SEEDS)
+def test_enumeration_at_benchmark_scale_equals_replay(seed):
+    scn = _bench_scale_scenario(seed)
+    results = enumerate_interleavings(scn)
+    assert _as_data(results) == _as_data(_enumerate_uncached(scn))
+    assert [(sched.steps, verdict) for sched, verdict in results] == _enumerate_by_replay(scn)
+    assert len({id(sched.steps) for sched, _verdict in results}) == len(results)
+
+
+def test_benchmark_scale_scenarios_cover_every_oracle_and_both_baselines():
+    undelayed, racy, sizes = Counter(), Counter(), []
+    for seed in _BENCH_SEEDS:
+        scn = _bench_scale_scenario(seed)
+        verdicts = [verdict for _sched, verdict in enumerate_interleavings(scn)]
+        undelayed[scn.oracle.kind, run_schedule(scn, baseline_schedule(scn)).verdict] += 1
+        racy[scn.oracle.kind] += len(set(verdicts)) == 2
+        sizes.append(len(verdicts))
+    for kind in ORACLE_KINDS:
+        assert undelayed[kind, VERDICT_FAIL] and undelayed[kind, VERDICT_PASS], kind
+        assert racy[kind], kind
+    assert max(sizes) == 2970 and min(sizes) == 220
+
+
+def test_enumeration_tells_a_hard_link_from_an_equal_node():
+    # after link(f, g) then mknod(g), g shares f's node; after mknod(g) then
+    # link(f, g), g is an equal but separate node: both reach progress (1, 1)
+    # with the same paths, kinds, modes and contents, and only the aliased g
+    # sees the later write to f
+    scn = Scenario(
+        id="alias",
+        processes=[
+            ("a", [SyscallOp("link", ("f", "g")), SyscallOp("write", ("f", "new"))]),
+            ("b", [SyscallOp("mknod", ("g",))]),
+        ],
+        initial_fs=[FsEntry(path="f")],
+        oracle=Oracle(kind="final-content", path="g", expected_content=""),
+    )
+    results = enumerate_interleavings(scn)
+    assert [(sched.steps, verdict) for sched, verdict in results] == _enumerate_by_replay(scn)
+    assert [verdict for _sched, verdict in results] == [VERDICT_FAIL, VERDICT_FAIL, VERDICT_PASS]
+
+
+def test_node_key_covers_every_node_field():
+    # a field the key leaves out would let the walk reuse the leaves of a
+    # different state; a new Node field needs a variant here and in _node_key
+    node = Node(kind="file", mode=0o644, content="x")
+    variants = {"kind": "dir", "mode": 0o600, "content": "y"}
+    assert [f.name for f in fields(Node)] == list(variants)
+    key = harness._node_key([0, 1], False, {"f": node})
+    for name, value in variants.items():
+        assert harness._node_key([0, 1], False, {"f": replace(node, **{name: value})}) != key
+    assert harness._node_key([0, 1], True, {"f": node}) != key
+    assert harness._node_key([1, 0], False, {"f": node}) != key
+    # hard-link groups: one node under two paths is not two equal nodes
+    assert (harness._node_key([0], False, {"f": node, "g": node})
+            != harness._node_key([0], False, {"f": node, "g": replace(node)}))
 
 
 # --- reproduction -----------------------------------------------------------------

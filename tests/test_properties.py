@@ -11,11 +11,13 @@ import random
 import tempfile
 from itertools import product
 from pathlib import Path
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, fs_state
+from racerepro import harness
 from racerepro.csource import index_tree
 from racerepro.harness import (
     ORACLE_KINDS,
@@ -32,6 +34,7 @@ from racerepro.harness import (
 from racerepro.mining import InstrumentationPoint, TransactionDB, mine_pairs
 from racerepro.reports import MODE_C_SOURCE, MODE_TEXT, preprocess, preprocess_tokens
 from racerepro.testcases import Category, Choice, TslSpec, expand_tsl
+from racerepro.vfs import ENOENT, VirtualFS
 
 RUNS = settings(max_examples=1000, deadline=None, derandomize=True)
 
@@ -361,15 +364,75 @@ def _enumerate_by_replay(scn: Scenario) -> list[tuple[list[tuple[str, int]], str
     return results
 
 
+def _replayed(scn: Scenario, steps: list[tuple[str, int]]) -> tuple[VirtualFS, bool]:
+    """The filesystem and open-failure flag after ``steps``, replayed from the
+    initial filesystem."""
+    fs = scn.build_fs()
+    traces = dict(scn.processes)
+    open_failed = False
+    for proc, op_idx in steps:
+        op = traces[proc][op_idx]
+        if fs.apply(op.kind, op.args) == ENOENT and scn.oracle.watches(op):
+            open_failed = True
+    return fs, open_failed
+
+
+def _state_key(progress, open_failed: bool, fs: VirtualFS) -> tuple:
+    """A walk node as plain data: progress vector, open-failure flag, full state."""
+    return tuple(progress), open_failed, tuple(fs_state(fs).items())
+
+
+def _cached_walk_by_replay(scn: Scenario) -> list[tuple]:
+    """The reference for the cached walk: the same depth-first order, each
+    inner node's state replayed from the initial filesystem and keyed by
+    ``_state_key``, a key seen before not walked again, and each leaf reached
+    evaluated by ``run_schedule``.  Returns the inner nodes' keys in visit order."""
+    names = scn.process_names
+    lengths = [len(trace) for _name, trace in scn.processes]
+    keys: list[tuple] = []
+    seen: set[tuple] = set()
+    prefix: list[tuple[str, int]] = []
+
+    def recurse(progress: tuple[int, ...]) -> None:
+        if len(prefix) == sum(lengths):
+            run_schedule(scn, InterleavingSchedule(steps=list(prefix)))
+            return
+        fs, open_failed = _replayed(scn, prefix)
+        key = _state_key(progress, open_failed, fs)
+        keys.append(key)
+        if key in seen:
+            return
+        seen.add(key)
+        for pi, name in enumerate(names):
+            if progress[pi] < lengths[pi]:
+                prefix.append((name, progress[pi]))
+                recurse(progress[:pi] + (progress[pi] + 1,) + progress[pi + 1 :])
+                prefix.pop()
+
+    recurse(tuple(0 for _ in names))
+    return keys
+
+
 @RUNS
 @given(scn=_fs_scenarios())
 def test_enumeration_equals_replaying_every_interleaving(scn):
     shared = [(sched.steps, verdict) for sched, verdict in enumerate_interleavings(scn)]
     assert shared == _enumerate_by_replay(scn)
 
-    # the final state and open-failure flag of every leaf, not only what the oracle looks at
+    # the walk reuses the leaves below a node whose key it has already walked;
+    # the replayed reference skips the same keys, so the nodes visited (each
+    # with its full state) and the final state and open-failure flag of every
+    # leaf evaluated must be the same
     scn.oracle = _Recording(scn.oracle)
-    enumerate_interleavings(scn)
+    walked_keys = []
+    node_key = harness._node_key
+
+    def recording(progress, open_failed, paths):
+        walked_keys.append(_state_key(progress, open_failed, VirtualFS(paths)))
+        return node_key(progress, open_failed, paths)
+
+    with patch.object(harness, "_node_key", recording):
+        enumerate_interleavings(scn)
     walked, scn.oracle.seen = scn.oracle.seen, []
-    _enumerate_by_replay(scn)
+    assert walked_keys == _cached_walk_by_replay(scn)
     assert walked == scn.oracle.seen

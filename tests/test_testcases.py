@@ -77,6 +77,9 @@ def test_parse_if_tag():
         "category a:\n  choice x [if ghost=x]\n",              # unknown category ref
         "category a:\n  choice x [if a=ghost]\n",              # unknown value ref
         "category a:\n  choice x [if nonsense]\n",             # malformed condition
+        "category a:\n  choice x\ncategory a:\n  choice y\n",  # category declared twice
+        "category a:\n  choice x [if b=y]\n  choice x [single]\n"
+        "category b:\n  choice y\n  choice z\n",                # choice repeated
     ],
 )
 def test_parse_errors(text):
@@ -204,20 +207,20 @@ def test_base_frames_match_the_whole_product_oracle(text):
 
 
 def _random_spec_text(rng: random.Random) -> str:
-    """A small spec with repeated category names and values, several tags
-    per choice, and conditions on earlier, later and the same categories."""
-    names = [rng.choice("abcd") for _ in range(rng.randint(1, 5))]
+    """A small spec with several tags per choice, and conditions on earlier,
+    later and the same categories."""
+    names = rng.sample("abcd", rng.randint(1, 4))
     lines = []
     for name in names:
         lines.append(f"category {name}:")
-        for _ in range(rng.randint(1, 3)):
+        for value in rng.sample("xyz", rng.randint(1, 3)):
             tags = []
             for _ in range(rng.choice((0, 0, 1, 1, 2))):
                 tag = rng.choice(("single", "error", "if", "if", "if"))
                 if tag == "if":
                     tag = f"if {rng.choice(names)}={rng.choice('xyz')}"
                 tags.append(f"[{tag}]")
-            lines.append(f"  choice {rng.choice('xyz')} {' '.join(tags)}")
+            lines.append(f"  choice {value} {' '.join(tags)}")
     return "\n".join(lines) + "\n"
 
 
