@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,18 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 MV_DIR = FIXTURES / "mv_438076"
 GZIP_DIR = FIXTURES / "gzip_371162"
+
+
+def load_bench_gen():
+    """The benchmark's input generator, ``bench/gen.py``, as a module."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def fs_state(fs) -> dict[str, tuple[str, int, str, str]]:

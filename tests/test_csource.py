@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import importlib.util
 import os
 import random
 import re
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, GZIP_DIR, MV_DIR, ROOT
+from conftest import FIXTURES, GZIP_DIR, MV_DIR, ROOT, load_bench_gen
 from racerepro import csource
 from racerepro.catalog import bundled_catalog
 from racerepro.cli import EXIT_CONFIG, EXIT_OK, main
@@ -401,19 +399,8 @@ def test_scan_matches_reference_on_fixture_files():
         _assert_scans_agree(path.read_text("utf-8", errors="replace"), path.name)
 
 
-def _load_bench_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def test_scan_matches_reference_on_generated_trees(tmp_path):
-    gen = _load_bench_gen()
+    gen = load_bench_gen()
     vocab = gen.Vocab(ROOT)
     for seed in (1, 2):
         root = tmp_path / str(seed)
