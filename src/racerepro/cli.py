@@ -1,11 +1,13 @@
 """Command-line surface over the pipeline stages.
 
-Each subcommand builds one ``metrics.Pipeline`` from its arguments, reads
-the stages it needs, writes a schema-tagged JSON artifact into --out-dir,
-and prints a short human summary.  Exit codes:
-0 success, 1 failure-to-reproduce, 2 usage/config error.  Artifacts are
-pure functions of (inputs, config, seed): no timestamps or wall times go
-into files, so re-running a stage with unchanged inputs is byte-identical.
+Each subcommand is one row of ``SUBCOMMANDS``: its input flags, its stage
+flags and its artifacts.  An ``Artifact`` is a file name, the payload it
+holds (built from ``metrics.Pipeline`` stages) and the summary a run
+prints.  A run builds every payload before it writes the first file, so an
+exit 2 on a bad input leaves --out-dir untouched.  Exit codes: 0 success,
+1 failure-to-reproduce, 2 usage/config error.  Artifacts are pure
+functions of (inputs, config, seed): no timestamps or wall times go into
+files, so re-running a stage with unchanged inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import harness as harness_mod
@@ -33,12 +37,16 @@ EXIT_CONFIG = 2
 
 # --- artifact I/O -----------------------------------------------------------
 
-def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
+def _write(out_dir: Path, name: str, payload: dict | str) -> Path:
+    """Write a dict as indented, key-sorted JSON, a str as it is."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return path
 
 
@@ -133,7 +141,92 @@ def _repro_payload(
     return payload
 
 
-# --- subcommands ------------------------------------------------------------
+# --- the artifact table -------------------------------------------------------
+
+def _keys_summary(pipe: Pipeline) -> Iterator[str]:
+    keys = pipe.keys
+    yield f"extraction path: {keys.path}"
+    for entry in keys.entries:
+        yield f"  {entry.name}: {entry.count} ({entry.source})"
+    if not keys.entries:
+        yield "  (no system calls extracted)"
+
+
+def _ranked_files_summary(pipe: Pipeline) -> Iterator[str]:
+    ranked = pipe.file_ranking
+    yield f"scheme: {ranked.scheme}"
+    for rank_no, (file_path, score) in enumerate(ranked.entries[: pipe.config.top_files], 1):
+        yield f"  {rank_no:2d}. {file_path}  {score:.4f}"
+
+
+def _ranking_summary(pipe: Pipeline) -> Iterator[str]:
+    if pipe.ranking.enumerate_all:
+        yield "no key system calls: locator will enumerate all sites"
+    for entry in pipe.ranking.entries:
+        yield f"  {{{', '.join(entry.items)}}} = {entry.frequency}"
+
+
+def _points_summary(pipe: Pipeline) -> Iterator[str]:
+    for p in pipe.points:
+        partner = ""
+        if p.pair_partner is not None:
+            partner = f" (pair with {p.pair_partner.syscall}:{p.pair_partner.line})"
+        yield f"  {p.rank:3d}. {p.placement} {p.syscall} {p.file}:{p.function}:{p.line}{partner}"
+    if not pipe.points:
+        yield "  (no instrumentation points)"
+
+
+def _test_cases_summary(pipe: Pipeline) -> Iterator[str]:
+    for c in pipe.test_cases[1]:
+        marker = " [error]" if c.error else ""
+        yield f"  {c.render()}{marker}"
+
+
+def _repro_summary(pipe: Pipeline) -> Iterator[str]:
+    result = pipe.result
+    yield (f"reproduced: {result.reproduced} in {result.attempts} attempts "
+           f"({result.wall_time:.3f}s)")
+    if result.schedule is not None:
+        for line in harness_mod.format_schedule(pipe.scenario, result.schedule):
+            yield f"  {line}"
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One file a subcommand can write into --out-dir."""
+
+    name: str
+    #: the file's content (a dict is written as JSON), or None: nothing to write
+    payload: Callable[[Pipeline], dict | str | None]
+    summary: Callable[[Pipeline], Iterator[str]] | None = None
+
+
+KEYS = Artifact("keys.json", lambda pipe: _keys_payload(pipe.keys), _keys_summary)
+RANKED_FILES = Artifact("ranked_files.json",
+                        lambda pipe: _ranked_files_payload(pipe.file_ranking),
+                        _ranked_files_summary)
+PAIR_RANKING = Artifact("pair_ranking.json", lambda pipe: _ranking_payload(pipe.ranking),
+                        _ranking_summary)
+POINTS = Artifact("points.json", lambda pipe: _points_payload(pipe.points), _points_summary)
+TEST_CASES = Artifact("test_cases.json", lambda pipe: None if pipe.tsl_path is None
+                      else _test_cases_payload(*pipe.test_cases), _test_cases_summary)
+REPRO = Artifact("repro.json", lambda pipe: _repro_payload(pipe.scenario, pipe.result),
+                 _repro_summary)
+SCHEDULE = Artifact("schedule.txt", lambda pipe: None if pipe.result.schedule is None else (
+    "\n".join(harness_mod.format_schedule(pipe.scenario, pipe.result.schedule)) + "\n"
+))
+
+#: input flag -> (Pipeline argument, argument type, help)
+INPUT_FLAGS = {
+    "--report": ("report_path", Path, "bug report (.txt with Subject: line, or .json)"),
+    "--src": ("src_root", Path, "C source tree root"),
+    "--scenario": ("scenario_path", Path,
+                   "scenario file (JSON; its process names are known commands)"),
+    "--tsl": ("tsl_path", Path, "TSL category-partition spec file"),
+    "--man-dir": ("man_dir", Path, "man-page catalog directory (default: bundled)"),
+    "--commands": ("commands", lambda text: [n.strip() for n in text.split(",") if n.strip()],
+                   "comma-separated known command names"),
+}
 
 #: flag -> (ExperimentConfig field, help); a subcommand that does not take
 #: a flag leaves its field at the config's default
@@ -145,94 +238,72 @@ CONFIG_FLAGS = {
 }
 
 
+@dataclass(frozen=True)
+class Subcommand:
+    name: str
+    help: str
+    inputs: tuple[str, ...]  # input flags it needs
+    optional: tuple[str, ...]  # input flags it may be given
+    flags: tuple[str, ...]  # stage flags
+    artifacts: tuple[Artifact, ...] = ()  # in the order they are built and written
+
+
+SUBCOMMANDS = (
+    Subcommand("extract", "extract KeySystemCalls from a report",
+               ("--report",), ("--man-dir",), ("--n-derived",), (KEYS,)),
+    Subcommand("rank-files", "rank source files against the report",
+               ("--report", "--src"), ("--man-dir",), ("--n-derived", "--top-files"),
+               (RANKED_FILES,)),
+    Subcommand("mine-pairs", "mine the ranked syscall pair list",
+               ("--report",), ("--man-dir",), ("--n-derived",), (PAIR_RANKING,)),
+    Subcommand("locate", "resolve ranked instrumentation points",
+               ("--report", "--src"), ("--man-dir",), ("--n-derived", "--top-files"),
+               (POINTS,)),
+    Subcommand("gen-tests", "expand a TSL spec into test cases",
+               ("--report", "--tsl"), ("--scenario", "--commands"), (), (TEST_CASES,)),
+    Subcommand("reproduce", "run the ranked reproduction loop",
+               ("--report", "--src", "--scenario"), ("--man-dir",),
+               ("--n-derived", "--top-files", "--max-attempts"), (REPRO,)),
+    Subcommand("eval", "run the experiment over fixture bundles",
+               (), ("--man-dir",), ("--n-derived", "--top-files", "--top-n", "--max-attempts")),
+    Subcommand("pipeline", "run every stage end to end",
+               ("--report", "--src", "--scenario"), ("--tsl", "--man-dir"),
+               ("--n-derived", "--top-files", "--max-attempts"),
+               (KEYS, RANKED_FILES, PAIR_RANKING, POINTS, TEST_CASES, REPRO, SCHEDULE)),
+)
+
+
+# --- running a subcommand -------------------------------------------------------
+
 def _pipeline(args: argparse.Namespace) -> Pipeline:
     """The stages for these arguments; the mode and config are validated here."""
     mode, fraction = metrics_mod.parse_mode(args.mode)
-    config = ExperimentConfig(
-        mode=mode,
-        perturb_fraction=fraction,
-        seed=args.seed,
-        **{name: getattr(args, name) for name, _ in CONFIG_FLAGS.values() if hasattr(args, name)},
-    )
-    return Pipeline(
-        config,
-        report_path=getattr(args, "report", None),
-        src_root=getattr(args, "src", None),
-        scenario_path=getattr(args, "scenario", None),
-        man_dir=getattr(args, "man_dir", None),
-        tsl_path=getattr(args, "tsl", None),
-        commands=[n.strip() for n in getattr(args, "commands", "").split(",") if n.strip()],
-    )
+    fields = (CONFIG_FLAGS[flag][0] for flag in args.subcommand.flags)
+    config = ExperimentConfig(mode=mode, perturb_fraction=fraction, seed=args.seed,
+                              **{name: getattr(args, name) for name in fields})
+    given = (INPUT_FLAGS[flag][0] for flag in args.subcommand.inputs + args.subcommand.optional)
+    return Pipeline(config, **{
+        name: getattr(args, name) for name in given if getattr(args, name) is not None
+    })
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    keys = _pipeline(args).keys
-    path = _write_json(args.out_dir, "keys.json", _keys_payload(keys))
-    print(f"extraction path: {keys.path}")
-    for entry in keys.entries:
-        print(f"  {entry.name}: {entry.count} ({entry.source})")
-    if not keys.entries:
-        print("  (no system calls extracted)")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_rank_files(args: argparse.Namespace) -> int:
-    ranked = _pipeline(args).file_ranking
-    path = _write_json(args.out_dir, "ranked_files.json", _ranked_files_payload(ranked))
-    print(f"scheme: {ranked.scheme}")
-    for rank_no, (file_path, score) in enumerate(ranked.entries[: args.top_files], 1):
-        print(f"  {rank_no:2d}. {file_path}  {score:.4f}")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_mine_pairs(args: argparse.Namespace) -> int:
-    ranking = _pipeline(args).apriori
-    path = _write_json(args.out_dir, "pair_ranking.json", _ranking_payload(ranking))
-    if ranking.enumerate_all:
-        print("no key system calls: locator will enumerate all sites")
-    for entry in ranking.entries:
-        print(f"  {{{', '.join(entry.items)}}} = {entry.frequency}")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_locate(args: argparse.Namespace) -> int:
-    points = _pipeline(args).points
-    path = _write_json(args.out_dir, "points.json", _points_payload(points))
-    for p in points:
-        partner = ""
-        if p.pair_partner is not None:
-            partner = f" (pair with {p.pair_partner.syscall}:{p.pair_partner.line})"
-        print(f"  {p.rank:3d}. {p.placement} {p.syscall} {p.file}:{p.function}:{p.line}{partner}")
-    if not points:
-        print("  (no instrumentation points)")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_gen_tests(args: argparse.Namespace) -> int:
-    partial, cases = _pipeline(args).test_cases
-    path = _write_json(args.out_dir, "test_cases.json", _test_cases_payload(partial, cases))
-    for c in cases:
-        marker = " [error]" if c.error else ""
-        print(f"  {c.render()}{marker}")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_reproduce(args: argparse.Namespace) -> int:
+def write_artifacts(args: argparse.Namespace) -> int:
+    """Build every payload, then write them; print the summary of the last
+    artifact that has one and the path of the last artifact, if written."""
     pipe = _pipeline(args)
-    result = pipe.result
-    path = _write_json(args.out_dir, "repro.json", _repro_payload(pipe.scenario, result))
-    print(f"reproduced: {result.reproduced} in {result.attempts} attempts "
-          f"({result.wall_time:.3f}s)")
-    if result.schedule is not None:
-        for line in harness_mod.format_schedule(pipe.scenario, result.schedule):
-            print(f"  {line}")
-    print(f"wrote {path}")
-    return EXIT_OK if result.reproduced else EXIT_NOT_REPRODUCED
+    artifacts = args.subcommand.artifacts
+    payloads = [artifact.payload(pipe) for artifact in artifacts]
+    for artifact, payload in zip(artifacts, payloads):
+        if payload is not None:
+            _write(args.out_dir, artifact.name, payload)
+    shown = [artifact for artifact in artifacts if artifact.summary is not None][-1]
+    for line in shown.summary(pipe):
+        print(line)
+    if payloads[-1] is not None:
+        print(f"wrote {args.out_dir / artifacts[-1].name}")
+    if REPRO in artifacts and not pipe.result.reproduced:
+        return EXIT_NOT_REPRODUCED
+    return EXIT_OK
 
 
 def _bundle_from_dir(path: Path) -> FixtureBundle:
@@ -262,38 +333,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "rows": [metrics_mod.row_to_json(r) for r in rows],
     }
-    _write_json(args.out_dir, "results.json", payload)
-    table_path = args.out_dir / "results.tsv"
-    table_path.write_text(
-        metrics_mod.render_table(rows, include_time=False) + "\n", "utf-8"
+    _write(args.out_dir, "results.json", payload)
+    table_path = _write(
+        args.out_dir, "results.tsv", metrics_mod.render_table(rows, include_time=False) + "\n"
     )
     print(metrics_mod.render_table(rows, include_time=True))
     print(f"wrote {args.out_dir / 'results.json'} and {table_path}")
     return EXIT_OK
-
-
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    pipe = _pipeline(args)
-    _write_json(args.out_dir, "keys.json", _keys_payload(pipe.keys))
-    _write_json(args.out_dir, "ranked_files.json", _ranked_files_payload(pipe.file_ranking))
-    _write_json(args.out_dir, "pair_ranking.json", _ranking_payload(pipe.ranking))
-    _write_json(args.out_dir, "points.json", _points_payload(pipe.points))
-    if args.tsl:
-        _write_json(args.out_dir, "test_cases.json", _test_cases_payload(*pipe.test_cases))
-
-    result = pipe.result
-    _write_json(args.out_dir, "repro.json", _repro_payload(pipe.scenario, result))
-    print(f"reproduced: {result.reproduced} in {result.attempts} attempts "
-          f"({result.wall_time:.3f}s)")
-    if result.reproduced and result.schedule is not None:
-        lines = harness_mod.format_schedule(pipe.scenario, result.schedule)
-        schedule_path = args.out_dir / "schedule.txt"
-        schedule_path.write_text("\n".join(lines) + "\n", "utf-8")
-        for line in lines:
-            print(f"  {line}")
-        print(f"wrote {schedule_path}")
-        return EXIT_OK
-    return EXIT_NOT_REPRODUCED
 
 
 # --- argument parsing --------------------------------------------------------
@@ -307,26 +353,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *flags: str, report=False, src=False,
-                   scenario=False, tsl=False, catalog=True) -> None:
-        if report:
-            p.add_argument("--report", required=True, type=Path,
-                           help="bug report (.txt with Subject: line, or .json)")
-        if src:
-            p.add_argument("--src", required=True, type=Path,
-                           help="C source tree root")
-        if scenario:
-            p.add_argument("--scenario", required=True, type=Path,
-                           help="scenario file (JSON)")
-        if tsl:
-            p.add_argument("--tsl", type=Path, default=None,
-                           help="TSL category-partition spec file")
-        if catalog:
-            p.add_argument("--man-dir", type=Path, default=None,
-                           help="man-page catalog directory (default: bundled)")
-            flags = ("--n-derived", *flags)
-        for flag in flags:
+    for subcommand in SUBCOMMANDS:
+        p = sub.add_parser(subcommand.name, help=subcommand.help)
+        for flag in subcommand.inputs + subcommand.optional:
+            name, kind, text = INPUT_FLAGS[flag]
+            p.add_argument(flag, dest=name, type=kind, required=flag in subcommand.inputs,
+                           metavar=flag[2:].upper().replace("-", "_"), help=text)
+        for flag in subcommand.flags:
             name, text = CONFIG_FLAGS[flag]
             default = getattr(ExperimentConfig, name)
             p.add_argument(flag, dest=name, type=int, default=default, metavar="N",
@@ -339,47 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="pipeline mode: " + " | ".join(
                            f"{m}@<f>" if m == metrics_mod.MODE_PERTURBED else m
                            for m in metrics_mod.MODES))
+        p.set_defaults(subcommand=subcommand, func=write_artifacts)
 
-    p = sub.add_parser("extract", help="extract KeySystemCalls from a report")
-    add_common(p, report=True)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("rank-files", help="rank source files against the report")
-    add_common(p, "--top-files", report=True, src=True)
-    p.set_defaults(func=cmd_rank_files)
-
-    p = sub.add_parser("mine-pairs", help="mine the ranked syscall pair list")
-    add_common(p, report=True)
-    p.set_defaults(func=cmd_mine_pairs)
-
-    p = sub.add_parser("locate", help="resolve ranked instrumentation points")
-    add_common(p, "--top-files", report=True, src=True)
-    p.set_defaults(func=cmd_locate)
-
-    p = sub.add_parser("gen-tests", help="expand a TSL spec into test cases")
-    add_common(p, report=True, catalog=False)
-    p.add_argument("--tsl", required=True, type=Path, help="TSL spec file")
-    p.add_argument("--scenario", type=Path, default=None,
-                   help="scenario file (its process names seed known commands)")
-    p.add_argument("--commands", default="",
-                   help="comma-separated known command names")
-    p.set_defaults(func=cmd_gen_tests)
-
-    p = sub.add_parser("reproduce", help="run the ranked reproduction loop")
-    add_common(p, "--top-files", "--max-attempts", report=True, src=True, scenario=True)
-    p.set_defaults(func=cmd_reproduce)
-
-    p = sub.add_parser("eval", help="run the experiment over fixture bundles")
-    add_common(p, "--top-files", "--top-n", "--max-attempts")
+    p = sub.choices["eval"]
     p.add_argument("fixtures", nargs="+",
                    help="fixture bundle directories (report + src/ + scenario.json)")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("pipeline", help="run every stage end to end")
-    add_common(p, "--top-files", "--max-attempts",
-               report=True, src=True, scenario=True, tsl=True)
-    p.set_defaults(func=cmd_pipeline)
-
     return parser
 
 

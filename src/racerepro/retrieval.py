@@ -183,16 +183,9 @@ def _report_query(report: BugReport) -> TokenStream:
     return preprocess(report.subject + "\n" + report.body)
 
 
-def _field_indexes(source: SourceIndex | list[SourceDoc]) -> dict[str, TfIdfIndex]:
-    """A SourceIndex's own field indexes, or ones built over a doc list."""
-    if isinstance(source, list):
-        return build_field_indexes(source)
-    return source.field_indexes
-
-
-def rank_basic(report: BugReport, source: SourceIndex | list[SourceDoc]) -> RankedFiles:
+def rank_basic(report: BugReport, source: SourceIndex) -> RankedFiles:
     """BasicIR baseline: whole report vs whole-file token streams."""
-    index = _field_indexes(source)["full_text_with_comments"]
+    index = source.field_indexes["full_text_with_comments"]
     entries = rank(index, _report_query(report))
     return RankedFiles(entries=entries, scheme="basic")
 
@@ -205,7 +198,7 @@ def _syscall_query(keys: KeySystemCalls) -> TokenStream:
 
 
 def rank_structured(
-    report: BugReport, key_syscalls: KeySystemCalls, source: SourceIndex | list[SourceDoc]
+    report: BugReport, key_syscalls: KeySystemCalls, source: SourceIndex
 ) -> RankedFiles:
     """Structured ranker: 12 field-scoped searches averaged per file.
 
@@ -213,7 +206,7 @@ def rank_structured(
     multiplicity); each is run against four per-field indexes.  An empty
     query scores 0 everywhere but still counts in the divisor.
     """
-    indexes = _field_indexes(source)
+    indexes = source.field_indexes
     queries: dict[str, TokenStream] = {
         "subject": preprocess(report.subject),
         "body": preprocess(report.body),

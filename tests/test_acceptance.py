@@ -38,7 +38,7 @@ from racerepro.retrieval import (
     rank_structured,
     similarity,
 )
-from test_retrieval import _doc, _numpy_basic_oracle
+from test_retrieval import _doc, _numpy_basic_oracle, _source_index
 
 TOL = 1e-9
 
@@ -176,7 +176,7 @@ def test_c4_ir_fidelity(mv_report, mv_index, gzip_report, gzip_index):
     docs = [_doc("a.c", "alpha", "beta", "gamma"), _doc("b.c", "delta", "epsilon", "zeta")]
     report = BugReport.from_parts("t", "alpha", "beta")
     keys = KeySystemCalls(entries=[KeyEntry("gamma", 1, "direct")], path="direct")
-    ranked = rank_structured(report, keys, docs)
+    ranked = rank_structured(report, keys, _source_index(docs))
     assert ranked.entries[0][0] == "a.c"
     assert ranked.entries[0][1] == pytest.approx((3.0 + math.sqrt(3.0)) / 12.0, abs=TOL)
     assert ranked.entries[1][1] == pytest.approx(0.0, abs=TOL)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import shutil
 
 import pytest
 
-from conftest import GZIP_DIR, MV_DIR
-from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, _write_json, main
+from conftest import FIXTURES, GZIP_DIR, MV_DIR, ROOT
+from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, _write, main
 from racerepro.harness import load_scenario, random_baseline
 from racerepro.metrics import MODES
 from racerepro.testcases import MAX_FRAMES
@@ -255,6 +257,19 @@ def test_pipeline_writes_every_stage(tmp_path, capsys):
     assert "reproduced: True in 1 attempts" in out
 
 
+def test_readme_quick_start_transcript_is_the_pipeline_output(tmp_path, monkeypatch, capsys):
+    block = (ROOT / "README.md").read_text("utf-8").split("## Quick start", 1)[1]
+    lines = block.split("```\n", 2)[1].splitlines()
+    n_command = next(i for i, line in enumerate(lines) if not line.endswith("\\")) + 1
+    command = " ".join(line.removesuffix("\\") for line in lines[:n_command])
+    argv = shlex.split(command.removeprefix("$ racerepro "))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fixtures").symlink_to(FIXTURES)
+    assert main(argv) == EXIT_OK
+    out = re.sub(r"\(\d+\.\d{3}s\)", "(0.000s)", capsys.readouterr().out)
+    assert out.splitlines() == lines[n_command:]
+
+
 def test_pipeline_artifacts_are_byte_identical_across_runs(tmp_path):
     dirs = [tmp_path / "run1", tmp_path / "run2"]
     for out_dir in dirs:
@@ -270,13 +285,13 @@ def test_pipeline_artifacts_are_byte_identical_across_runs(tmp_path):
 
 
 def test_streamed_artifact_bytes_equal_the_one_shot_encoding(tmp_path):
-    """``_write_json`` streams with ``json.dump``; the bytes are those of
+    """``_write`` streams a dict with ``json.dump``; the bytes are those of
     ``json.dumps(..., indent=2, sort_keys=True) + "\\n"``."""
     payload = {
         "schema": "x/v1", "b": [0.1, 1e-17, 2.0, -0.0, 1 / 3], "a": {"z": [], "y": {}},
         "text": "caf\u00e9 \"q\" \\ \n\u2028", "n": None, "t": True, "big": 10**20,
     }
-    path = _write_json(tmp_path / "out", "p.json", payload)
+    path = _write(tmp_path / "out", "p.json", payload)
     want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
 
@@ -312,16 +327,36 @@ def test_each_subcommand_writes_the_bytes_pipeline_writes(tmp_path, fixture_dir)
         whole = run("pipeline", ("--report", "--src", "--scenario", "--tsl"), mode)
         for command, artifact, flags in STAGE_COMMANDS:
             alone = (run(command, flags, mode) / artifact).read_bytes()
-            if (mode, command) == ("no-apriori", "mine-pairs"):
-                # the one exception: mine-pairs writes the mined ranking in every mode
-                assert alone != (whole / artifact).read_bytes()
-                mined = tmp_path / "structured-ir" / "pipeline" / artifact
-                assert alone == mined.read_bytes()
-            else:
-                assert alone == (whole / artifact).read_bytes(), (mode, command)
+            assert alone == (whole / artifact).read_bytes(), (mode, command)
 
 
 # --- usage errors -----------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", ["scenario", "tsl"])
+@pytest.mark.parametrize("prefilled", [False, True], ids=["fresh", "prefilled"])
+def test_pipeline_with_a_malformed_input_writes_nothing(tmp_path, capsys, bad, prefilled):
+    inputs = {"scenario": MV_SCENARIO, "tsl": MV_TSL}
+    inputs[bad] = tmp_path / f"bad.{bad}"
+    inputs[bad].write_text(
+        json.dumps({"id": "x", "processes": []}) if bad == "scenario" else "choice orphan\n"
+    )
+    out = tmp_path / "out"
+    earlier = {name: f"an earlier run's {name}\n".encode() for name in EXPECTED_ARTIFACTS}
+    if prefilled:
+        out.mkdir()
+        for name, data in earlier.items():
+            (out / name).write_bytes(data)
+    code = main([
+        "pipeline", "--report", MV_REPORT, "--src", MV_SRC, "--scenario", str(inputs["scenario"]),
+        "--tsl", str(inputs["tsl"]), "--out-dir", str(out),
+    ])
+    assert code == EXIT_CONFIG
+    assert f"error: {inputs[bad]}" in capsys.readouterr().err
+    if prefilled:
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+    else:
+        assert not out.exists()
+
 
 #: per subcommand, its input flags and the stage flags none of its stages read
 #: (eval takes them all)

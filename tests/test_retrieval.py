@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racerepro.catalog import KeyEntry, KeySystemCalls
-from racerepro.csource import SourceDoc, index_tree
+from racerepro.csource import CallGraph, SourceDoc, SourceIndex, index_tree
 from racerepro.reports import BugReport, preprocess
 from racerepro.retrieval import (
     STRUCTURED_SEARCH_COUNT,
@@ -205,6 +205,13 @@ def _doc(path: str, fname: str, func: str, var: str) -> SourceDoc:
     )
 
 
+def _source_index(docs: list[SourceDoc]) -> SourceIndex:
+    """An index over hand-built docs: their field indexes, no functions."""
+    return SourceIndex(
+        docs=docs, field_indexes=build_field_indexes(docs), functions=[], graph=CallGraph()
+    )
+
+
 def test_s_avg_equals_mean_of_twelve_searches():
     """Hand-built matrix: every one of A's non-zero searches is 1 or 1/sqrt(3).
 
@@ -222,7 +229,7 @@ def test_s_avg_equals_mean_of_twelve_searches():
     report = BugReport.from_parts("t", "alpha", "beta")
     keys = KeySystemCalls(entries=[KeyEntry("gamma", 1, "direct")], path="direct")
 
-    ranked = rank_structured(report, keys, docs)
+    ranked = rank_structured(report, keys, _source_index(docs))
     want_a = (3.0 + math.sqrt(3.0)) / 12.0
     assert ranked.entries[0][0] == "a.c"
     assert ranked.entries[0][1] == pytest.approx(want_a, abs=TOL)
@@ -254,7 +261,7 @@ def test_structured_divisor_fixed_when_query_empty():
     docs = [_doc("a.c", "alpha", "beta", "gamma"), _doc("b.c", "delta", "epsilon", "zeta")]
     report = BugReport.from_parts("t", "alpha", "")  # empty body query
     keys = KeySystemCalls(entries=[], path="derived")  # empty syscalls query
-    ranked = rank_structured(report, keys, docs)
+    ranked = rank_structured(report, keys, _source_index(docs))
     # only subject searches can score: 1 + 1/sqrt(3) over the fixed 12
     want = (1.0 + 1.0 / math.sqrt(3.0)) / 12.0
     assert ranked.entries[0] == ("a.c", pytest.approx(want, abs=TOL))
@@ -265,11 +272,12 @@ def test_ranking_from_source_index_equals_ranking_from_its_docs(request, name):
     index = request.getfixturevalue(f"{name}_index")
     report = request.getfixturevalue(f"{name}_report")
     keys = request.getfixturevalue(f"{name}_keys")
+    docs_only = _source_index(list(index.docs))
     from_index = rank_structured(report, keys, index)
-    from_docs = rank_structured(report, keys, list(index.docs))
+    from_docs = rank_structured(report, keys, docs_only)
     assert from_index.entries == from_docs.entries
     assert from_index.breakdown == from_docs.breakdown
-    assert rank_basic(report, index).entries == rank_basic(report, list(index.docs)).entries
+    assert rank_basic(report, index).entries == rank_basic(report, docs_only).entries
 
 
 def test_source_index_carries_its_field_indexes(mv_index):
@@ -277,8 +285,8 @@ def test_source_index_carries_its_field_indexes(mv_index):
 
 
 def test_structured_invariant_under_doc_permutation(mv_report, mv_keys, mv_index):
-    forward = rank_structured(mv_report, mv_keys, mv_index.docs)
-    backward = rank_structured(mv_report, mv_keys, list(reversed(mv_index.docs)))
+    forward = rank_structured(mv_report, mv_keys, _source_index(mv_index.docs))
+    backward = rank_structured(mv_report, mv_keys, _source_index(list(reversed(mv_index.docs))))
     assert forward.entries == backward.entries
 
 
@@ -324,10 +332,6 @@ def test_rank_basic_matches_numpy_oracle(request, fixture_name):
     assert [p for p, _ in got.entries] == [p for p, _ in want]
     for (_, g), (_, w) in zip(got.entries, want):
         assert g == pytest.approx(w, abs=TOL)
-
-
-def test_rank_basic_accepts_index_or_doc_list(mv_report, mv_index):
-    assert rank_basic(mv_report, mv_index).entries == rank_basic(mv_report, mv_index.docs).entries
 
 
 def test_mv_fixture_copy_c_first_in_both_schemes(mv_report, mv_keys, mv_index):
