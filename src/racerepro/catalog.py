@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 
-from .reports import BugReport, InputError, preprocess, reading, tokenize
+from .reports import BugReport, InputError, preprocess, reading, words
 from .retrieval import TfIdfIndex, build_index, rank
 
 DEFAULT_DERIVED_N = 10
@@ -25,15 +25,10 @@ SOURCE_DIRECT = "direct"
 SOURCE_DERIVED = "derived"
 
 
-@dataclass(frozen=True)
-class ManPageEntry:
-    syscall_name: str
-    name_section_text: str
-
-
 @dataclass
 class Catalog:
-    entries: dict[str, ManPageEntry]
+    #: syscall name -> its NAME summary
+    entries: dict[str, str]
 
     @cached_property
     def summary_index(self) -> TfIdfIndex:
@@ -42,22 +37,20 @@ class Catalog:
         Cached on the instance, so ``entries`` must not change afterwards.
         """
         return build_index([
-            (name, preprocess(entry.name_section_text))
-            for name, entry in sorted(self.entries.items())
+            (name, preprocess(summary)) for name, summary in sorted(self.entries.items())
         ])
 
 
 def load_catalog(man_dir: str | Path) -> Catalog:
     """Load ``<dir>/<syscall>.txt`` files; the first line is the NAME summary."""
     man_dir = Path(man_dir)
-    entries: dict[str, ManPageEntry] = {}
+    entries: dict[str, str] = {}
     for path in sorted(man_dir.glob("*.txt")):
         with reading(path):
             text = path.read_text("utf-8").strip()
         if not text:
             raise InputError(f"{path}: empty man-page file")
-        name_line = text.splitlines()[0].strip()
-        entries[path.stem] = ManPageEntry(syscall_name=path.stem, name_section_text=name_line)
+        entries[path.stem] = text.splitlines()[0].strip()
     if not entries:
         raise InputError(f"{man_dir}: no man-page files found")
     return Catalog(entries=entries)
@@ -99,7 +92,7 @@ class KeySystemCalls:
 
 def _mentions(text: str, names: frozenset[str]) -> list[str]:
     """Catalog names appearing as whole (lowercased, unsplit) tokens, in order."""
-    return [tok for tok in tokenize(text, split_compounds=False) if tok in names]
+    return [tok for tok in words(text) if tok in names]
 
 
 def extract_direct(report: BugReport, catalog: Catalog) -> KeySystemCalls:
@@ -138,7 +131,7 @@ def extract_derived(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    query = preprocess(report.subject + "\n" + report.body)
+    query = report.subject_terms + report.body_terms
     if not query:
         return KeySystemCalls(entries=[], path=SOURCE_DERIVED)
     ranked = rank(catalog.summary_index, query)

@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import retrieval
-from .reports import MODE_C_SOURCE, TokenStream, preprocess_words
+from .reports import MODE_C_SOURCE, TokenStream, preprocess
 
 SOURCE_SUFFIXES = (".c", ".h")
 
@@ -397,10 +397,10 @@ def _index_files(
         doc = SourceDoc(
             path=rel,
             fields={
-                "file_name": preprocess_words(rel.rpartition("/")[2], MODE_C_SOURCE, terms),
-                "function_names": preprocess_words(names, MODE_C_SOURCE, terms),
-                "variable_names": preprocess_words(" ".join(variables), MODE_C_SOURCE, terms),
-                "full_text_with_comments": preprocess_words(text, MODE_C_SOURCE, terms),
+                "file_name": preprocess(rel.rpartition("/")[2], MODE_C_SOURCE, terms),
+                "function_names": preprocess(names, MODE_C_SOURCE, terms),
+                "variable_names": preprocess(" ".join(variables), MODE_C_SOURCE, terms),
+                "full_text_with_comments": preprocess(text, MODE_C_SOURCE, terms),
             },
         )
         per_file.append((file_functions, doc))

@@ -176,11 +176,12 @@ def load_scenario(path: str | Path) -> Scenario:
             expected_content=None if content is None else json_of(str, content),
         )
     with reading(path, "src_map"):
-        src_map = {
-            (json_of(str, m["file"]), json_of(str, m["function"]), json_of(int, m["line"])):
-                (json_of(str, m["process"]), json_of(int, m["op_index"]))
-            for m in json_of(list, data.get("src_map", []))
-        }
+        src_map = {}
+        for m in json_of(list, data.get("src_map", [])):
+            key = (json_of(str, m["file"]), json_of(str, m["function"]), json_of(int, m["line"]))
+            if key in src_map:
+                raise ValueError("location {}:{}:{} mapped twice".format(*key))
+            src_map[key] = (json_of(str, m["process"]), json_of(int, m["op_index"]))
     with reading(path, "processes"):
         processes = [
             (json_of(str, p["name"]), [_op_from_json(op) for op in json_of(list, p["trace"])])

@@ -101,7 +101,7 @@ def perturb_report(report: BugReport, fraction: float, seed: int) -> BugReport:
     rng = random.Random(seed)
     removed = set(rng.sample(range(len(words)), n_remove))
     kept = [w for i, w in enumerate(words) if i not in removed]
-    return BugReport.from_parts(report.id, report.subject, " ".join(kept))
+    return BugReport(report.id, report.subject, " ".join(kept))
 
 
 # --- ground truth -----------------------------------------------------------

@@ -6,6 +6,9 @@ removal, C reserved-word removal (for source text), Porter stemming.
 Stop-word and reserved-word lists are bundled data files so results are
 bit-reproducible.
 
+A ``BugReport`` is frozen.  Its sentences and its subject and body terms
+are made once per report and shared by key extraction and both rankers.
+
 Report input formats:
 
 * plain text: first line ``Subject: <text>``, a blank line, then the body;
@@ -18,7 +21,8 @@ import json
 import re
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -41,12 +45,8 @@ class InputError(ValueError):
 
 def _load_wordlist(name: str) -> frozenset[str]:
     text = (resources.files("racerepro") / "data" / name).read_text("utf-8")
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
-    return frozenset(words)
+    lines = (line.strip() for line in text.splitlines())
+    return frozenset(line.lower() for line in lines if line and not line.startswith("#"))
 
 
 STOP_WORDS = _load_wordlist("stopwords.txt")
@@ -62,22 +62,23 @@ def split_identifier(token: str) -> list[str]:
     return _CAMEL_RE.findall(token)
 
 
-def tokenize(text: str, split_compounds: bool = True) -> TokenStream:
+def words(text: str) -> TokenStream:
+    """Lowercased raw words, compounds kept whole: what exact-match scans want."""
+    return [raw.lower() for raw in _WORD_RE.findall(text)]
+
+
+def tokenize(text: str) -> TokenStream:
     """Lowercased word tokens, split on non-alphanumeric except underscore.
 
     Compound identifiers (``copy_internal``, ``readFile``) are kept whole and
-    additionally emitted as sub-tokens, bridging identifier and prose
-    vocabulary.  ``split_compounds=False`` yields raw word tokens only, which
-    is what exact-match scans (syscall mention counting) want.
+    followed by their sub-tokens, bridging identifier and prose vocabulary.
     """
     tokens: TokenStream = []
-    for match in _WORD_RE.finditer(text):
-        raw = match.group()
+    for raw in _WORD_RE.findall(text):
         tokens.append(raw.lower())
-        if split_compounds:
-            parts = split_identifier(raw)
-            if len(parts) >= 2:
-                tokens.extend(part.lower() for part in parts)
+        parts = split_identifier(raw)
+        if len(parts) >= 2:
+            tokens.extend(part.lower() for part in parts)
     return tokens
 
 
@@ -93,18 +94,15 @@ def preprocess_tokens(tokens: TokenStream, mode: str = MODE_TEXT) -> TokenStream
     return [stem(tok) for tok in tokens if tok not in dropped]
 
 
-def preprocess(text: str, mode: str = MODE_TEXT) -> TokenStream:
-    """Full four-step pipeline over raw text."""
-    return preprocess_tokens(tokenize(text), mode)
-
-
-def preprocess_words(text: str, mode: str, memo: dict[str, TokenStream]) -> TokenStream:
-    """``preprocess(text, mode)``, running the pipeline once per distinct word.
+def preprocess(text: str, mode: str = MODE_TEXT, memo: dict | None = None) -> TokenStream:
+    """Full four-step pipeline over raw text, run once per distinct word.
 
     ``memo`` maps each raw word already seen to its terms and gains the new
     ones; a word's terms do not depend on its neighbours, so reusing them
-    gives the same stream.  The caller owns the memo and its lifetime.
+    gives the same stream.  Without one, each call uses a fresh memo; a
+    caller that passes one owns it and its lifetime.
     """
+    memo = {} if memo is None else memo
     out: TokenStream = []
     for raw in _WORD_RE.findall(text):
         terms = memo.get(raw)
@@ -133,18 +131,25 @@ def split_sentences(body: str) -> list[str]:
 
 # --- report loading ---------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BugReport:
-    """A bug report; subject and body are stored unmodified."""
+    """A bug report; subject and body are stored unmodified, views made once."""
 
     id: str
     subject: str
     body: str
-    sentences: list[str] = field(default_factory=list)
 
-    @classmethod
-    def from_parts(cls, id: str, subject: str, body: str) -> "BugReport":
-        return cls(id=id, subject=subject, body=body, sentences=split_sentences(body))
+    @cached_property
+    def sentences(self) -> list[str]:
+        return split_sentences(self.body)
+
+    @cached_property
+    def subject_terms(self) -> TokenStream:
+        return preprocess(self.subject)
+
+    @cached_property
+    def body_terms(self) -> TokenStream:
+        return preprocess(self.body)
 
 
 def load_report(path: str | Path) -> BugReport:
@@ -158,7 +163,7 @@ def load_report(path: str | Path) -> BugReport:
             subject = json_of(str, data["subject"])
         with reading(path, "body"):
             body = json_of(str, data.get("body", ""))
-        return BugReport.from_parts(report_id, subject, body)
+        return BugReport(report_id, subject, body)
 
     with reading(path):
         text = path.read_text("utf-8")
@@ -167,7 +172,7 @@ def load_report(path: str | Path) -> BugReport:
         raise InputError(f"{path}: first line must start with 'Subject:'")
     subject = first[len("Subject:"):].strip()
     body = rest.lstrip("\n")
-    return BugReport.from_parts(path.stem, subject, body)
+    return BugReport(path.stem, subject, body)
 
 
 # --- reading input files ----------------------------------------------------

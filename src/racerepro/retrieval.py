@@ -30,7 +30,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .reports import MODE_C_SOURCE, BugReport, TokenStream, preprocess, preprocess_tokens
+from .reports import MODE_C_SOURCE, BugReport, TokenStream, preprocess_tokens
+
+# bench/tracing.py wraps retrieval.preprocess by name: keep it bound.
+from .reports import preprocess  # noqa: F401
 
 if TYPE_CHECKING:
     from .catalog import KeySystemCalls
@@ -179,14 +182,10 @@ class RankedFiles:
         return [path for path, _ in self.entries[:k]]
 
 
-def _report_query(report: BugReport) -> TokenStream:
-    return preprocess(report.subject + "\n" + report.body)
-
-
 def rank_basic(report: BugReport, source: SourceIndex) -> RankedFiles:
     """BasicIR baseline: whole report vs whole-file token streams."""
     index = source.field_indexes["full_text_with_comments"]
-    entries = rank(index, _report_query(report))
+    entries = rank(index, report.subject_terms + report.body_terms)
     return RankedFiles(entries=entries, scheme="basic")
 
 
@@ -208,8 +207,8 @@ def rank_structured(
     """
     indexes = source.field_indexes
     queries: dict[str, TokenStream] = {
-        "subject": preprocess(report.subject),
-        "body": preprocess(report.body),
+        "subject": report.subject_terms,
+        "body": report.body_terms,
         "syscalls": _syscall_query(key_syscalls),
     }
     breakdown: dict[str, dict[str, float]] = {path: {} for path in indexes["file_name"].counts}

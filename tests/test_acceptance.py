@@ -174,7 +174,7 @@ def test_c4_ir_fidelity(mv_report, mv_index, gzip_report, gzip_index):
 
     # S_avg is the mean of the twelve field-scoped searches
     docs = [_doc("a.c", "alpha", "beta", "gamma"), _doc("b.c", "delta", "epsilon", "zeta")]
-    report = BugReport.from_parts("t", "alpha", "beta")
+    report = BugReport("t", "alpha", "beta")
     keys = KeySystemCalls(entries=[KeyEntry("gamma", 1, "direct")], path="direct")
     ranked = rank_structured(report, keys, _source_index(docs))
     assert ranked.entries[0][0] == "a.c"

@@ -20,7 +20,7 @@ from racerepro.reports import BugReport, InputError
 
 
 def make_report(subject: str, body: str) -> BugReport:
-    return BugReport.from_parts("t", subject, body)
+    return BugReport("t", subject, body)
 
 
 # --- loading ------------------------------------------------------------------
@@ -31,7 +31,7 @@ def test_load_catalog_first_line_is_summary(tmp_path):
     )
     catalog = load_catalog(tmp_path)
     assert list(catalog.entries) == ["rename"]
-    assert catalog.entries["rename"].name_section_text == (
+    assert catalog.entries["rename"] == (
         "rename - change the name or location of a file"
     )
 

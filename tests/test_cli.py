@@ -483,6 +483,26 @@ def test_scenario_wrong_json_type_exits_two(tmp_path, capsys, payload):
         assert "field 'processes'" in err
 
 
+def test_scenario_repeated_src_map_location_exits_two(tmp_path, capsys):
+    payload = _read_json(MV_DIR / "scenario.json")
+    # the last entry would otherwise win: rename credited to line 307, unlink unmapped
+    payload["src_map"].append({"file": "copy.c", "function": "copy_internal", "line": 307,
+                               "process": "mv", "op_index": 1})
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(payload))
+    out_dir = tmp_path / "out"
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(out_dir),
+    ])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {scenario_path}: field 'src_map': location copy.c:copy_internal:307"
+        " mapped twice\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_scenario_args_string_exits_two_naming_the_field(tmp_path, capsys):
     payload = _read_json(MV_DIR / "scenario.json")
     op = payload["processes"][0]["trace"][1]

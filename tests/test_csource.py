@@ -25,7 +25,7 @@ from racerepro.csource import (
     _scan_file,
     index_tree,
 )
-from racerepro.reports import MODE_C_SOURCE, preprocess_tokens, preprocess_words, tokenize
+from racerepro.reports import MODE_C_SOURCE, preprocess, preprocess_tokens, tokenize
 
 SYSCALLS = frozenset({"open", "close", "read", "unlink", "rename", "stat"})
 
@@ -501,8 +501,8 @@ def test_per_word_preprocessing_equals_whole_text_preprocessing(root):
     for path in sorted(root.rglob("*.[ch]")):
         text = path.read_text("utf-8", errors="replace")
         want = preprocess_tokens(tokenize(text), MODE_C_SOURCE)
-        assert preprocess_words(text, MODE_C_SOURCE, memo) == want, path
-        assert preprocess_words(text, MODE_C_SOURCE, {}) == want, path
+        assert preprocess(text, MODE_C_SOURCE, memo) == want, path
+        assert preprocess(text, MODE_C_SOURCE) == want, path
 
 
 def test_full_text_field_is_the_preprocessed_file(mv_index):

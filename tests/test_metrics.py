@@ -120,24 +120,24 @@ TEN_WORDS = "one two three four five six seven eight nine ten"
 
 
 def test_perturb_fraction_zero_is_identity():
-    report = BugReport.from_parts("t", "s", TEN_WORDS)
+    report = BugReport("t", "s", TEN_WORDS)
     assert perturb_report(report, 0.0, seed=1) is report
 
 
 def test_perturb_fraction_one_empties_the_body():
-    report = BugReport.from_parts("t", "s", TEN_WORDS)
+    report = BugReport("t", "s", TEN_WORDS)
     assert perturb_report(report, 1.0, seed=1).body == ""
 
 
 def test_perturb_half_removes_floor_of_half():
-    report = BugReport.from_parts("t", "s", TEN_WORDS)
+    report = BugReport("t", "s", TEN_WORDS)
     out = perturb_report(report, 0.5, seed=9)
     assert len(out.body.split()) == 5
     assert set(out.body.split()) < set(TEN_WORDS.split())
 
 
 def test_perturb_keeps_subject_and_order():
-    report = BugReport.from_parts("t", "keep me intact", TEN_WORDS)
+    report = BugReport("t", "keep me intact", TEN_WORDS)
     out = perturb_report(report, 0.3, seed=2)
     assert out.subject == "keep me intact"
     survivors = out.body.split()
@@ -146,12 +146,12 @@ def test_perturb_keeps_subject_and_order():
 
 
 def test_perturb_is_seed_deterministic():
-    report = BugReport.from_parts("t", "s", TEN_WORDS)
+    report = BugReport("t", "s", TEN_WORDS)
     assert perturb_report(report, 0.5, seed=4).body == perturb_report(report, 0.5, seed=4).body
 
 
 def test_perturb_rejects_out_of_range_fraction():
-    report = BugReport.from_parts("t", "s", TEN_WORDS)
+    report = BugReport("t", "s", TEN_WORDS)
     with pytest.raises(ValueError):
         perturb_report(report, -0.1, seed=0)
     with pytest.raises(ValueError):

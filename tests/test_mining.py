@@ -51,20 +51,20 @@ def _keys(sentence_mentions: dict[int, list[str]], subject: list[str] | None = N
 
 
 def test_build_transactions_orders_by_sentence():
-    report = BugReport.from_parts("t", "subj", "a. b. c.")
+    report = BugReport("t", "subj", "a. b. c.")
     keys = _keys({2: ["rename"], 0: ["unlink", "rename"]})
     db = build_transactions(report, keys)
     assert db.transactions == [(0, ["unlink", "rename"]), (2, ["rename"])]
 
 
 def test_build_transactions_leaves_out_the_subject():
-    report = BugReport.from_parts("t", "unlink here", "a.")
+    report = BugReport("t", "unlink here", "a.")
     keys = _keys({0: ["rename"]}, subject=["unlink"])
     assert build_transactions(report, keys).transactions == [(0, ["rename"])]
 
 
 def test_build_transactions_rejects_dangling_sentence_index():
-    report = BugReport.from_parts("t", "s", "only one.")
+    report = BugReport("t", "s", "only one.")
     keys = _keys({3: ["rename"]})
     with pytest.raises(ValueError):
         build_transactions(report, keys)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GZIP_DIR, MV_DIR
+from racerepro import catalog, csource, reports, retrieval
+from racerepro.metrics import ExperimentConfig, FixtureBundle, perturb_report, run_fixture
 from racerepro.reports import (
     _CAMEL_RE,
     C_RESERVED_WORDS,
@@ -22,6 +26,7 @@ from racerepro.reports import (
     split_identifier,
     split_sentences,
     tokenize,
+    words,
 )
 
 
@@ -115,10 +120,8 @@ def test_tokenize_camel_case():
     assert tokenize("readFile") == ["readfile", "read", "file"]
 
 
-def test_tokenize_raw_mode():
-    assert tokenize("copy_internal readFile", split_compounds=False) == [
-        "copy_internal", "readfile",
-    ]
+def test_words_keeps_compounds_whole():
+    assert words("copy_internal readFile") == ["copy_internal", "readfile"]
 
 
 def test_tokenize_strips_punctuation():
@@ -184,6 +187,61 @@ def test_preprocess_idempotent_on_fixture_reports(mv_report, gzip_report):
             assert preprocess_tokens(once, mode) == once
 
 
-def test_from_parts_populates_sentences():
-    report = BugReport.from_parts("x", "subj", "One. Two.")
+# --- the report's derived views --------------------------------------------------
+
+def test_sentences_are_split_from_the_body():
+    report = BugReport("x", "subj", "One. Two.")
     assert report.sentences == ["One", "Two"]
+
+
+@pytest.mark.parametrize("field", ["id", "subject", "body", "sentences"])
+def test_report_fields_cannot_be_assigned(field):
+    report = BugReport("x", "subj", "One. Two.")
+    with pytest.raises(FrozenInstanceError):
+        setattr(report, field, "y")
+
+
+def test_derived_views_equal_their_definitions(mv_report, gzip_report):
+    for report in (mv_report, gzip_report):
+        assert report.sentences == split_sentences(report.body)
+        assert report.subject_terms == preprocess(report.subject)
+        assert report.body_terms == preprocess(report.body)
+        assert report.subject_terms is report.subject_terms  # made once
+
+
+def _perturbed(report):
+    for fraction in (0.3, 0.5):
+        for seed in range(4):
+            yield perturb_report(report, fraction, seed)
+
+
+def test_subject_and_body_terms_are_the_report_as_one_query(mv_report, gzip_report):
+    # no word spans the newline, so the two streams concatenate to the whole text's
+    for base in (mv_report, gzip_report):
+        for report in (base, *_perturbed(base)):
+            whole = preprocess(report.subject + "\n" + report.body)
+            assert report.subject_terms + report.body_terms == whole, report.body
+
+
+@pytest.mark.parametrize("bundle_dir", [MV_DIR, GZIP_DIR], ids=["mv-direct", "gzip-derived"])
+def test_run_fixture_preprocesses_the_report_twice(monkeypatch, bundle_dir):
+    # with ground truth, so the row is scored and both rankers run
+    bundle = FixtureBundle(bundle_dir.name, bundle_dir / f"{bundle_dir.name}.txt",
+                           bundle_dir / "src", bundle_dir / "scenario.json",
+                           bundle_dir / "ground_truth.json")
+    report = load_report(bundle.report_path)
+    texts = {report.subject, report.body, report.subject + "\n" + report.body}
+    calls = []
+    original = reports.preprocess
+
+    def counting(text, *args, **kwargs):
+        if text in texts:
+            calls.append(text)
+        return original(text, *args, **kwargs)
+
+    # every module attribute a stage could call it through
+    for module in (catalog, csource, reports, retrieval):
+        if hasattr(module, "preprocess"):
+            monkeypatch.setattr(module, "preprocess", counting)
+    run_fixture(bundle, ExperimentConfig())
+    assert sorted(calls) == sorted([report.subject, report.body])

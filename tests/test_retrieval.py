@@ -226,7 +226,7 @@ def test_s_avg_equals_mean_of_twelve_searches():
         _doc("a.c", "alpha", "beta", "gamma"),
         _doc("b.c", "delta", "epsilon", "zeta"),
     ]
-    report = BugReport.from_parts("t", "alpha", "beta")
+    report = BugReport("t", "alpha", "beta")
     keys = KeySystemCalls(entries=[KeyEntry("gamma", 1, "direct")], path="direct")
 
     ranked = rank_structured(report, keys, _source_index(docs))
@@ -259,7 +259,7 @@ def test_s_avg_equals_mean_of_twelve_searches():
 
 def test_structured_divisor_fixed_when_query_empty():
     docs = [_doc("a.c", "alpha", "beta", "gamma"), _doc("b.c", "delta", "epsilon", "zeta")]
-    report = BugReport.from_parts("t", "alpha", "")  # empty body query
+    report = BugReport("t", "alpha", "")  # empty body query
     keys = KeySystemCalls(entries=[], path="derived")  # empty syscalls query
     ranked = rank_structured(report, keys, _source_index(docs))
     # only subject searches can score: 1 + 1/sqrt(3) over the fixed 12

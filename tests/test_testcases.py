@@ -32,7 +32,7 @@ category inputs:
 
 
 def _report(body: str, subject: str = "subject") -> BugReport:
-    return BugReport.from_parts("t", subject, body)
+    return BugReport("t", subject, body)
 
 
 def _category(spec, name: str):
