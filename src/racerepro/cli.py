@@ -4,7 +4,9 @@ Each subcommand is one row of ``SUBCOMMANDS``: its input flags, its stage
 flags and its artifacts.  An ``Artifact`` is a file name, the payload it
 holds (built from ``metrics.Pipeline`` stages) and the summary a run
 prints.  A run builds every payload before it writes the first file, so an
-exit 2 on a bad input leaves --out-dir untouched.  Exit codes: 0 success,
+exit 2 on a bad input leaves --out-dir untouched; it then removes each
+file of its table that it has no payload for, so no earlier run's file is
+left beside its own.  Exit codes: 0 success,
 1 failure-to-reproduce, 2 usage/config error.  Artifacts are pure
 functions of (inputs, config, seed): no timestamps or wall times go into
 files, so re-running a stage with unchanged inputs is byte-identical.
@@ -186,6 +188,8 @@ def _repro_summary(pipe: Pipeline) -> Iterator[str]:
     result = pipe.result
     yield (f"reproduced: {result.reproduced} in {result.attempts} attempts "
            f"({result.wall_time:.3f}s)")
+    if result.fails_undelayed:
+        yield "the undelayed order already fails: no point is credited"
     if result.schedule is not None:
         for line in harness_mod.format_schedule(pipe.scenario, result.schedule):
             yield f"  {line}"
@@ -288,14 +292,17 @@ def _pipeline(args: argparse.Namespace) -> Pipeline:
 
 
 def write_artifacts(args: argparse.Namespace) -> int:
-    """Build every payload, then write them; print the summary of the last
-    artifact that has one and the path of the last artifact, if written."""
+    """Build every payload, then write them and remove each artifact that
+    has none; print the summary of the last artifact that has one and the
+    path of the last artifact, if written."""
     pipe = _pipeline(args)
     artifacts = args.subcommand.artifacts
     payloads = [artifact.payload(pipe) for artifact in artifacts]
     for artifact, payload in zip(artifacts, payloads):
         if payload is not None:
             _write(args.out_dir, artifact.name, payload)
+        else:
+            (args.out_dir / artifact.name).unlink(missing_ok=True)
     shown = [artifact for artifact in artifacts if artifact.summary is not None][-1]
     for line in shown.summary(pipe):
         print(line)

@@ -18,8 +18,8 @@ literals and directives).  Each distinct raw word is preprocessed once per
 build.  The ``SourceIndex`` also carries the four field TF-IDF indexes
 (term counts and norms, see ``retrieval``), built once with the tree, so
 ranking any number of reports against a remembered tree builds none, and
-each file's syscall sites, built on the first ``sites_in`` request for
-that file and kept with the index.
+each file's syscall sites, built with the tree.  Nothing changes an index
+after ``index_tree`` returns it.
 
 ``index_tree`` lists the tree with ``os.scandir`` and reads every file on
 each call, to key its one-slot memo on the tree's content; a call that
@@ -43,6 +43,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
+import logging
 import os
 import re
 import threading
@@ -52,6 +53,8 @@ from typing import NamedTuple
 
 from . import retrieval
 from .reports import MODE_C_SOURCE, TokenStream, preprocess
+
+log = logging.getLogger(__name__)
 
 SOURCE_SUFFIXES = (".c", ".h")
 
@@ -112,10 +115,6 @@ class Site(NamedTuple):
     line: int
 
 
-def _file_parts(record: FunctionRecord) -> list[str]:
-    return record.file.split("/")
-
-
 def _file_sites(records: list[FunctionRecord]) -> list[Site]:
     """Every syscall site of one file's functions, each with its own syscall.
 
@@ -140,26 +139,8 @@ class SourceIndex:
     functions: list[FunctionRecord]
     graph: CallGraph
     diagnostics: list[str] = field(default_factory=list)
-    #: file -> its syscall sites, for the files ``sites_in`` was asked about
-    _sites: dict[str, list[Site]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def sites_in(self, path: str) -> list[Site]:
-        """The file's syscall sites in file order (see ``_file_sites``).
-
-        Built on the first request for the file and kept with the index,
-        so the list is shared and must be treated as read-only.
-        """
-        sites = self._sites.get(path)
-        if sites is None:
-            # the file's records are one slice of ``functions``, which is
-            # sorted by file path components
-            parts = path.split("/")
-            lo = bisect.bisect_left(self.functions, parts, key=_file_parts)
-            hi = bisect.bisect_right(self.functions, parts, lo, key=_file_parts)
-            sites = self._sites[path] = _file_sites(self.functions[lo:hi])
-        return sites
+    #: each indexed file -> its syscall sites in file order (see ``_file_sites``)
+    sites: dict[str, list[Site]] = field(default_factory=dict)
 
 
 # --- scanning ---------------------------------------------------------------
@@ -309,7 +290,7 @@ def index_tree(src_root: str | Path, syscall_names: frozenset[str] | set[str]) -
     unreadable files and the syscall universe all match the previous call,
     that call's index is returned again, so the result is shared and must
     be treated as read-only; any edited, added or removed file gives a
-    fresh index.
+    fresh index.  A build that skips unreadable files logs one warning.
     """
     global _last_index
     src_root = Path(src_root)
@@ -341,6 +322,8 @@ def index_tree(src_root: str | Path, syscall_names: frozenset[str] | set[str]) -
     if _last_index is not None and _last_index[0] == key:
         return _last_index[1]
     _last_index = None  # never hold two indexes at once
+    if diagnostics:
+        log.warning("%d source file(s) skipped; first: %s", len(diagnostics), diagnostics[0])
     index = _build_index(sources, syscall_names, diagnostics)
     _last_index = (key, index)
     return index
@@ -377,6 +360,7 @@ def _build_index(
         functions=functions,
         graph=graph,
         diagnostics=diagnostics,
+        sites={doc.path: _file_sites(records) for records, doc in per_file},
     )
 
 

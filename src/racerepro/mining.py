@@ -198,7 +198,7 @@ def locate(
     located: list[_Located] = []
     unconnected: list[str] = []
     for path in ranked_files.top(top_files):
-        sites = index.sites_in(path)
+        sites = index.sites.get(path, [])
         if ranking.enumerate_all:
             for site in sites:
                 located.append((site, PLACEMENT_BEFORE, None))

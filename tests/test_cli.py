@@ -202,6 +202,25 @@ def test_reproduce_scenario_failing_undelayed_credits_no_point(tmp_path, capsys)
     assert payload["schedule"]["injected_delays"] == []
 
 
+def test_reproduce_summary_says_the_undelayed_order_already_fails(tmp_path, capsys):
+    # cat opens foo before mv runs and no foo exists yet: no delay is needed
+    def cat_first_without_foo(payload):
+        payload["processes"].reverse()
+        payload["initial_fs"] = [e for e in payload["initial_fs"] if e["path"] != "foo"]
+
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(_mv_scenario_with(cat_first_without_foo)))
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    assert _read_json(tmp_path / "repro.json")["fails_undelayed"] is True
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("reproduced: True in 1 attempts")
+    assert lines[1] == "the undelayed order already fails: no point is credited"
+
+
 # --- eval ----------------------------------------------------------------------
 
 def test_eval_over_both_fixture_bundles(tmp_path, capsys, fixture_dirs):
@@ -255,6 +274,19 @@ def test_pipeline_writes_every_stage(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "reproduced: True in 1 attempts" in out
+
+
+def test_pipeline_removes_the_artifacts_an_earlier_run_left_and_it_does_not_write(tmp_path):
+    common = ["pipeline", "--report", MV_REPORT, "--src", MV_SRC,
+              "--scenario", MV_SCENARIO, "--out-dir", str(tmp_path)]
+    assert main([*common, "--tsl", MV_TSL]) == EXIT_OK
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(EXPECTED_ARTIFACTS)
+    # without --tsl and without reproducing: no test cases and no schedule
+    assert main([*common, "--mode", "no-apriori", "--max-attempts", "1"]) == EXIT_NOT_REPRODUCED
+    assert _read_json(tmp_path / "repro.json")["reproduced"] is False
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        set(EXPECTED_ARTIFACTS) - {"test_cases.json", "schedule.txt"}
+    )
 
 
 def test_readme_quick_start_transcript_is_the_pipeline_output(tmp_path, monkeypatch, capsys):

@@ -607,6 +607,26 @@ def test_other_syscall_names_give_a_fresh_index(tmp_path, monkeypatch):
     assert fresh == _cold_index(src, names, monkeypatch)
 
 
+def test_unreadable_source_file_logs_one_warning_per_build(monkeypatch, caplog):
+    def refusing(path, *args, **kwargs):
+        if os.fspath(path).endswith("cache.c"):
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(csource, "open", refusing, raising=False)
+    monkeypatch.setattr(csource, "_last_index", None)
+    with caplog.at_level("WARNING", logger="racerepro.csource"):
+        index = index_tree(MV_DIR / "src", SYSCALLS)
+        assert index_tree(MV_DIR / "src", SYSCALLS) is index  # a memo hit logs nothing
+    assert len(index.docs) == 10
+    assert index.diagnostics == [
+        f"skipped cache.c: [Errno 13] Permission denied: '{MV_DIR / 'src' / 'cache.c'}'"
+    ]
+    (record,) = caplog.records
+    assert (record.name, record.levelname) == ("racerepro.csource", "WARNING")
+    assert record.getMessage() == f"1 source file(s) skipped; first: {index.diagnostics[0]}"
+
+
 def test_pipeline_runs_share_the_index_without_changing_it(tmp_path):
     src = MV_DIR / "src"
     names = frozenset(bundled_catalog().entries)

@@ -365,8 +365,8 @@ def test_sites_on_one_line_keep_their_own_syscalls(tmp_path, caplog):
 # --- the index's site map -----------------------------------------------------------
 
 def _sites_by_grouping(index, path: str) -> list[Site]:
-    """Group every record by file, then sort the file's sites by line: how
-    ``locate`` found a file's sites before the index kept them."""
+    """Group every record by file, then sort the file's sites by line: the
+    site list the index keeps for the file, built another way."""
     by_file = {}
     for record in index.functions:
         by_file.setdefault(record.file, []).append(record)
@@ -393,8 +393,9 @@ def _nested_tree(root):
 def test_sites_in_equals_grouping_every_file(root, tmp_path):
     names = frozenset(bundled_catalog().entries) | SYSCALLS
     index = index_tree(root or _nested_tree(tmp_path), names)
+    assert list(index.sites) == [d.path for d in index.docs]
     for path in [d.path for d in index.docs] + ["missing.c", "a"]:
-        assert index.sites_in(path) == _sites_by_grouping(index, path), path
+        assert index.sites.get(path, []) == _sites_by_grouping(index, path), path
 
 
 def test_two_locates_build_each_top_files_sites_once(tmp_path, monkeypatch):
@@ -406,12 +407,16 @@ def test_two_locates_build_each_top_files_sites_once(tmp_path, monkeypatch):
 
     file_sites = csource._file_sites
     monkeypatch.setattr(csource, "_file_sites", counting)
+    monkeypatch.setattr(csource, "_last_index", None)
     index = index_tree(_nested_tree(tmp_path), SYSCALLS)
+    # once per file, in file order, while the index is built
+    assert built == ["a/b.c", "a-b.c", "a.c", None]
+    built.clear()
     pair = PairRanking(entries=[RankEntry(items=("unlink", "stat"), frequency=1)])
     every = PairRanking(entries=[], enumerate_all=True)
     first = locate(pair, _ranked(["a/b.c", "a.c"]), index)
     second = locate(every, _ranked(["a/b.c", "a.c", "a-b.c"]), index, top_files=2)
-    assert sorted(built) == ["a.c", "a/b.c"]
+    assert built == []
     assert [(p.syscall, p.line) for p in first] == [("unlink", 1)]
     assert [(p.syscall, p.placement) for p in second] == [
         ("unlink", "before"), ("unlink", "after"), ("stat", "before"), ("stat", "after"),
