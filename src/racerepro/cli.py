@@ -3,10 +3,11 @@
 Each subcommand is one row of ``SUBCOMMANDS``: its input flags, its stage
 flags and its artifacts.  An ``Artifact`` is a file name, the payload it
 holds (built from ``metrics.Pipeline`` stages) and the summary a run
-prints.  A run builds every payload before it writes the first file, so an
-exit 2 on a bad input leaves --out-dir untouched; it then removes each
-file of its table that it has no payload for, so no earlier run's file is
-left beside its own.  Exit codes: 0 success,
+prints.  A run builds every payload and checks every target path before
+it writes the first file, so an exit 2 on a bad input or on a directory
+where a file goes leaves --out-dir untouched; it then removes each file of
+its table that it has no payload for, so no earlier run's file is left
+beside its own.  Exit codes: 0 success,
 1 failure-to-reproduce, 2 usage/config error.  Artifacts are pure
 functions of (inputs, config, seed): no timestamps or wall times go into
 files, so re-running a stage with unchanged inputs is byte-identical.
@@ -39,17 +40,24 @@ EXIT_CONFIG = 2
 
 # --- artifact I/O -----------------------------------------------------------
 
-def _write(out_dir: Path, name: str, payload: dict | str) -> Path:
-    """Write a dict as indented, key-sorted JSON, a str as it is."""
+def _write_files(out_dir: Path, payloads: dict[str, dict | str | None]) -> None:
+    """Write each named payload into ``out_dir``, a dict as indented,
+    key-sorted JSON and a str as it is, and remove each file whose payload
+    is None.  No file is written unless every target can be."""
+    for name in payloads:
+        if (out_dir / name).is_dir():
+            raise ValueError(f"{out_dir / name}: Is a directory")
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with path.open("w", encoding="utf-8") as fh:
-        if isinstance(payload, str):
-            fh.write(payload)
-        else:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return path
+    for name, payload in payloads.items():
+        if payload is None:
+            (out_dir / name).unlink(missing_ok=True)
+            continue
+        with (out_dir / name).open("w", encoding="utf-8") as fh:
+            if isinstance(payload, str):
+                fh.write(payload)
+            else:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
 
 
 def _keys_payload(keys: KeySystemCalls) -> dict:
@@ -297,16 +305,12 @@ def write_artifacts(args: argparse.Namespace) -> int:
     path of the last artifact, if written."""
     pipe = _pipeline(args)
     artifacts = args.subcommand.artifacts
-    payloads = [artifact.payload(pipe) for artifact in artifacts]
-    for artifact, payload in zip(artifacts, payloads):
-        if payload is not None:
-            _write(args.out_dir, artifact.name, payload)
-        else:
-            (args.out_dir / artifact.name).unlink(missing_ok=True)
+    payloads = {artifact.name: artifact.payload(pipe) for artifact in artifacts}
+    _write_files(args.out_dir, payloads)
     shown = [artifact for artifact in artifacts if artifact.summary is not None][-1]
     for line in shown.summary(pipe):
         print(line)
-    if payloads[-1] is not None:
+    if payloads[artifacts[-1].name] is not None:
         print(f"wrote {args.out_dir / artifacts[-1].name}")
     if REPRO in artifacts and not pipe.result.reproduced:
         return EXIT_NOT_REPRODUCED
@@ -340,12 +344,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "rows": [metrics_mod.row_to_json(r) for r in rows],
     }
-    _write(args.out_dir, "results.json", payload)
-    table_path = _write(
-        args.out_dir, "results.tsv", metrics_mod.render_table(rows, include_time=False) + "\n"
-    )
+    _write_files(args.out_dir, {
+        "results.json": payload,
+        "results.tsv": metrics_mod.render_table(rows, include_time=False) + "\n",
+    })
     print(metrics_mod.render_table(rows, include_time=True))
-    print(f"wrote {args.out_dir / 'results.json'} and {table_path}")
+    print(f"wrote {args.out_dir / 'results.json'} and {args.out_dir / 'results.tsv'}")
     return EXIT_OK
 
 

@@ -44,6 +44,7 @@ import bisect
 import hashlib
 import itertools
 import logging
+import operator
 import os
 import re
 import threading
@@ -126,7 +127,7 @@ def _file_sites(records: list[FunctionRecord]) -> list[Site]:
         for record in records
         for name, line in record.syscall_sites
     ]
-    sites.sort(key=lambda s: s.line)
+    sites.sort(key=operator.itemgetter(3))  # Site.line
     return sites
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .mining import InstrumentationPoint
 from .reports import json_of, load_json_object, reading
-from .vfs import ENOENT, OP_ARITY, KIND_DIR, KIND_FILE, Node, VirtualFS, path_args
+from .vfs import ENOENT, KIND_DIR, KIND_FILE, MODE, OPS, Node, VirtualFS, arity, path_args
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -39,9 +39,9 @@ class SyscallOp:
     args: tuple
 
     def __post_init__(self) -> None:
-        if self.kind not in OP_ARITY:
+        if self.kind not in OPS:
             raise ValueError(f"unknown syscall kind: {self.kind!r}")
-        lo, hi = OP_ARITY[self.kind]
+        lo, hi = arity(self.kind)
         if not lo <= len(self.args) <= hi:
             raise ValueError(f"{self.kind} takes {lo}..{hi} args, got {self.args!r}")
 
@@ -138,12 +138,6 @@ class Scenario:
     def map_point(self, point: InstrumentationPoint) -> tuple[str, int] | None:
         return self.src_map.get((point.file, point.function, point.line))
 
-    def position_source(self, process: str, op_index: int) -> tuple[str, str, int] | None:
-        for key, target in self.src_map.items():
-            if target == (process, op_index):
-                return key
-        return None
-
 
 def _parse_mode(value: int | str) -> int:
     """Modes are octal strings in scenario files ("644") or exact JSON
@@ -155,13 +149,12 @@ def _parse_mode(value: int | str) -> int:
 
 
 def _op_from_json(obj: dict) -> SyscallOp:
-    args = []
-    for i, arg in enumerate(json_of(list, obj["args"])):
-        if obj["kind"] in ("chmod", "mkdir", "mknod") and i == 1:
-            args.append(_parse_mode(arg))
-        else:
-            args.append(json_of(str, arg))
-    return SyscallOp(kind=obj["kind"], args=tuple(args))
+    args, kind = json_of(list, obj["args"]), obj["kind"]
+    # any other kind, a list or an object too, is SyscallOp's to reject, after the arguments
+    kinds = OPS.get(kind, ()) if isinstance(kind, str) else ()
+    return SyscallOp(kind=kind, args=tuple(
+        _parse_mode(arg) if i < len(kinds) and kinds[i] == MODE else json_of(str, arg)
+        for i, arg in enumerate(args)))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -480,12 +473,14 @@ def format_schedule(scn: Scenario, sched: InterleavingSchedule) -> list[str]:
     entry.
     """
     traces = dict(scn.processes)
+    # trace position -> the first src_map location mapped to it
+    sources = {target: key for key, target in reversed(scn.src_map.items())}
     lines = []
     for proc, op_idx in sched.steps:
         op = traces[proc][op_idx]
         args = ", ".join(_format_arg(a) for a in op.args)
         line = f"{proc}:{op.kind}({args})"
-        source = scn.position_source(proc, op_idx)
+        source = sources.get((proc, op_idx))
         if source is not None:
             f, fn, ln = source
             line += f" @ {f}:{fn}:{ln}"

@@ -19,27 +19,36 @@ EEXIST = "EEXIST"
 EACCES = "EACCES"
 EISDIR = "EISDIR"
 
-#: op kind -> (min arity, max arity)
-OP_ARITY: dict[str, tuple[int, int]] = {
-    "open": (1, 1),
-    "close": (1, 1),
-    "read": (1, 1),
-    "write": (2, 2),
-    "unlink": (1, 1),
-    "rename": (2, 2),
-    "link": (2, 2),
-    "mkdir": (1, 2),
-    "mknod": (1, 2),
-    "chmod": (2, 2),
-    "stat": (1, 1),
+#: the kinds of an op's arguments
+PATH, CONTENT, MODE = "path", "content", "mode"
+
+#: op kind -> the kind of each argument, in the order ``VirtualFS._op_<kind>``
+#: takes them.  A trailing mode the handler gives a default may be left out.
+OPS: dict[str, tuple[str, ...]] = {
+    "open": (PATH,),
+    "close": (PATH,),
+    "read": (PATH,),
+    "write": (PATH, CONTENT),
+    "unlink": (PATH,),
+    "rename": (PATH, PATH),
+    "link": (PATH, PATH),
+    "mkdir": (PATH, MODE),
+    "mknod": (PATH, MODE),
+    "chmod": (PATH, MODE),
+    "stat": (PATH,),
 }
 
 
+def arity(syscall: str) -> tuple[int, int]:
+    """The least and the most arguments an op takes: every argument of its
+    row, less those its handler gives a default."""
+    n = len(OPS[syscall])
+    return n - len(VirtualFS._HANDLERS[syscall].__defaults__ or ()), n
+
+
 def path_args(syscall: str, args: tuple) -> tuple:
-    """The paths an op names, the only ones whose entry or node it can change:
-    both arguments of rename and link, else the first (write's content and a
-    mode are not paths)."""
-    return args if syscall in ("rename", "link") else args[:1]
+    """The paths an op names, the only ones whose entry or node it can change."""
+    return tuple(arg for arg, kind in zip(args, OPS[syscall]) if kind == PATH)
 
 
 @dataclass
@@ -127,17 +136,6 @@ class VirtualFS:
         node.mode = mode
         return OK
 
-    #: op kind -> handler
-    _HANDLERS = {
-        "open": _op_open,
-        "close": _op_close,
-        "read": _op_read,
-        "write": _op_write,
-        "unlink": _op_unlink,
-        "rename": _op_rename,
-        "link": _op_link,
-        "mkdir": _op_mkdir,
-        "mknod": _op_mknod,
-        "chmod": _op_chmod,
-        "stat": _op_stat,
-    }
+
+#: op kind -> handler; a row of ``OPS`` with no ``_op_<kind>`` fails at import
+VirtualFS._HANDLERS = {syscall: getattr(VirtualFS, f"_op_{syscall}") for syscall in OPS}

@@ -11,7 +11,7 @@ import shutil
 import pytest
 
 from conftest import FIXTURES, GZIP_DIR, MV_DIR, ROOT
-from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, _write, main
+from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, _write_files, main
 from racerepro.harness import load_scenario, random_baseline
 from racerepro.metrics import MODES
 from racerepro.testcases import MAX_FRAMES
@@ -242,6 +242,14 @@ def test_eval_over_both_fixture_bundles(tmp_path, capsys, fixture_dirs):
     assert "Time(s)" in capsys.readouterr().out
 
 
+def test_eval_writes_nothing_when_the_table_path_is_a_directory(tmp_path, capsys, fixture_dirs):
+    (tmp_path / "results.tsv").mkdir()
+    code = main(["eval", "--out-dir", str(tmp_path), *[str(d) for d in fixture_dirs]])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {tmp_path / 'results.tsv'}: Is a directory\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["results.tsv"]
+
+
 def test_eval_random_baseline_needs_seed(tmp_path, fixture_dirs):
     code = main([
         "eval", "--mode", "random-baseline", "--out-dir", str(tmp_path),
@@ -289,6 +297,15 @@ def test_pipeline_removes_the_artifacts_an_earlier_run_left_and_it_does_not_writ
     )
 
 
+def test_pipeline_writes_nothing_when_an_artifact_path_is_a_directory(tmp_path, capsys):
+    (tmp_path / "repro.json").mkdir()
+    code = main(["pipeline", "--report", MV_REPORT, "--src", MV_SRC,
+                 "--scenario", MV_SCENARIO, "--tsl", MV_TSL, "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {tmp_path / 'repro.json'}: Is a directory\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["repro.json"]
+
+
 def test_readme_quick_start_transcript_is_the_pipeline_output(tmp_path, monkeypatch, capsys):
     block = (ROOT / "README.md").read_text("utf-8").split("## Quick start", 1)[1]
     lines = block.split("```\n", 2)[1].splitlines()
@@ -317,13 +334,14 @@ def test_pipeline_artifacts_are_byte_identical_across_runs(tmp_path):
 
 
 def test_streamed_artifact_bytes_equal_the_one_shot_encoding(tmp_path):
-    """``_write`` streams a dict with ``json.dump``; the bytes are those of
-    ``json.dumps(..., indent=2, sort_keys=True) + "\\n"``."""
+    """``_write_files`` streams a dict with ``json.dump``; the bytes are those
+    of ``json.dumps(..., indent=2, sort_keys=True) + "\\n"``."""
     payload = {
         "schema": "x/v1", "b": [0.1, 1e-17, 2.0, -0.0, 1 / 3], "a": {"z": [], "y": {}},
         "text": "caf\u00e9 \"q\" \\ \n\u2028", "n": None, "t": True, "big": 10**20,
     }
-    path = _write(tmp_path / "out", "p.json", payload)
+    _write_files(tmp_path / "out", {"p.json": payload})
+    path = tmp_path / "out" / "p.json"
     want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
 

@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from racerepro.harness import SyscallOp
 from racerepro.vfs import (
+    CONTENT,
     EACCES,
     EEXIST,
     EISDIR,
     ENOENT,
     KIND_DIR,
     KIND_FILE,
+    MODE,
     OK,
-    OP_ARITY,
+    OPS,
+    PATH,
     Node,
     VirtualFS,
+    arity,
+    path_args,
 )
 
 
@@ -183,10 +190,42 @@ def test_apply_rejects_bad_arity():
         SyscallOp("rename", ("foo",))
     with pytest.raises(ValueError):
         SyscallOp("open", ("a", "b"))
+    # a trailing mode may be left out only where the handler has a default
+    with pytest.raises(ValueError):
+        SyscallOp("chmod", ("foo",))
+    assert SyscallOp("mkdir", ("d",)).args == ("d",)
 
 
-def test_arity_table_covers_every_handler():
-    assert set(VirtualFS._HANDLERS) == set(OP_ARITY)
-    for syscall in OP_ARITY:
-        assert VirtualFS._HANDLERS[syscall] is getattr(VirtualFS, f"_op_{syscall}")
+#: values per argument kind: files f and a, a directory d, b a hard link to
+#: a, and z absent
+_ARG_VALUES = {PATH: ("f", "d", "a", "b", "z"), CONTENT: ("x",), MODE: (0o444, 0o600)}
 
+
+def _linked_fs(f_mode: int) -> VirtualFS:
+    fs = _fs(f="f0")
+    fs.paths["f"].mode = f_mode
+    fs.paths["d"] = Node(kind=KIND_DIR, mode=0o755)
+    fs.paths["a"] = fs.paths["b"] = Node(kind=KIND_FILE, mode=0o644, content="a0")
+    return fs
+
+
+@pytest.mark.parametrize("syscall", list(OPS))
+def test_an_op_changes_only_what_its_path_args_name(syscall):
+    # enumerate_interleavings undoes an op by restoring the entries at its
+    # path_args and the state of the nodes bound there before the op
+    lo, hi = arity(syscall)
+    calls = [args for n in range(lo, hi + 1)
+             for args in product(*(_ARG_VALUES[kind] for kind in OPS[syscall][:n]))]
+    for f_mode, args in product((0o444, 0o644), calls):
+        fs = _linked_fs(f_mode)
+        entries = dict(fs.paths)
+        states = {id(n): (n.kind, n.mode, n.content) for n in entries.values()}
+        named = path_args(syscall, args)
+        fs.apply(syscall, args)
+        for path in entries.keys() | fs.paths.keys():
+            if path not in named:
+                assert fs.paths.get(path) is entries.get(path), (args, path)
+        bound = {id(entries[path]) for path in named if path in entries}
+        for node in entries.values():
+            if id(node) not in bound:
+                assert (node.kind, node.mode, node.content) == states[id(node)], args
