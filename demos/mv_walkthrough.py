@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
-from racerepro.harness import format_schedule
 from racerepro.metrics import ExperimentConfig, Pipeline
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "mv_438076"
@@ -63,10 +62,10 @@ def main() -> None:
     print()
 
     # --- stage 5: reproduction ---------------------------------------------
-    scenario, result = pipe.scenario, pipe.result
+    result = pipe.result
     print(f"reproduced: {result.reproduced} after {result.attempts} attempt(s)")
     print("failing schedule (the delay opens the unlink/rename window):")
-    for line in format_schedule(scenario, result.schedule):
+    for line in pipe.schedule_lines:
         print(f"  {line}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
-from racerepro.harness import enumerate_interleavings, format_schedule, random_baseline
+from racerepro.harness import enumerate_interleavings, random_baseline
 from racerepro.metrics import ExperimentConfig, Pipeline
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "mv_438076"
@@ -38,7 +38,7 @@ def main() -> None:
     # --- guided injection ----------------------------------------------------
     guided = pipe.result
     print(f"guided injection: reproduced in {guided.attempts} attempt(s)")
-    for line in format_schedule(scenario, guided.schedule):
+    for line in pipe.schedule_lines:
         print(f"  {line}")
     print()
 

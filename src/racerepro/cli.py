@@ -22,7 +22,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import harness as harness_mod
 from . import metrics as metrics_mod
 from . import retrieval, testcases
 from .catalog import KeySystemCalls
@@ -126,9 +125,9 @@ def _test_cases_payload(
     }
 
 
-def _repro_payload(
-    scenario: harness_mod.Scenario, result: harness_mod.ReproResult
-) -> dict:
+def _repro_payload(pipe: Pipeline) -> dict:
+    """The result; its schedule's delay is the credited point's, if any."""
+    scenario, result = pipe.scenario, pipe.result
     payload: dict = {
         "schema": "racerepro/repro/v1",
         "scenario": scenario.id,
@@ -137,17 +136,16 @@ def _repro_payload(
     }
     if result.fails_undelayed:
         payload["fails_undelayed"] = True
+    point = result.point_used
     if result.schedule is not None:
         payload["schedule"] = {
             "steps": [[proc, idx] for proc, idx in result.schedule.steps],
-            "injected_delays": [
-                [proc, idx, placement]
-                for proc, idx, placement in result.schedule.injected_delays
-            ],
-            "lines": harness_mod.format_schedule(scenario, result.schedule),
+            "injected_delays": [] if point is None else [
+                [*scenario.map_point(point), point.placement]],
+            "lines": pipe.schedule_lines,
         }
-    if result.point_used is not None:
-        payload["point_used"] = _point_payload(result.point_used)
+    if point is not None:
+        payload["point_used"] = _point_payload(point)
     return payload
 
 
@@ -198,9 +196,8 @@ def _repro_summary(pipe: Pipeline) -> Iterator[str]:
            f"({result.wall_time:.3f}s)")
     if result.fails_undelayed:
         yield "the undelayed order already fails: no point is credited"
-    if result.schedule is not None:
-        for line in harness_mod.format_schedule(pipe.scenario, result.schedule):
-            yield f"  {line}"
+    for line in pipe.schedule_lines or ():
+        yield f"  {line}"
 
 
 @dataclass(frozen=True)
@@ -222,11 +219,9 @@ PAIR_RANKING = Artifact("pair_ranking.json", lambda pipe: _ranking_payload(pipe.
 POINTS = Artifact("points.json", lambda pipe: _points_payload(pipe.points), _points_summary)
 TEST_CASES = Artifact("test_cases.json", lambda pipe: None if pipe.tsl_path is None
                       else _test_cases_payload(*pipe.test_cases), _test_cases_summary)
-REPRO = Artifact("repro.json", lambda pipe: _repro_payload(pipe.scenario, pipe.result),
-                 _repro_summary)
-SCHEDULE = Artifact("schedule.txt", lambda pipe: None if pipe.result.schedule is None else (
-    "\n".join(harness_mod.format_schedule(pipe.scenario, pipe.result.schedule)) + "\n"
-))
+REPRO = Artifact("repro.json", _repro_payload, _repro_summary)
+SCHEDULE = Artifact("schedule.txt", lambda pipe: None if pipe.schedule_lines is None
+                    else "\n".join(pipe.schedule_lines) + "\n")
 
 #: input flag -> (Pipeline argument, argument type, help)
 INPUT_FLAGS = {

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -140,8 +141,11 @@ class Scenario:
 
 
 def _parse_mode(value: int | str) -> int:
-    """Modes are octal strings in scenario files ("644") or exact JSON
-    integers, from 0 to 0o7777."""
+    """Modes are octal strings of the digits 0-7 alone in scenario files
+    ("644"; no sign, prefix, space or "_") or exact JSON integers, from 0
+    to 0o7777."""
+    if isinstance(value, str) and not re.fullmatch("[0-7]+", value):
+        raise ValueError(f"mode {value!r} is not an octal string of digits 0-7")
     mode = int(value, 8) if isinstance(value, str) else json_of(int, value)
     if not 0 <= mode <= 0o7777:
         raise ValueError(f"mode {value!r} is outside 0..7777 (octal)")
@@ -207,7 +211,6 @@ def load_scenario(path: str | Path) -> Scenario:
 @dataclass
 class InterleavingSchedule:
     steps: list[tuple[str, int]]
-    injected_delays: list[tuple[str, int, str]] = field(default_factory=list)
 
 
 def baseline_schedule(scn: Scenario) -> InterleavingSchedule:
@@ -224,7 +227,9 @@ def schedule_with_delay(scn: Scenario, point: InstrumentationPoint) -> Interleav
     Under the cooperative model processes run to completion in scenario
     order; the instrumented process yields at the delay site (before the op
     for "before"; after it for "after" and "between-pair"), letting every
-    other process finish inside the gap.
+    other process finish inside the gap.  So the schedule is the undelayed
+    order with the delayed process's ops from the resume index on moved, in
+    order, to the end.
     """
     target = scn.map_point(point)
     if target is None:
@@ -232,20 +237,10 @@ def schedule_with_delay(scn: Scenario, point: InstrumentationPoint) -> Interleav
             f"no src_map entry for {point.file}:{point.function}:{point.line}"
         )
     proc, op_idx = target
-    yield_before = op_idx if point.placement == "before" else op_idx + 1
-
-    steps: list[tuple[str, int]] = []
-    tail: list[tuple[str, int]] = []
-    for name, trace in scn.processes:
-        if name == proc:
-            steps.extend((name, i) for i in range(min(yield_before, len(trace))))
-            tail = [(name, i) for i in range(min(yield_before, len(trace)), len(trace))]
-        else:
-            steps.extend((name, i) for i in range(len(trace)))
-    steps.extend(tail)
-    return InterleavingSchedule(
-        steps=steps, injected_delays=[(proc, op_idx, point.placement)]
-    )
+    resume = op_idx if point.placement == "before" else op_idx + 1
+    return InterleavingSchedule(steps=sorted(
+        baseline_schedule(scn).steps, key=lambda step: step[0] == proc and step[1] >= resume
+    ))
 
 
 def _check_schedule(scn: Scenario, sched: InterleavingSchedule) -> None:

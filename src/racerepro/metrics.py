@@ -234,7 +234,8 @@ class Pipeline:
     report -> keys -> (index) basic / structured -> file_ranking;
     keys -> apriori / ablation -> ranking; (apriori or ablation,
     file_ranking, index) -> apriori_points / ablation_points -> points;
-    (scenario, points) -> result; (tsl, report, commands) -> test_cases.
+    (scenario, points) -> result -> schedule_lines; (tsl, report,
+    commands) -> test_cases.
     The mode picks file_ranking, ranking, points and result and perturbs
     the report; the CLI subcommands, the experiment driver and the demos
     all read their stages from here.  Stages call ``load_report``,
@@ -332,6 +333,12 @@ class Pipeline:
         if config.mode == MODE_RANDOM_BASELINE:
             return harness_mod.random_baseline(self.scenario, config.max_attempts, config.seed)
         return harness_mod.reproduce(self.scenario, self.points, config.max_attempts)
+
+    @cached_property
+    def schedule_lines(self) -> list[str] | None:
+        """The result's schedule, one rendered line per step; None without one."""
+        schedule = self.result.schedule
+        return None if schedule is None else harness_mod.format_schedule(self.scenario, schedule)
 
     @cached_property
     def test_cases(self) -> tuple[testcases.TestCase, list[testcases.TestCase]]:

@@ -319,15 +319,14 @@ def _frame_to_case(
             options = list(partial.options)
         if partial.inputs:
             inputs = list(partial.inputs)
-        if partial.setup:
-            setup = list(partial.setup) + setup
     return TestCase(
         command=command, options=options, inputs=inputs, setup=setup, error=error
     )
 
 
 def expand_tsl(spec: TslSpec, partial: TestCase | None = None) -> list[TestCase]:
-    """Expand a spec into concrete frames; extracted elements override."""
+    """Expand a spec into concrete frames; the partial's command, options
+    and inputs, where set, override every frame's (its setup is not read)."""
     if not spec.categories:
         return []
     cases = [

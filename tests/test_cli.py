@@ -11,6 +11,7 @@ import shutil
 import pytest
 
 from conftest import FIXTURES, GZIP_DIR, MV_DIR, ROOT
+from racerepro import harness
 from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, _write_files, main
 from racerepro.harness import load_scenario, random_baseline
 from racerepro.metrics import MODES
@@ -282,6 +283,31 @@ def test_pipeline_writes_every_stage(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "reproduced: True in 1 attempts" in out
+
+
+@pytest.mark.parametrize(("fixture_dir", "delays"), [
+    (MV_DIR, [["mv", 0, "between-pair"]]), (GZIP_DIR, [["gzip", 2, "before"]]),
+], ids=["mv", "gzip"])
+def test_pipeline_renders_its_schedule_once(tmp_path, monkeypatch, fixture_dir, delays):
+    calls = []
+    render = harness.format_schedule
+
+    def counting_render(*args):
+        calls.append(args)
+        return render(*args)
+
+    monkeypatch.setattr(harness, "format_schedule", counting_render)
+    code = main([
+        "pipeline", "--report", str(fixture_dir / f"{fixture_dir.name}.txt"),
+        "--src", str(fixture_dir / "src"), "--scenario", str(fixture_dir / "scenario.json"),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    schedule = _read_json(tmp_path / "repro.json")["schedule"]
+    assert (tmp_path / "schedule.txt").read_text("utf-8") == "\n".join(schedule["lines"]) + "\n"
+    # the delay of the credited point
+    assert schedule["injected_delays"] == delays
 
 
 def test_pipeline_removes_the_artifacts_an_earlier_run_left_and_it_does_not_write(tmp_path):
@@ -587,10 +613,32 @@ def _bad_mode(payload):
     payload["initial_fs"][0]["mode"] = "9z"
 
 
-EDITED_FIELD = {_bad_line: "src_map", _bad_op_index: "src_map", _bad_mode: "initial_fs"}
+def _mode_string(name, value):
+    def edit(payload):
+        payload["initial_fs"][0]["mode"] = value  # int(_, 8) would read it as 0o644
+
+    edit.__name__ = name
+    return edit
 
 
-@pytest.mark.parametrize("edit", [_bad_line, _bad_op_index, _bad_mode])
+_NON_OCTAL_MODES = [
+    _mode_string("_underscored_mode", "6_44"), _mode_string("_spaced_mode", " 644 "),
+    _mode_string("_signed_mode", "+644"), _mode_string("_fullwidth_mode", "\uff10644"),
+    _mode_string("_prefixed_mode", "0o644"), _mode_string("_newline_mode", "644\n"),
+]
+
+
+def _underscored_oracle_mode(payload):
+    payload["oracle"]["mode"] = "6_44"  # read even though an open-enoent oracle ignores it
+
+
+EDITED_FIELD = {_bad_line: "src_map", _bad_op_index: "src_map", _bad_mode: "initial_fs",
+                **dict.fromkeys(_NON_OCTAL_MODES, "initial_fs"),
+                _underscored_oracle_mode: "oracle"}
+
+
+@pytest.mark.parametrize("edit", [_bad_line, _bad_op_index, _bad_mode, *_NON_OCTAL_MODES,
+                                  _underscored_oracle_mode])
 def test_scenario_non_numeric_value_exits_two_naming_the_file(tmp_path, capsys, edit):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(_mv_scenario_with(edit)))

@@ -178,7 +178,6 @@ def test_baseline_runs_processes_in_scenario_order():
     assert sched.steps == [
         ("writer", 0), ("writer", 1), ("writer", 2), ("writer", 3), ("tamperer", 0),
     ]
-    assert sched.injected_delays == []
 
 
 def test_delay_before_yields_ahead_of_the_op():
@@ -188,7 +187,6 @@ def test_delay_before_yields_ahead_of_the_op():
     assert sched.steps == [
         ("writer", 0), ("writer", 1), ("writer", 2), ("tamperer", 0), ("writer", 3),
     ]
-    assert sched.injected_delays == [("writer", 3, "before")]
 
 
 @pytest.mark.parametrize("placement", ["after", "between-pair"])
@@ -199,7 +197,6 @@ def test_delay_after_and_between_yield_past_the_op(placement):
     assert sched.steps == [
         ("writer", 0), ("writer", 1), ("writer", 2), ("writer", 3), ("tamperer", 0),
     ]
-    assert sched.injected_delays == [("writer", 3, placement)]
 
 
 def test_delay_before_first_op_runs_others_first():
@@ -214,6 +211,53 @@ def test_delay_unmapped_point_raises_keyerror():
     scn = _two_proc(Oracle(kind="final-mode", path="f", expected_mode=0o444))
     with pytest.raises(KeyError):
         schedule_with_delay(scn, _point("before", "nowhere.c", "f", 1))
+
+
+def _delayed_steps_by_loop(scn: Scenario, point: InstrumentationPoint) -> list:
+    """The loop ``schedule_with_delay`` ran before it became one stable sort."""
+    proc, op_idx = scn.map_point(point)
+    yield_before = op_idx if point.placement == "before" else op_idx + 1
+    steps, tail = [], []
+    for name, trace in scn.processes:
+        if name == proc:
+            steps.extend((name, i) for i in range(min(yield_before, len(trace))))
+            tail = [(name, i) for i in range(min(yield_before, len(trace)), len(trace))]
+        else:
+            steps.extend((name, i) for i in range(len(trace)))
+    steps.extend(tail)
+    return steps
+
+
+def _mapping_every_op(scn: Scenario) -> Scenario:
+    """``scn`` with one src_map entry per op, at line = op index."""
+    return replace(scn, src_map={("x.c", name, i): (name, i)
+                                 for name, trace in scn.processes for i in range(len(trace))})
+
+
+def _assert_every_delay_sorts_like_the_loop(scn: Scenario) -> int:
+    for file, function, line in scn.src_map:
+        for placement in ("before", "after", "between-pair"):
+            point = _point(placement, file, function, line)
+            assert schedule_with_delay(scn, point).steps == _delayed_steps_by_loop(scn, point)
+    return len(scn.src_map) * 3
+
+
+@pytest.mark.parametrize("fixture", ["mv_scenario", "gzip_scenario"])
+def test_delayed_schedule_equals_the_loop_on_the_fixtures(fixture, request):
+    scn = _mapping_every_op(request.getfixturevalue(fixture))
+    assert _assert_every_delay_sorts_like_the_loop(scn) == 3 * scn.total_ops()
+
+
+def test_delayed_schedule_equals_the_loop_on_random_scenarios():
+    delays = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        processes = [(f"p{pi}", [SyscallOp("close", ("f",))] * rng.randint(1, 5))
+                     for pi in range(rng.randint(1, 3))]
+        scn = Scenario(id=f"random-{seed}", processes=processes, initial_fs=[],
+                       oracle=Oracle(kind="path-missing", path="f"))
+        delays += _assert_every_delay_sorts_like_the_loop(_mapping_every_op(scn))
+    assert delays > 300 * 3
 
 
 # --- schedule checking -----------------------------------------------------------
@@ -364,14 +408,10 @@ def _enumerate_uncached(scn: Scenario) -> list[tuple[InterleavingSchedule, str]]
     return results
 
 
-def _as_data(results) -> list:
-    return [(sched.steps, sched.injected_delays, verdict) for sched, verdict in results]
-
-
 @pytest.mark.parametrize("fixture", ["mv_scenario", "gzip_scenario"])
 def test_enumeration_equals_the_uncached_walk_on_the_fixtures(fixture, request):
     scn = request.getfixturevalue(fixture)
-    assert _as_data(enumerate_interleavings(scn)) == _as_data(_enumerate_uncached(scn))
+    assert enumerate_interleavings(scn) == _enumerate_uncached(scn)
 
 
 @dataclass
@@ -424,7 +464,7 @@ _BENCH_SEEDS = range(2 * len(ORACLE_KINDS) * len(_SHAPES))
 def test_enumeration_at_benchmark_scale_equals_replay(seed):
     scn = _bench_scale_scenario(seed)
     results = enumerate_interleavings(scn)
-    assert _as_data(results) == _as_data(_enumerate_uncached(scn))
+    assert results == _enumerate_uncached(scn)
     assert [(sched.steps, verdict) for sched, verdict in results] == _enumerate_by_replay(scn)
     assert len({id(sched.steps) for sched, _verdict in results}) == len(results)
 
@@ -518,7 +558,6 @@ def test_reproduce_credits_no_point_when_the_undelayed_order_fails():
     assert result.fails_undelayed
     assert result.point_used is None
     assert result.schedule.steps == baseline_schedule(scn).steps
-    assert result.schedule.injected_delays == []
 
 
 def test_reproduce_empty_points_is_zero_attempts(mv_scenario):
