@@ -22,8 +22,11 @@ each file's syscall sites, built with the tree.  Nothing changes an index
 after ``index_tree`` returns it.
 
 ``index_tree`` lists the tree with ``os.scandir`` and reads every file on
-each call, to key its one-slot memo on the tree's content; a call that
-hits the memo costs one walk, one read and one hash of the tree.
+each call, to key its memo on the tree's content; a call that hits the
+memo costs one walk, one read and one comparison of the tree.  The memo
+remembers the indexes of the most recently used trees, up to
+``_MEMO_MAX_BYTES`` of source, so a batch that returns to a tree does not
+rebuild its index.
 
 A build of at least ``_FORK_MIN_BYTES`` of source, in a process that has
 ``os.fork``, may use two or more CPUs and runs a single thread, splits the
@@ -41,13 +44,13 @@ fork.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import itertools
 import logging
 import operator
 import os
 import re
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -278,22 +281,38 @@ def _tree_files(src_root: Path) -> list[tuple[str, str]]:
     return files
 
 
-#: The one remembered index, with its key: (content hash, unreadable-file
-#: diagnostics, syscall universe).  A batch of reports against one tree
-#: indexes it once; a fresh tree replaces it.
-_last_index: tuple[tuple[str, tuple[str, ...], frozenset[str]], SourceIndex] | None = None
+#: What identifies an index: the tree's (relative path, bytes) pairs in
+#: file order, its unreadable-file diagnostics and the syscall universe.
+_Key = tuple[tuple[tuple[str, bytes], ...], tuple[str, ...], frozenset[str]]
+
+#: Source bytes of the trees whose indexes ``index_tree`` remembers at once.
+#: A remembered index, with its key, takes about 13 times its tree's bytes
+#: (tracemalloc: 200-260 KB for each 15-20 KB generated tree), so a memo
+#: full of small trees holds about 3.5 MB.  The ten trees of a
+#: ``report-batch`` run, both fixtures among them, total 150-160 KB, so a
+#: batch that cycles over them builds each once.  A larger tree is
+#: remembered alone, as a 1000-file generated tree (about 760 KB) is.
+_MEMO_MAX_BYTES = 256 * 1024
+
+#: The remembered indexes by key, least recently used first.
+_indexes: dict[_Key, SourceIndex] = {}
+
+
+def _source_bytes(sources: Iterable[tuple[str, bytes]]) -> int:
+    return sum(len(data) for _rel, data in sources)
 
 
 def index_tree(src_root: str | Path, syscall_names: frozenset[str] | set[str]) -> SourceIndex:
     """Index every ``.c``/``.h`` file under src_root, deterministically by path.
 
-    The tree is read and hashed on every call.  When its content, its
-    unreadable files and the syscall universe all match the previous call,
-    that call's index is returned again, so the result is shared and must
+    The tree is read and compared on every call.  When its content, its
+    unreadable files and the syscall universe all match a remembered
+    index, that index is returned again, so the result is shared and must
     be treated as read-only; any edited, added or removed file gives a
-    fresh index.  A build that skips unreadable files logs one warning.
+    fresh index.  Before a build, the least recently used indexes are
+    forgotten until the new tree fits ``_MEMO_MAX_BYTES`` with the rest, or
+    none is left.  A build that skips unreadable files logs one warning.
     """
-    global _last_index
     src_root = Path(src_root)
     syscall_names = frozenset(syscall_names)
     files = _tree_files(src_root)
@@ -302,10 +321,9 @@ def index_tree(src_root: str | Path, syscall_names: frozenset[str] | set[str]) -
 
     sources: list[tuple[str, bytes]] = []
     diagnostics: list[str] = []
-    digest = hashlib.sha256()
     for path, rel in files:
         try:
-            name = rel.encode()
+            rel.encode()
         except UnicodeEncodeError:  # the OS name holds bytes that are not UTF-8
             raise ValueError(f"{src_root}: source file name {rel!r} is not UTF-8") from None
         try:
@@ -314,19 +332,23 @@ def index_tree(src_root: str | Path, syscall_names: frozenset[str] | set[str]) -
         except OSError as exc:
             diagnostics.append(f"skipped {rel}: {exc}")
             continue
-        digest.update(name + b"\0" + data + b"\0")
         sources.append((rel, data))
     if not sources:
         raise ValueError(f"{src_root}: every source file was unreadable")
 
-    key = (digest.hexdigest(), tuple(diagnostics), syscall_names)
-    if _last_index is not None and _last_index[0] == key:
-        return _last_index[1]
-    _last_index = None  # never hold two indexes at once
-    if diagnostics:
-        log.warning("%d source file(s) skipped; first: %s", len(diagnostics), diagnostics[0])
-    index = _build_index(sources, syscall_names, diagnostics)
-    _last_index = (key, index)
+    key = (tuple(sources), tuple(diagnostics), syscall_names)
+    index = _indexes.pop(key, None)
+    if index is None:
+        size = _source_bytes(sources)
+        held = sum(_source_bytes(k[0]) for k in _indexes)
+        while _indexes and held + size > _MEMO_MAX_BYTES:
+            oldest = next(iter(_indexes))
+            del _indexes[oldest]
+            held -= _source_bytes(oldest[0])
+        if diagnostics:
+            log.warning("%d source file(s) skipped; first: %s", len(diagnostics), diagnostics[0])
+        index = _build_index(sources, syscall_names, diagnostics)
+    _indexes[key] = index  # the most recently used end
     return index
 
 
@@ -415,8 +437,7 @@ def _fork_processes(sources: list[tuple[str, bytes]]) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    size = sum(len(data) for _rel, data in sources)
-    return min(cpus, 1 + size // _FORK_MIN_BYTES)
+    return min(cpus, 1 + _source_bytes(sources) // _FORK_MIN_BYTES)
 
 
 def _chunks(sources: list[tuple[str, bytes]], n: int) -> list[list[tuple[str, bytes]]]:

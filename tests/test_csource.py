@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import hashlib
 import os
 import random
 import re
@@ -25,6 +24,7 @@ from racerepro.csource import (
     _scan_file,
     index_tree,
 )
+from racerepro.metrics import MODES, ExperimentConfig, FixtureBundle, parse_mode, run_fixture
 from racerepro.reports import MODE_C_SOURCE, preprocess, preprocess_tokens, tokenize
 
 SYSCALLS = frozenset({"open", "close", "read", "unlink", "rename", "stat"})
@@ -472,11 +472,9 @@ def test_tree_walk_matches_the_rglob_oracle(tmp_path, monkeypatch):
     ]
     assert csource._tree_files(src) == [(str(p), rel) for p, rel in zip(want, rels)]
 
-    digest = hashlib.sha256()
-    for path, rel in zip(want, rels):
-        digest.update(rel.encode() + b"\0" + path.read_bytes() + b"\0")
     index = _cold_index(src, SYSCALLS, monkeypatch)
-    assert csource._last_index[0][0] == digest.hexdigest()
+    ((sources, _diagnostics, _names),) = csource._indexes
+    assert sources == tuple((rel, path.read_bytes()) for path, rel in zip(want, rels))
     assert [d.path for d in index.docs] == rels
 
 
@@ -536,11 +534,11 @@ def test_line_starts_match_loop_on_fixtures(root):
             assert _line_starts(variant) == _line_starts_loop(variant), path
 
 
-# --- the one-slot index memo ------------------------------------------------------
+# --- the index memo ------------------------------------------------------------
 
 def _cold_index(root: Path, names, monkeypatch):
-    """An index built with the memo slot empty."""
-    monkeypatch.setattr(csource, "_last_index", None)
+    """An index built with the memo empty."""
+    monkeypatch.setattr(csource, "_indexes", {})
     return index_tree(root, names)
 
 
@@ -607,6 +605,114 @@ def test_other_syscall_names_give_a_fresh_index(tmp_path, monkeypatch):
     assert fresh == _cold_index(src, names, monkeypatch)
 
 
+def _counting_builds(monkeypatch) -> list[tuple[str, ...]]:
+    """With the memo empty, record the relative paths of every tree built."""
+    built, real = [], csource._build_index
+
+    def counting(sources, names, diagnostics):
+        built.append(tuple(rel for rel, _data in sources))
+        return real(sources, names, diagnostics)
+
+    monkeypatch.setattr(csource, "_build_index", counting)
+    monkeypatch.setattr(csource, "_indexes", {})
+    return built
+
+
+def _one_file_tree(root: Path, name: str) -> Path:
+    """A tree of one file, ``<name>.c``; names of one length give trees of one size."""
+    src = root / name
+    src.mkdir()
+    (src / f"{name}.c").write_text(f"int f_{name} (void) {{ return open (\"x\"); }}\n")
+    return src
+
+
+def _tree_bytes(src: Path) -> int:
+    return sum(Path(path).stat().st_size for path, _rel in csource._tree_files(src))
+
+
+def _held(trees: dict[str, Path]) -> list[str]:
+    """The names of the remembered trees, least recently used first."""
+    names = {(src / f"{name}.c").read_bytes(): name for name, src in trees.items()}
+    return [names[sources[0][1]] for sources, _diagnostics, _names in csource._indexes]
+
+
+def test_returning_to_a_tree_reuses_its_index(tmp_path, monkeypatch):
+    built = _counting_builds(monkeypatch)
+    a, b = _one_file_tree(tmp_path, "a"), _small_tree(tmp_path)
+    first = index_tree(a, SYSCALLS)
+    other = index_tree(b, SYSCALLS)
+    assert index_tree(a, SYSCALLS) is first
+    assert index_tree(b, SYSCALLS) is other
+    assert built == [("a.c",), ("a.c", "b.c")]
+
+
+def _bundle(d: Path, report: str) -> FixtureBundle:
+    return FixtureBundle(bug_id=d.name, report_path=d / report, src_root=d / "src",
+                         scenario_path=d / "scenario.json",
+                         ground_truth_path=d / "ground_truth.json")
+
+
+def test_interleaved_eval_modes_build_each_tree_once(tmp_path, monkeypatch, catalog):
+    gen = load_bench_gen()
+    vocab = gen.Vocab(ROOT)
+    rng = random.Random(11)
+    bundles = [_bundle(MV_DIR, "mv_438076.txt"), _bundle(GZIP_DIR, "gzip_371162.txt")]
+    for t, n_files in enumerate((14, 16, 18)):
+        d = tmp_path / f"gen{t}"
+        _rels, (plant,) = gen.write_tree(vocab, rng, d / "src", n_files, [gen.RACE_KINDS[t]])
+        prog, observer = gen.program_name(plant), gen.other_name(vocab, rng, plant)
+        (d / "report.txt").write_text(gen.direct_report(vocab, rng, prog, plant))
+        gen.write_json(d / "scenario.json", gen.scenario(rng, plant, (prog, observer))[0])
+        gen.write_json(d / "ground_truth.json", gen.ground_truth(d.name, plant))
+        bundles.append(_bundle(d, "report.txt"))
+    built = _counting_builds(monkeypatch)
+    for mode in (*MODES[:-1], "perturbed@0.25"):
+        name, fraction = parse_mode(mode)
+        config = ExperimentConfig(mode=name, perturb_fraction=fraction, seed=7)
+        for bundle in bundles:  # every tree between two runs on one tree
+            run_fixture(bundle, config, catalog)
+    assert sum(_tree_bytes(b.src_root) for b in bundles) <= csource._MEMO_MAX_BYTES
+    assert sorted(built) == sorted(
+        tuple(rel for _path, rel in csource._tree_files(b.src_root)) for b in bundles
+    )
+
+
+def test_a_tree_over_the_budget_is_remembered_alone(tmp_path, monkeypatch):
+    trees = {name: _one_file_tree(tmp_path, name) for name in ("a", "b", "big")}
+    (trees["big"] / "big.c").write_text((trees["big"] / "big.c").read_text() * 3)
+    monkeypatch.setattr(csource, "_MEMO_MAX_BYTES", 2 * _tree_bytes(trees["a"]))
+    assert _tree_bytes(trees["big"]) > csource._MEMO_MAX_BYTES
+    held_at_build, build = [], csource._build_index
+
+    def recording(*args):
+        held_at_build.append(_held(trees))
+        return build(*args)
+
+    monkeypatch.setattr(csource, "_build_index", recording)
+    monkeypatch.setattr(csource, "_indexes", {})
+    index_tree(trees["a"], SYSCALLS)
+    index_tree(trees["b"], SYSCALLS)
+    big = index_tree(trees["big"], SYSCALLS)
+    assert held_at_build == [[], ["a"], []]  # both forgotten before the build
+    assert index_tree(trees["big"], SYSCALLS) is big
+    assert held_at_build == [[], ["a"], []]
+    assert _held(trees) == ["big"]
+
+
+def test_the_least_recently_used_index_is_the_one_forgotten(tmp_path, monkeypatch):
+    built = _counting_builds(monkeypatch)
+    trees = {name: _one_file_tree(tmp_path, name) for name in ("a", "b", "c", "d")}
+    monkeypatch.setattr(csource, "_MEMO_MAX_BYTES", 3 * _tree_bytes(trees["a"]))
+    indexes = {name: index_tree(trees[name], SYSCALLS) for name in ("a", "b", "c")}
+    assert _held(trees) == ["a", "b", "c"]  # the budget is full
+    assert index_tree(trees["a"], SYSCALLS) is indexes["a"]
+    assert _held(trees) == ["b", "c", "a"]
+    index_tree(trees["d"], SYSCALLS)
+    assert _held(trees) == ["c", "a", "d"]
+    assert index_tree(trees["c"], SYSCALLS) is indexes["c"]
+    assert built == [("a.c",), ("b.c",), ("c.c",), ("d.c",)]
+
+
 def test_unreadable_source_file_logs_one_warning_per_build(monkeypatch, caplog):
     def refusing(path, *args, **kwargs):
         if os.fspath(path).endswith("cache.c"):
@@ -614,7 +720,7 @@ def test_unreadable_source_file_logs_one_warning_per_build(monkeypatch, caplog):
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(csource, "open", refusing, raising=False)
-    monkeypatch.setattr(csource, "_last_index", None)
+    monkeypatch.setattr(csource, "_indexes", {})
     with caplog.at_level("WARNING", logger="racerepro.csource"):
         index = index_tree(MV_DIR / "src", SYSCALLS)
         assert index_tree(MV_DIR / "src", SYSCALLS) is index  # a memo hit logs nothing

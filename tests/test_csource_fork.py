@@ -70,8 +70,8 @@ def _cpus(monkeypatch, n: int) -> None:
 
 
 def _cold_index(src: Path, monkeypatch) -> csource.SourceIndex:
-    """``index_tree`` with the memo slot empty, then no child left."""
-    monkeypatch.setattr(csource, "_last_index", None)
+    """``index_tree`` with the memo empty, then no child left."""
+    monkeypatch.setattr(csource, "_indexes", {})
     index = csource.index_tree(src, SYSCALLS)
     _assert_no_child_left()
     return index
@@ -81,7 +81,7 @@ def _reference_index(src: Path) -> csource.SourceIndex:
     """The tree indexed with one usable CPU, so in this process."""
     with pytest.MonkeyPatch.context() as mp:
         _cpus(mp, 1)
-        mp.setattr(csource, "_last_index", None)
+        mp.setattr(csource, "_indexes", {})
         return csource.index_tree(src, SYSCALLS)
 
 
@@ -114,7 +114,7 @@ def test_pipeline_artifacts_are_byte_identical_forked_and_in_process(
     outs = {}
     for cpus in (2, 1):
         _cpus(monkeypatch, cpus)
-        monkeypatch.setattr(csource, "_last_index", None)
+        monkeypatch.setattr(csource, "_indexes", {})
         out = outs[cpus] = tmp_path / f"cpus{cpus}"
         code = main(["pipeline", "--report", str(base / "report.txt"), "--src", str(base / "src"),
                      "--scenario", str(base / "scenario.json"), "--tsl", str(base / "spec.tsl"),
@@ -220,7 +220,7 @@ def test_interrupted_parent_leaves_no_child(trees, forks, monkeypatch):
         return real_index_files(sources, names)
 
     monkeypatch.setattr(csource, "_index_files", index_files)
-    monkeypatch.setattr(csource, "_last_index", None)
+    monkeypatch.setattr(csource, "_indexes", {})
     _cpus(monkeypatch, 3)
     with pytest.raises(KeyboardInterrupt):
         csource.index_tree(src, SYSCALLS)

@@ -407,7 +407,7 @@ def test_two_locates_build_each_top_files_sites_once(tmp_path, monkeypatch):
 
     file_sites = csource._file_sites
     monkeypatch.setattr(csource, "_file_sites", counting)
-    monkeypatch.setattr(csource, "_last_index", None)
+    monkeypatch.setattr(csource, "_indexes", {})
     index = index_tree(_nested_tree(tmp_path), SYSCALLS)
     # once per file, in file order, while the index is built
     assert built == ["a/b.c", "a-b.c", "a.c", None]
@@ -424,7 +424,9 @@ def test_two_locates_build_each_top_files_sites_once(tmp_path, monkeypatch):
     ]
 
 
-def test_sites_die_with_their_index(tmp_path):
+def test_sites_die_with_their_index(tmp_path, monkeypatch):
+    # a memo with room for one of these trees forgets the first for the second
+    monkeypatch.setattr(csource, "_MEMO_MAX_BYTES", len(PAIR_TREE))
     (tmp_path / "one").mkdir()
     (tmp_path / "two").mkdir()
     (tmp_path / "one" / "w.c").write_text(PAIR_TREE)
