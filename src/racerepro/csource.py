@@ -81,8 +81,6 @@ class FunctionRecord:
     end_line: int
     #: every identifier observed in call position within the body
     call_sites: list[tuple[str, int]] = field(default_factory=list)
-    #: call_sites filtered to the syscall universe given to index_tree
-    syscall_sites: list[tuple[str, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -119,8 +117,8 @@ class Site(NamedTuple):
     line: int
 
 
-def _file_sites(records: list[FunctionRecord]) -> list[Site]:
-    """Every syscall site of one file's functions, each with its own syscall.
+def _file_sites(records: list[FunctionRecord], syscall_names: frozenset[str]) -> list[Site]:
+    """Every call site of one file's functions that names a syscall.
 
     Sites are in file order: by line, and within a line in token order
     (the sort is stable over each function's token-ordered sites).
@@ -128,7 +126,8 @@ def _file_sites(records: list[FunctionRecord]) -> list[Site]:
     sites = [
         Site(name, record.file, record.name, line)
         for record in records
-        for name, line in record.syscall_sites
+        for name, line in record.call_sites
+        if name in syscall_names
     ]
     sites.sort(key=operator.itemgetter(3))  # Site.line
     return sites
@@ -364,9 +363,9 @@ def _build_index(
     """
     processes = _fork_processes(sources)
     if processes > 1:
-        per_file = _index_forked(_chunks(sources, processes), syscall_names)
+        per_file = _index_forked(_chunks(sources, processes))
     else:
-        per_file = _index_files(sources, syscall_names)
+        per_file = _index_files(sources)
 
     docs = [doc for _file_functions, doc in per_file]
     functions = [record for file_functions, _doc in per_file for record in file_functions]
@@ -383,12 +382,12 @@ def _build_index(
         functions=functions,
         graph=graph,
         diagnostics=diagnostics,
-        sites={doc.path: _file_sites(records) for records, doc in per_file},
+        sites={doc.path: _file_sites(records, syscall_names) for records, doc in per_file},
     )
 
 
 def _index_files(
-    sources: list[tuple[str, bytes]], syscall_names: frozenset[str]
+    sources: list[tuple[str, bytes]],
 ) -> list[tuple[list[FunctionRecord], SourceDoc]]:
     """Each file's function records and retrieval document, in file order."""
     per_file: list[tuple[list[FunctionRecord], SourceDoc]] = []
@@ -396,10 +395,6 @@ def _index_files(
     for rel, data in sources:
         text = data.decode("utf-8", errors="replace")
         file_functions, variables = _scan_file(rel, text)
-        for record in file_functions:
-            record.syscall_sites = [
-                (name, line) for name, line in record.call_sites if name in syscall_names
-            ]
         names = " ".join(f.name for f in file_functions)
         doc = SourceDoc(
             path=rel,
@@ -448,7 +443,7 @@ def _chunks(sources: list[tuple[str, bytes]], n: int) -> list[list[tuple[str, by
 
 
 def _index_forked(
-    chunks: list[list[tuple[str, bytes]]], syscall_names: frozenset[str]
+    chunks: list[list[tuple[str, bytes]]],
 ) -> list[tuple[list[FunctionRecord], SourceDoc]]:
     """``_index_files`` over the concatenated chunks, one process per chunk.
 
@@ -479,7 +474,7 @@ def _index_forked(
                 try:
                     for _pid, inherited in children:  # its own read end too
                         os.close(inherited)
-                    part = _index_files(chunk, syscall_names)
+                    part = _index_files(chunk)
                     payload = pickle.dumps(part, pickle.HIGHEST_PROTOCOL)
                     with open(write_end, "wb") as pipe:
                         pipe.write(payload)
@@ -488,7 +483,7 @@ def _index_forked(
                     os._exit(status)
             os.close(write_end)
 
-        per_file = _index_files(chunks[0], syscall_names)
+        per_file = _index_files(chunks[0])
         for child, chunk in zip(children, chunks[1:]):
             part = None
             if child[0] is not None:
@@ -502,7 +497,7 @@ def _index_forked(
                     except Exception:
                         pass  # a short or garbled payload
             if not isinstance(part, list) or len(part) != len(chunk):
-                part = _index_files(chunk, syscall_names)
+                part = _index_files(chunk)
             per_file += part
         return per_file
     finally:

@@ -282,13 +282,17 @@ def run_schedule(scn: Scenario, sched: InterleavingSchedule) -> RunResult:
 
 @dataclass
 class ReproResult:
-    reproduced: bool
     attempts: int
+    #: the schedule that tripped the oracle; None when nothing did
     schedule: InterleavingSchedule | None = None
     point_used: InstrumentationPoint | None = None
     wall_time: float = 0.0
     #: the undelayed order already trips the oracle, so no point is credited
     fails_undelayed: bool = False
+
+    @property
+    def reproduced(self) -> bool:
+        return self.schedule is not None
 
 
 def _first_failure(
@@ -306,8 +310,8 @@ def _first_failure(
             continue
         passed.add(key)
         if run_schedule(scn, sched).verdict == VERDICT_FAIL:
-            return ReproResult(True, attempts, sched, point, time.perf_counter() - start)
-    return ReproResult(False, attempts, wall_time=time.perf_counter() - start)
+            return ReproResult(attempts, sched, point, time.perf_counter() - start)
+    return ReproResult(attempts, wall_time=time.perf_counter() - start)
 
 
 def reproduce(
@@ -330,7 +334,7 @@ def reproduce(
     if max_attempts >= 1:
         base = baseline_schedule(scn)
         if run_schedule(scn, base).verdict == VERDICT_FAIL:
-            return ReproResult(True, 1, base, wall_time=time.perf_counter() - start,
+            return ReproResult(1, base, wall_time=time.perf_counter() - start,
                                fails_undelayed=True)
         passed.add(tuple(base.steps))
     built: set[tuple[str, int, bool]] = set()

@@ -10,18 +10,20 @@ The TSL dialect is a minimal line-oriented subset::
 
 Plain choices multiply into the Cartesian product (filtered by [if]
 constraints); every [single] or [error] choice instead contributes exactly
-one extra frame, with the remaining categories taking their first eligible
-plain choice.  Elements extracted from the bug report override the
-same-named categories in every frame.  The categories named ``command``,
-``options``, and ``inputs`` map onto the TestCase fields (the literal
-choice value ``none`` means the empty list); other categories become
-``name=value`` setup actions.
+one extra frame: the first frame of the same search that takes it and
+plain choices elsewhere.  Elements extracted from the bug report override
+the same-named categories in every frame.  The categories named
+``command``, ``options``, and ``inputs`` map onto the TestCase fields (the
+literal choice value ``none`` means the empty list); other categories
+become ``name=value`` setup actions.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .reports import BugReport
 
@@ -227,34 +229,32 @@ def _satisfied(choice: Choice, assignment: dict[str, str]) -> bool:
     return all(assignment.get(cat) == val for cat, val in choice.conditions)
 
 
-def _base_frames(spec: TslSpec) -> list[dict[str, str]]:
-    """The frames of the plain choices' product that satisfy every [if]
-    condition of their choices, in product order (last category fastest).
+def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
+    """The frames that give each category one of its ``values`` and satisfy
+    every [if] condition of their choices, in product order (last category
+    fastest).
 
     Categories are assigned depth-first in declaration order.  A choice's
     conditions are checked as soon as its own category and every category
     they name have their values, so a condition on an earlier category
     prunes the search and one on a later category waits for it.
     """
-    by_value = {
-        (cat.name, c.value): c for cat in spec.categories for c in cat.choices
-    }
     names = [cat.name for cat in spec.categories]
     if not names:
-        return [{}]  # the empty product
-    plain = [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
+        yield {}  # the empty product
+        return
     depth_of = {name: depth for depth, name in enumerate(names)}
     # per depth, the (category, value, choice) whose conditions it decides
     checks: list[list[tuple[str, str, Choice]]] = [[] for _ in names]
-    for (name, value), choice in by_value.items():
-        if choice.conditions:
-            own = depth_of[name]
-            due = max(own, *(depth_of.get(ref, own) for ref, _ in choice.conditions))
-            checks[due].append((name, value, choice))
+    for cat in spec.categories:
+        for choice in cat.choices:
+            if choice.conditions:
+                own = depth_of[cat.name]
+                due = max(own, *(depth_of.get(ref, own) for ref, _ in choice.conditions))
+                checks[due].append((cat.name, choice.value, choice))
 
-    frames: list[dict[str, str]] = []
     frame: dict[str, str] = {}
-    untried = [iter(plain[0])]  # per open category, its values not yet tried
+    untried = [iter(values[0])]  # per open category, its values not yet tried
     while untried:
         depth = len(untried) - 1
         value = next(untried[depth], None)
@@ -265,34 +265,21 @@ def _base_frames(spec: TslSpec) -> list[dict[str, str]]:
         if not all(frame[n] != v or _satisfied(c, frame) for n, v, c in checks[depth]):
             continue
         if depth + 1 < len(names):
-            untried.append(iter(plain[depth + 1]))
-        elif len(frames) == MAX_FRAMES:
-            raise TslError(f"plain choices yield more than {MAX_FRAMES} frames")
+            untried.append(iter(values[depth + 1]))
         else:
-            frames.append(dict(frame))
+            yield dict(frame)
+
+
+def _plain_values(spec: TslSpec) -> list[list[str]]:
+    return [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
+
+
+def _base_frames(spec: TslSpec) -> list[dict[str, str]]:
+    """The frames of the plain choices, refused past ``MAX_FRAMES``."""
+    frames = list(islice(_frames(spec, _plain_values(spec)), MAX_FRAMES + 1))
+    if len(frames) > MAX_FRAMES:
+        raise TslError(f"plain choices yield more than {MAX_FRAMES} frames")
     return frames
-
-
-def _special_frame(spec: TslSpec, special_cat: Category, special: Choice) -> dict[str, str]:
-    assignment: dict[str, str] = {special_cat.name: special.value}
-    for cat in spec.categories:
-        if cat.name == special_cat.name:
-            continue
-        eligible = [
-            c for c in cat.choices if c.plain and _satisfied(c, assignment)
-        ]
-        if not eligible:
-            raise TslError(
-                f"no eligible choice for category {cat.name!r} in the frame for "
-                f"[{'error' if special.error else 'single'}] choice {special.value!r}"
-            )
-        assignment[cat.name] = eligible[0].value
-    if not _satisfied(special, assignment):
-        raise TslError(
-            f"conditions of special choice {special.value!r} are unsatisfiable: "
-            f"{special.conditions}"
-        )
-    return assignment
 
 
 def _frame_to_case(
@@ -333,10 +320,19 @@ def expand_tsl(spec: TslSpec, partial: TestCase | None = None) -> list[TestCase]
         _frame_to_case(spec, frame, partial, error=False)
         for frame in _base_frames(spec)
     ]
-    for cat in spec.categories:
+    plain = _plain_values(spec)
+    for depth, cat in enumerate(spec.categories):
         for choice in cat.choices:
             if choice.plain:
                 continue
-            frame = _special_frame(spec, cat, choice)
+            # the first frame that takes this choice and plain ones elsewhere
+            values = [*plain[:depth], [choice.value], *plain[depth + 1:]]
+            frame = next(_frames(spec, values), None)
+            if frame is None:
+                raise TslError(
+                    f"no frame satisfies the conditions for "
+                    f"[{'error' if choice.error else 'single'}] choice "
+                    f"{choice.value!r} of category {cat.name!r}"
+                )
             cases.append(_frame_to_case(spec, frame, partial, error=choice.error))
     return cases

@@ -130,6 +130,20 @@ def test_gen_tests_expands_the_tsl(tmp_path, capsys):
     assert "mv -i bar foo [error]" in out
 
 
+def test_gen_tests_finds_a_special_frame_behind_a_later_condition(tmp_path, capsys):
+    # a=x holds only once b, a later category, is y
+    tsl = tmp_path / "fwd.tsl"
+    tsl.write_text("category a:\n  choice x [if b=y]\ncategory b:\n  choice y\n"
+                   "category c:\n  choice z\n  choice e [error]\n")
+    code = main([
+        "gen-tests", "--report", MV_REPORT, "--tsl", str(tsl),
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_OK, capsys.readouterr().err
+    cases = _read_json(tmp_path / "test_cases.json")["cases"]
+    assert [c["setup"] for c in cases if c["error"]] == [["a=x", "b=y", "c=e"]]
+
+
 # --- reproduce ----------------------------------------------------------------
 
 def test_reproduce_mv_exits_zero(tmp_path, capsys):

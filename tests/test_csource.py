@@ -222,7 +222,7 @@ def test_unterminated_char_literal_ends_at_its_line(tmp_path):
     )
     index = index_tree(tmp_path, SYSCALLS)
     assert [f.name for f in index.functions] == ["f", "g", "h"]
-    assert index.functions[0].syscall_sites == [("unlink", 4)]
+    assert index.sites["old.c"] == [("unlink", "old.c", "f", 4)]
 
 
 def test_directive_after_a_block_comment_is_not_code(tmp_path):
@@ -601,7 +601,7 @@ def test_other_syscall_names_give_a_fresh_index(tmp_path, monkeypatch):
     names = SYSCALLS - {"open"}
     fresh = index_tree(src, names)
     assert fresh is not before
-    assert fresh.functions[0].syscall_sites == []
+    assert fresh.sites["a.c"] == []
     assert fresh == _cold_index(src, names, monkeypatch)
 
 

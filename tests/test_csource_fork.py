@@ -153,17 +153,17 @@ def _fail_in_child(how: str, monkeypatch) -> list[int]:
     parent_calls: list[int] = []
     real_index_files = csource._index_files
 
-    def index_files(sources, names):
+    def index_files(sources):
         if os.getpid() == parent:
             parent_calls.append(len(sources))
-            return real_index_files(sources, names)
+            return real_index_files(sources)
         if how == "raises":
             raise RuntimeError("child failed")
         if how == "exits nonzero":
             os._exit(3)
         if how == "unpicklable result":
             return [threading.Lock()]
-        return real_index_files(sources, names)
+        return real_index_files(sources)
 
     monkeypatch.setattr(csource, "_index_files", index_files)
     real_dumps = pickle.dumps
@@ -214,10 +214,10 @@ def test_interrupted_parent_leaves_no_child(trees, forks, monkeypatch):
     parent = os.getpid()
     real_index_files = csource._index_files
 
-    def index_files(sources, names):
+    def index_files(sources):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return real_index_files(sources, names)
+        return real_index_files(sources)
 
     monkeypatch.setattr(csource, "_index_files", index_files)
     monkeypatch.setattr(csource, "_indexes", {})

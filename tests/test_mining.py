@@ -364,16 +364,18 @@ def test_sites_on_one_line_keep_their_own_syscalls(tmp_path, caplog):
 
 # --- the index's site map -----------------------------------------------------------
 
-def _sites_by_grouping(index, path: str) -> list[Site]:
-    """Group every record by file, then sort the file's sites by line: the
-    site list the index keeps for the file, built another way."""
+def _sites_by_grouping(index, path: str, names: frozenset[str]) -> list[Site]:
+    """Group every record by file, keep its calls to ``names``, then sort the
+    file's sites by line: the site list the index keeps for the file, built
+    another way."""
     by_file = {}
     for record in index.functions:
         by_file.setdefault(record.file, []).append(record)
     sites = [
         Site(name, record.file, record.name, line)
         for record in by_file.get(path, [])
-        for name, line in record.syscall_sites
+        for name, line in record.call_sites
+        if name in names
     ]
     sites.sort(key=lambda s: s.line)
     return sites
@@ -395,15 +397,15 @@ def test_sites_in_equals_grouping_every_file(root, tmp_path):
     index = index_tree(root or _nested_tree(tmp_path), names)
     assert list(index.sites) == [d.path for d in index.docs]
     for path in [d.path for d in index.docs] + ["missing.c", "a"]:
-        assert index.sites.get(path, []) == _sites_by_grouping(index, path), path
+        assert index.sites.get(path, []) == _sites_by_grouping(index, path, names), path
 
 
 def test_two_locates_build_each_top_files_sites_once(tmp_path, monkeypatch):
     built = []
 
-    def counting(records):
+    def counting(records, names):
         built.append(records[0].file if records else None)
-        return file_sites(records)
+        return file_sites(records, names)
 
     file_sites = csource._file_sites
     monkeypatch.setattr(csource, "_file_sites", counting)

@@ -230,15 +230,13 @@ def test_index_finds_exact_sites(generated):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "gen.c").write_text(text, "utf-8")
         index = index_tree(tmp, frozenset(SYSCALL_POOL))
-    found = sorted(
-        (record.name, syscall, line)
-        for record in index.functions
-        for syscall, line in record.syscall_sites
-    )
+    sites = index.sites["gen.c"]
+    found = sorted((site.function, site.syscall, site.line) for site in sites)
     assert found == sorted(expected)
-    for record in index.functions:
-        for _syscall, line in record.syscall_sites:
-            assert record.start_line <= line <= record.end_line
+    spans = {record.name: (record.start_line, record.end_line) for record in index.functions}
+    for site in sites:
+        start, end = spans[site.function]
+        assert start <= site.line <= end
 
 
 # --- 6: TSL frame counts match the combinatorial oracle --------------------------------

@@ -30,6 +30,17 @@ category inputs:
     choice bar baz foo         [single]
 """
 
+#: a=x holds only with b=y, a later category; the [error] frame is a=x b=y c=e
+FORWARD_TSL = """\
+category a:
+    choice x [if b=y]
+category b:
+    choice y
+category c:
+    choice z
+    choice e [error]
+"""
+
 
 def _report(body: str, subject: str = "subject") -> BugReport:
     return BugReport("t", subject, body)
@@ -137,15 +148,37 @@ def test_if_constraint_filters_product():
     }
 
 
-def test_unsatisfiable_special_frame_raises():
-    # the [error] choice requires mode=slow, but the frame filler always
-    # picks the first plain choice (fast), so the condition cannot hold
+def test_special_frame_is_the_first_that_meets_its_conditions():
+    # the [error] choice requires mode=slow, so its frame skips mode=fast
     spec = parse_tsl(
         "category mode:\n  choice fast\n  choice slow\n"
         "category retry:\n  choice crash [error] [if mode=slow]\n  choice off\n"
     )
-    with pytest.raises(TslError):
+    crash = [c for c in expand_tsl(spec) if c.error]
+    assert [c.setup for c in crash] == [["mode=slow", "retry=crash"]]
+
+
+def test_unsatisfiable_special_frame_raises():
+    # turbo is [single], so no frame of plain choices elsewhere has mode=turbo
+    spec = parse_tsl(
+        "category mode:\n  choice fast\n  choice turbo [single]\n"
+        "category retry:\n  choice crash [error] [if mode=turbo]\n  choice off\n"
+    )
+    with pytest.raises(
+        TslError, match=r"\[error\] choice 'crash' of category 'retry'"
+    ):
         expand_tsl(spec)
+
+
+def test_special_frame_waits_for_a_condition_on_a_later_category():
+    # a=x needs b=y, decided only after a: the frame filler must not read
+    # the unassigned b as a failed condition
+    spec = parse_tsl(FORWARD_TSL)
+    cases = expand_tsl(spec)
+    assert [(c.setup, c.error) for c in cases] == [
+        (["a=x", "b=y", "c=z"], False),
+        (["a=x", "b=y", "c=e"], True),
+    ]
 
 
 def test_none_sentinel_empties_the_field():
@@ -174,13 +207,15 @@ def test_partial_overrides_every_frame():
     assert {tuple(c.options) for c in cases} == {(), ("-f",), ("-i",)}
 
 
-def _base_frames_oracle(spec):
-    """The whole product built as a list, then filtered: the body
-    ``_base_frames`` had before it streamed the product."""
+def _frames_oracle(spec, values=None):
+    """The whole product of ``values`` (per category, the values it may
+    take; by default its plain choices) built as a list, then filtered: the
+    body ``_base_frames`` had before it streamed the product."""
+    if values is None:
+        values = [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
     frames = [{}]
-    for cat in spec.categories:
-        plain = [c for c in cat.choices if c.plain]
-        frames = [{**frame, cat.name: choice.value} for frame in frames for choice in plain]
+    for cat, cat_values in zip(spec.categories, values):
+        frames = [{**frame, cat.name: value} for frame in frames for value in cat_values]
     by_value = {(cat.name, c.value): c for cat in spec.categories for c in cat.choices}
     return [
         frame
@@ -201,7 +236,7 @@ def _base_frames_oracle(spec):
 def test_base_frames_match_the_whole_product_oracle(text):
     spec = parse_tsl(text)
     frames = _base_frames(spec)
-    want = _base_frames_oracle(spec)
+    want = _frames_oracle(spec)
     assert frames == want
     assert [list(f) for f in frames] == [list(f) for f in want]  # key order too
 
@@ -232,9 +267,30 @@ def test_base_frames_match_the_whole_product_oracle_on_random_specs():
             spec = parse_tsl(_random_spec_text(rng))
         except TslError:  # a condition named a value its category lacks
             continue
-        frames, want = _base_frames(spec), _base_frames_oracle(spec)
+        frames, want = _base_frames(spec), _frames_oracle(spec)
         assert frames == want
         assert [list(f) for f in frames] == [list(f) for f in want]
+
+        # each special choice's frame is the first of the product that fixes
+        # its category to it and leaves the others their plain choices
+        plain = [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
+        special_frames = []
+        for depth, cat in enumerate(spec.categories):
+            for choice in cat.choices:
+                if not choice.plain:
+                    values = [*plain[:depth], [choice.value], *plain[depth + 1:]]
+                    special_frames.append(
+                        (_frames_oracle(spec, values)[:1], choice.error)
+                    )
+        if all(first for first, _ in special_frames):
+            cases = expand_tsl(spec)
+            assert [
+                (dict(item.split("=", 1) for item in c.setup), c.error)
+                for c in cases[len(frames):]
+            ] == [(first[0], error) for first, error in special_frames]
+        else:
+            with pytest.raises(TslError, match="no frame satisfies"):
+                expand_tsl(spec)
         compared += 1
 
 
