@@ -208,17 +208,25 @@ def load_scenario(path: str | Path) -> Scenario:
 
 # --- schedules --------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class InterleavingSchedule:
-    steps: list[tuple[str, int]]
+    """One interleaving: the ``(process, op index)`` steps in run order.
+
+    The steps are an immutable tuple, so they key the set of runs that
+    passed as they are, and a tuple of strings and ints stops being
+    traversed by the cyclic garbage collector after its first pass.
+    """
+
+    steps: tuple[tuple[str, int], ...]
 
 
 def baseline_schedule(scn: Scenario) -> InterleavingSchedule:
     """Every process runs to completion in scenario order (no delays)."""
-    steps = [
+    # a tuple made from a list is allocated once at its size; one grown from a
+    # generator is reallocated as it grows, which cost peak memory in batches
+    return InterleavingSchedule(steps=tuple([
         (name, i) for name, trace in scn.processes for i in range(len(trace))
-    ]
-    return InterleavingSchedule(steps=steps)
+    ]))
 
 
 def schedule_with_delay(scn: Scenario, point: InstrumentationPoint) -> InterleavingSchedule:
@@ -238,9 +246,9 @@ def schedule_with_delay(scn: Scenario, point: InstrumentationPoint) -> Interleav
         )
     proc, op_idx = target
     resume = op_idx if point.placement == "before" else op_idx + 1
-    return InterleavingSchedule(steps=sorted(
+    return InterleavingSchedule(steps=tuple(sorted(
         baseline_schedule(scn).steps, key=lambda step: step[0] == proc and step[1] >= resume
-    ))
+    )))
 
 
 def _check_schedule(scn: Scenario, sched: InterleavingSchedule) -> None:
@@ -306,9 +314,9 @@ def _first_failure(
     passed in this call (``passed``), uses up its attempt without a run."""
     attempts = 0
     for attempts, (sched, point) in enumerate(tries, 1):
-        if sched is None or (key := tuple(sched.steps)) in passed:
+        if sched is None or sched.steps in passed:
             continue
-        passed.add(key)
+        passed.add(sched.steps)
         if run_schedule(scn, sched).verdict == VERDICT_FAIL:
             return ReproResult(attempts, sched, point, time.perf_counter() - start)
     return ReproResult(attempts, wall_time=time.perf_counter() - start)
@@ -336,7 +344,7 @@ def reproduce(
         if run_schedule(scn, base).verdict == VERDICT_FAIL:
             return ReproResult(1, base, wall_time=time.perf_counter() - start,
                                fails_undelayed=True)
-        passed.add(tuple(base.steps))
+        passed.add(base.steps)
     built: set[tuple[str, int, bool]] = set()
 
     def delayed(point: InstrumentationPoint) -> InterleavingSchedule | None:
@@ -370,15 +378,21 @@ def enumerate_interleavings(scn: Scenario) -> list[tuple[InterleavingSchedule, s
     key of an earlier one runs no op and no oracle: it takes the earlier
     node's completions, in walk order, after its own prefix, with their
     verdicts.  The result is the list the full walk would return.
+
+    Each schedule's steps are one tuple: a leaf copies the prefix once, and
+    a cached node copies each completion as one concatenation of its own
+    prefix and the earlier completion's tail.  The step tuples are made once
+    per op, before the walk, so the returned schedules hold no list and the
+    cyclic garbage collector stops traversing them after its first pass.
     """
     total = scn.total_ops()
     if total > ENUMERATE_BOUND:
         raise ValueError(f"scenario has {total} ops, enumeration bound is {ENUMERATE_BOUND}")
     oracle = scn.oracle
-    # per process: its name and, per op, (kind, args, paths named, watched by the oracle)
+    # per process, per op: (its step, kind, args, paths named, watched by the oracle)
     procs = [
-        (name, [(op.kind, op.args, path_args(op.kind, op.args), oracle.watches(op))
-                for op in trace])
+        [((name, i), op.kind, op.args, path_args(op.kind, op.args), oracle.watches(op))
+         for i, op in enumerate(trace)]
         for name, trace in scn.processes
     ]
     progress = [0] * len(procs)
@@ -393,22 +407,23 @@ def enumerate_interleavings(scn: Scenario) -> list[tuple[InterleavingSchedule, s
         depth = len(prefix)
         if depth == total:
             verdict = oracle.evaluate(fs, open_failed)
-            results.append((InterleavingSchedule(steps=list(prefix)), verdict))
+            results.append((InterleavingSchedule(tuple(prefix)), verdict))
             return
         key = _node_key(progress, open_failed, paths)
         if (span := walked.get(key)) is not None:
-            results.extend([(InterleavingSchedule(steps=prefix + sched.steps[depth:]), verdict)
+            head = tuple(prefix)
+            results.extend([(InterleavingSchedule(head + sched.steps[depth:]), verdict)
                             for sched, verdict in results[span[0]:span[1]]])
             return
         start = len(results)
-        for pi, (name, ops) in enumerate(procs):
+        for pi, ops in enumerate(procs):
             op_idx = progress[pi]
             if op_idx == len(ops):
                 continue
-            kind, args, named, watched = ops[op_idx]
+            step, kind, args, named, watched = ops[op_idx]
             undo = [(p, n, n.mode, n.content) if (n := paths.get(p)) is not None
                     else (p, None, 0, "") for p in named]
-            prefix.append((name, op_idx))
+            prefix.append(step)
             progress[pi] += 1
             failed = fs.apply(kind, args) == ENOENT and watched
             walk(open_failed or failed)
@@ -451,7 +466,8 @@ def random_baseline(scn: Scenario, runs: int = 100, seed: int = 0) -> ReproResul
         shuffled = list(tokens)
         rng.shuffle(shuffled)
         counters = {name: itertools.count() for name in scn.process_names}
-        return InterleavingSchedule(steps=[(name, next(counters[name])) for name in shuffled])
+        return InterleavingSchedule(
+            steps=tuple([(name, next(counters[name])) for name in shuffled]))
 
     start = time.perf_counter()
     return _first_failure(scn, ((draw(), None) for _ in range(runs)), set(), start)

@@ -237,21 +237,43 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
     Categories are assigned depth-first in declaration order.  A choice's
     conditions are checked as soon as its own category and every category
     they name have their values, so a condition on an earlier category
-    prunes the search and one on a later category waits for it.
+    prunes the search and one on a later category waits for it.  The search
+    also checks forward: once a category is assigned, a branch where some
+    later category has no value left whose conditions on the categories
+    assigned so far all hold is pruned, as is the whole search when a
+    category has no value at all.  Pruning only cuts branches that hold no
+    frame, so the frames and their order are those of the plain product.
     """
     names = [cat.name for cat in spec.categories]
     if not names:
         yield {}  # the empty product
         return
+    if not all(values):
+        return
     depth_of = {name: depth for depth, name in enumerate(names)}
     # per depth, the (category, value, choice) whose conditions it decides
     checks: list[list[tuple[str, str, Choice]]] = [[] for _ in names]
+    conditions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     for cat in spec.categories:
         for choice in cat.choices:
+            conditions[cat.name, choice.value] = choice.conditions
             if choice.conditions:
                 own = depth_of[cat.name]
                 due = max(own, *(depth_of.get(ref, own) for ref, _ in choice.conditions))
                 checks[due].append((cat.name, choice.value, choice))
+    # per depth, for each later category with a value whose conditions name
+    # this depth's category: per value, its conditions on categories assigned
+    # by then; one of them must hold in full for the branch to go on
+    ahead: list[list[list[list[tuple[str, str]]]]] = [[] for _ in names]
+    for later, name in enumerate(names):
+        # a condition on this category itself or a later one is checked when due
+        known = [[(ref, val) for ref, val in conditions[name, value]
+                  if depth_of.get(ref, later) < later] for value in values[later]]
+        if not all(known):
+            continue  # a value with no such condition keeps the category alive
+        for depth in {depth_of[ref] for conds in known for ref, _ in conds}:
+            ahead[depth].append([[(ref, val) for ref, val in conds if depth_of[ref] <= depth]
+                                 for conds in known])
 
     frame: dict[str, str] = {}
     untried = [iter(values[0])]  # per open category, its values not yet tried
@@ -263,6 +285,9 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
             continue
         frame[names[depth]] = value
         if not all(frame[n] != v or _satisfied(c, frame) for n, v, c in checks[depth]):
+            continue
+        if not all(any(all(frame[n] == v for n, v in conds) for conds in options)
+                   for options in ahead[depth]):
             continue
         if depth + 1 < len(names):
             untried.append(iter(values[depth + 1]))

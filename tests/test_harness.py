@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from collections import Counter
@@ -175,18 +176,18 @@ def test_bundled_mv_scenario_shape(mv_scenario):
 def test_baseline_runs_processes_in_scenario_order():
     scn = _two_proc(Oracle(kind="final-mode", path="f", expected_mode=0o444))
     sched = baseline_schedule(scn)
-    assert sched.steps == [
+    assert sched.steps == (
         ("writer", 0), ("writer", 1), ("writer", 2), ("writer", 3), ("tamperer", 0),
-    ]
+    )
 
 
 def test_delay_before_yields_ahead_of_the_op():
     src_map = {("gzip.c", "treat_file", 57): ("writer", 3)}
     scn = _two_proc(Oracle(kind="final-mode", path="f", expected_mode=0o444), src_map)
     sched = schedule_with_delay(scn, _point("before", "gzip.c", "treat_file", 57))
-    assert sched.steps == [
+    assert sched.steps == (
         ("writer", 0), ("writer", 1), ("writer", 2), ("tamperer", 0), ("writer", 3),
-    ]
+    )
 
 
 @pytest.mark.parametrize("placement", ["after", "between-pair"])
@@ -194,9 +195,9 @@ def test_delay_after_and_between_yield_past_the_op(placement):
     src_map = {("gzip.c", "treat_file", 57): ("writer", 3)}
     scn = _two_proc(Oracle(kind="final-mode", path="f", expected_mode=0o444), src_map)
     sched = schedule_with_delay(scn, _point(placement, "gzip.c", "treat_file", 57))
-    assert sched.steps == [
+    assert sched.steps == (
         ("writer", 0), ("writer", 1), ("writer", 2), ("writer", 3), ("tamperer", 0),
-    ]
+    )
 
 
 def test_delay_before_first_op_runs_others_first():
@@ -204,7 +205,7 @@ def test_delay_before_first_op_runs_others_first():
     scn = _two_proc(Oracle(kind="final-mode", path="f", expected_mode=0o444), src_map)
     sched = schedule_with_delay(scn, _point("before", "gzip.c", "treat_file", 10))
     assert sched.steps[0] == ("tamperer", 0)
-    assert sched.steps[1:] == [("writer", i) for i in range(4)]
+    assert sched.steps[1:] == tuple(("writer", i) for i in range(4))
 
 
 def test_delay_unmapped_point_raises_keyerror():
@@ -213,7 +214,7 @@ def test_delay_unmapped_point_raises_keyerror():
         schedule_with_delay(scn, _point("before", "nowhere.c", "f", 1))
 
 
-def _delayed_steps_by_loop(scn: Scenario, point: InstrumentationPoint) -> list:
+def _delayed_steps_by_loop(scn: Scenario, point: InstrumentationPoint) -> tuple:
     """The loop ``schedule_with_delay`` ran before it became one stable sort."""
     proc, op_idx = scn.map_point(point)
     yield_before = op_idx if point.placement == "before" else op_idx + 1
@@ -225,7 +226,7 @@ def _delayed_steps_by_loop(scn: Scenario, point: InstrumentationPoint) -> list:
         else:
             steps.extend((name, i) for i in range(len(trace)))
     steps.extend(tail)
-    return steps
+    return tuple(steps)
 
 
 def _mapping_every_op(scn: Scenario) -> Scenario:
@@ -285,7 +286,7 @@ def _mini() -> Scenario:
 )
 def test_run_schedule_rejects_malformed(steps):
     with pytest.raises(ValueError):
-        run_schedule(_mini(), InterleavingSchedule(steps=steps))
+        run_schedule(_mini(), InterleavingSchedule(steps=tuple(steps)))
 
 
 def test_run_schedule_is_deterministic(mv_scenario):
@@ -303,7 +304,7 @@ def test_mv_correct_order_passes(mv_scenario):
 
 
 def test_mv_buggy_order_fails(mv_scenario):
-    buggy = InterleavingSchedule(steps=[("mv", 0), ("cat", 0), ("mv", 1)])
+    buggy = InterleavingSchedule(steps=(("mv", 0), ("cat", 0), ("mv", 1)))
     result = run_schedule(mv_scenario, buggy)
     assert result.verdict == VERDICT_FAIL
     # cat's open fell in the gap; the rename then put bar's node at foo
@@ -331,7 +332,7 @@ def test_enumerate_mv_finds_exactly_one_failure(mv_scenario):
     assert len(results) == 3  # C(3,1) placements of cat's op among mv's two
     failing = [sched for sched, verdict in results if verdict == VERDICT_FAIL]
     assert len(failing) == 1
-    assert failing[0].steps == [("mv", 0), ("cat", 0), ("mv", 1)]
+    assert failing[0].steps == (("mv", 0), ("cat", 0), ("mv", 1))
 
 
 def test_enumerate_disjoint_paths_never_fails():
@@ -382,7 +383,7 @@ def _enumerate_uncached(scn: Scenario) -> list[tuple[InterleavingSchedule, str]]
     def walk(open_failures: int) -> None:
         if len(prefix) == total:
             verdict = oracle.evaluate(fs, open_failures > 0)
-            results.append((InterleavingSchedule(steps=list(prefix)), verdict))
+            results.append((InterleavingSchedule(steps=tuple(prefix)), verdict))
             return
         for pi, (name, ops) in enumerate(procs):
             op_idx = progress[pi]
@@ -466,7 +467,18 @@ def test_enumeration_at_benchmark_scale_equals_replay(seed):
     results = enumerate_interleavings(scn)
     assert results == _enumerate_uncached(scn)
     assert [(sched.steps, verdict) for sched, verdict in results] == _enumerate_by_replay(scn)
-    assert len({id(sched.steps) for sched, _verdict in results}) == len(results)
+    assert all(type(sched.steps) is tuple for sched, _verdict in results)
+
+
+def test_enumerated_schedules_leave_the_garbage_collector():
+    # every schedule's steps are a tuple of (str, int) tuples, so one full
+    # collection untracks them all, copies from cached nodes included; a
+    # slotted schedule carries no instance dict for the collector to traverse
+    results = enumerate_interleavings(_bench_scale_scenario(28))
+    assert len(results) == 2970
+    gc.collect()
+    assert not any(gc.is_tracked(sched.steps) for sched, _verdict in results)
+    assert not any(hasattr(sched, "__dict__") for sched, _verdict in results)
 
 
 def test_benchmark_scale_scenarios_cover_every_oracle_and_both_baselines():
@@ -737,7 +749,8 @@ def _random_baseline_running_every_draw(scn, runs, seed):
             idx = counters.get(name, 0)
             counters[name] = idx + 1
             steps.append((name, idx))
-        ran.append(tuple(steps))
+        steps = tuple(steps)
+        ran.append(steps)
         if run_schedule(scn, InterleavingSchedule(steps=steps)).verdict == VERDICT_FAIL:
             return (True, attempt, steps), ran
     return (False, runs, None), ran
@@ -794,7 +807,7 @@ def test_format_schedule_octal_args_and_locations():
 
 
 def test_format_schedule_mv_buggy_order(mv_scenario):
-    buggy = InterleavingSchedule(steps=[("mv", 0), ("cat", 0), ("mv", 1)])
+    buggy = InterleavingSchedule(steps=(("mv", 0), ("cat", 0), ("mv", 1)))
     assert format_schedule(mv_scenario, buggy) == [
         "mv:unlink(foo) @ copy.c:copy_internal:307",
         "cat:open(foo)",

@@ -182,7 +182,7 @@ def test_replay_deterministic(scn, seed):
         idx = counters.get(name, 0)
         counters[name] = idx + 1
         steps.append((name, idx))
-    sched = InterleavingSchedule(steps=steps)
+    sched = InterleavingSchedule(steps=tuple(steps))
 
     first = run_schedule(scn, sched)
     second = run_schedule(scn, sched)
@@ -340,16 +340,16 @@ class _Recording:
         return self.oracle.evaluate(fs, open_failed)
 
 
-def _enumerate_by_replay(scn: Scenario) -> list[tuple[list[tuple[str, int]], str]]:
+def _enumerate_by_replay(scn: Scenario) -> list[tuple[tuple[tuple[str, int], ...], str]]:
     """The reference: every interleaving replayed from the initial filesystem."""
     names = scn.process_names
     lengths = [len(trace) for _name, trace in scn.processes]
-    results: list[tuple[list[tuple[str, int]], str]] = []
+    results: list[tuple[tuple[tuple[str, int], ...], str]] = []
     prefix: list[tuple[str, int]] = []
 
     def recurse(progress: tuple[int, ...]) -> None:
         if len(prefix) == sum(lengths):
-            sched = InterleavingSchedule(steps=list(prefix))
+            sched = InterleavingSchedule(steps=tuple(prefix))
             results.append((sched.steps, run_schedule(scn, sched).verdict))
             return
         for pi, name in enumerate(names):
@@ -393,7 +393,7 @@ def _cached_walk_by_replay(scn: Scenario) -> list[tuple]:
 
     def recurse(progress: tuple[int, ...]) -> None:
         if len(prefix) == sum(lengths):
-            run_schedule(scn, InterleavingSchedule(steps=list(prefix)))
+            run_schedule(scn, InterleavingSchedule(steps=tuple(prefix)))
             return
         fs, open_failed = _replayed(scn, prefix)
         key = _state_key(progress, open_failed, fs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -332,6 +333,29 @@ def test_frame_limit_counts_frames_that_survive_the_conditions():
     assert len(_base_frames(parse_tsl(paired + rest))) == MAX_FRAMES
     with pytest.raises(TslError, match=f"more than {MAX_FRAMES} frames"):
         _base_frames(parse_tsl(_two_choice_categories(f"c{i}" for i in range(13))))
+
+
+def test_a_later_category_left_without_a_value_prunes_the_search():
+    # z's one choice needs c0 to be both x and y, so no frame exists; the
+    # search must see that once c0 is assigned, not after 2**30 combinations
+    spec = parse_tsl(_two_choice_categories(f"c{i}" for i in range(30))
+                     + "category z:\n  choice q [if c0=x] [if c0=y]\n")
+    start = time.perf_counter()
+    assert _base_frames(spec) == []
+    assert expand_tsl(spec) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_category_with_no_plain_choice_has_no_plain_frame():
+    # the plain product is empty at z, and the error case is still the first
+    # frame with z=q
+    spec = parse_tsl(_two_choice_categories(f"c{i}" for i in range(30))
+                     + "category z:\n  choice q [error]\n")
+    start = time.perf_counter()
+    assert _base_frames(spec) == []
+    (case,) = expand_tsl(spec)
+    assert time.perf_counter() - start < 1.0
+    assert case.error and case.setup == [*(f"c{i}=x" for i in range(30)), "z=q"]
 
 
 def test_empty_spec_expands_to_nothing():
