@@ -171,8 +171,8 @@ def _parse_tags(raw_tags: list[str], value: str) -> Choice:
 
 
 def parse_tsl(text: str) -> TslSpec:
-    categories: list[Category] = []
-    current: Category | None = None
+    choices: dict[str, dict[str, Choice]] = {}  # per category, its choices by value
+    current: str | None = None  # the category the next choice belongs to
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -181,10 +181,10 @@ def parse_tsl(text: str) -> TslSpec:
             name = line[len("category "):-1].strip()
             if not name:
                 raise TslError(f"line {lineno}: empty category name")
-            if any(cat.name == name for cat in categories):
+            if name in choices:
                 raise TslError(f"line {lineno}: category {name!r} declared twice")
-            current = Category(name=name, choices=[])
-            categories.append(current)
+            current = name
+            choices[name] = {}
             continue
         if line.startswith("choice "):
             if current is None:
@@ -197,27 +197,28 @@ def parse_tsl(text: str) -> TslSpec:
                 rest = rest[:open_idx].rstrip()
             if not rest:
                 raise TslError(f"line {lineno}: empty choice value")
-            if any(choice.value == rest for choice in current.choices):
+            if rest in choices[current]:
                 raise TslError(
-                    f"line {lineno}: choice {rest!r} repeated in category {current.name!r}"
+                    f"line {lineno}: choice {rest!r} repeated in category {current!r}"
                 )
-            current.choices.append(_parse_tags(raw_tags, rest))
+            choices[current][rest] = _parse_tags(raw_tags, rest)
             continue
         raise TslError(f"line {lineno}: unrecognized line {line!r}")
 
+    categories = [Category(name=name, choices=list(by_value.values()))
+                  for name, by_value in choices.items()]
     for cat in categories:
         if not cat.choices:
             raise TslError(f"category {cat.name!r} has no choices")
 
-    by_name = {cat.name: cat for cat in categories}
     for cat in categories:
         for choice in cat.choices:
             for ref_cat, ref_val in choice.conditions:
-                if ref_cat not in by_name:
+                if ref_cat not in choices:
                     raise TslError(
                         f"choice {choice.value!r} references unknown category {ref_cat!r}"
                     )
-                if ref_val not in [c.value for c in by_name[ref_cat].choices]:
+                if ref_val not in choices[ref_cat]:
                     raise TslError(
                         f"choice {choice.value!r} references unknown choice "
                         f"{ref_cat}={ref_val!r}"
@@ -225,8 +226,11 @@ def parse_tsl(text: str) -> TslSpec:
     return TslSpec(categories=categories)
 
 
-def _satisfied(choice: Choice, assignment: dict[str, str]) -> bool:
-    return all(assignment.get(cat) == val for cat, val in choice.conditions)
+def _fits(a: str, v: Choice, b: str, w: Choice) -> bool:
+    """Whether choice ``v`` of category ``a`` and ``w`` of ``b`` can share a
+    frame: neither's conditions name the other's category with another value."""
+    return (all(val == w.value for cat, val in v.conditions if cat == b)
+            and all(val == v.value for cat, val in w.conditions if cat == a))
 
 
 def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
@@ -234,65 +238,61 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
     every [if] condition of their choices, in product order (last category
     fastest).
 
-    Categories are assigned depth-first in declaration order.  A choice's
-    conditions are checked as soon as its own category and every category
-    they name have their values, so a condition on an earlier category
-    prunes the search and one on a later category waits for it.  The search
-    also checks forward: once a category is assigned, a branch where some
-    later category has no value left whose conditions on the categories
-    assigned so far all hold is pruned, as is the whole search when a
-    category has no value at all.  Pruning only cuts branches that hold no
-    frame, so the frames and their order are those of the plain product.
+    Every condition is checked by one pairwise rule, ``_fits``, between the
+    categories it links (a condition on its own category links a choice to
+    itself).  Arc consistency first drops each value that fits no value left
+    of a linked category; the depth-first search in declaration order then
+    cuts a branch once its new value does not fit an assigned linked
+    category, or a later linked category has no value left that fits every
+    assigned one (forward checking).  Only branches with no frame are cut.
     """
     names = [cat.name for cat in spec.categories]
     if not names:
         yield {}  # the empty product
         return
-    if not all(values):
-        return
     depth_of = {name: depth for depth, name in enumerate(names)}
-    # per depth, the (category, value, choice) whose conditions it decides
-    checks: list[list[tuple[str, str, Choice]]] = [[] for _ in names]
-    conditions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    for cat in spec.categories:
-        for choice in cat.choices:
-            conditions[cat.name, choice.value] = choice.conditions
-            if choice.conditions:
-                own = depth_of[cat.name]
-                due = max(own, *(depth_of.get(ref, own) for ref, _ in choice.conditions))
-                checks[due].append((cat.name, choice.value, choice))
-    # per depth, for each later category with a value whose conditions name
-    # this depth's category: per value, its conditions on categories assigned
-    # by then; one of them must hold in full for the branch to go on
-    ahead: list[list[list[list[tuple[str, str]]]]] = [[] for _ in names]
-    for later, name in enumerate(names):
-        # a condition on this category itself or a later one is checked when due
-        known = [[(ref, val) for ref, val in conditions[name, value]
-                  if depth_of.get(ref, later) < later] for value in values[later]]
-        if not all(known):
-            continue  # a value with no such condition keeps the category alive
-        for depth in {depth_of[ref] for conds in known for ref, _ in conds}:
-            ahead[depth].append([[(ref, val) for ref, val in conds if depth_of[ref] <= depth]
-                                 for conds in known])
+    domains: list[list[Choice]] = []
+    links: list[set[int]] = [set() for _ in names]
+    for depth, (cat, cat_values) in enumerate(zip(spec.categories, values)):
+        by_value = {choice.value: choice for choice in cat.choices}
+        domains.append([by_value[value] for value in cat_values])
+        for choice in domains[depth]:
+            for ref, _ in choice.conditions:
+                links[depth].add(depth_of[ref])
+                links[depth_of[ref]].add(depth)
+    arcs = [(a, b) for a, linked in enumerate(links) for b in linked]
+    while arcs:
+        a, b = arcs.pop()
+        kept = [v for v in domains[a] if any(
+            _fits(names[a], v, names[b], w) for w in ((v,) if a == b else domains[b]))]
+        if len(kept) < len(domains[a]):
+            domains[a] = kept
+            arcs.extend((c, a) for c in links[a])
+    if not all(domains):
+        return
 
-    frame: dict[str, str] = {}
-    untried = [iter(values[0])]  # per open category, its values not yet tried
+    def fits_assigned(e: int, w: Choice, assigned: int) -> bool:
+        # w of category e fits each linked category among the first `assigned`
+        return all(_fits(names[c], chosen[c], names[e], w) for c in links[e] if c < assigned)
+
+    chosen: list[Choice] = []  # per assigned category, its choice
+    untried = [iter(domains[0])]  # per open category, its values not yet tried
     while untried:
         depth = len(untried) - 1
-        value = next(untried[depth], None)
-        if value is None:
+        choice = next(untried[depth], None)
+        if choice is None:
             untried.pop()
             continue
-        frame[names[depth]] = value
-        if not all(frame[n] != v or _satisfied(c, frame) for n, v, c in checks[depth]):
-            continue
-        if not all(any(all(frame[n] == v for n, v in conds) for conds in options)
-                   for options in ahead[depth]):
+        chosen[depth:] = [choice]
+        if links[depth] and not (
+            fits_assigned(depth, choice, depth)
+            and all(any(fits_assigned(e, w, depth + 1) for w in domains[e])
+                    for e in links[depth] if e > depth)):
             continue
         if depth + 1 < len(names):
-            untried.append(iter(values[depth + 1]))
+            untried.append(iter(domains[depth + 1]))
         else:
-            yield dict(frame)
+            yield {name: c.value for name, c in zip(names, chosen)}
 
 
 def _plain_values(spec: TslSpec) -> list[list[str]]:

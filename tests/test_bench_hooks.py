@@ -72,3 +72,27 @@ def test_traced_enumeration_counts_its_ops_and_interleavings(mv_scenario):
         tracer.restore()
     assert tracer.counts["harness.interleavings_explored"] == len(results) > 0
     assert tracer.counts["vfs.apply.calls"] > 0
+
+
+def test_replay_reads_the_steps_of_every_schedule(mv_scenario):
+    # the replay workload renders what reproduce, random_baseline and the
+    # enumeration return through `.steps`, and the tracer keys run_schedule
+    # calls on the same attribute; a schedule without it fails every job
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, {m.__name__.rsplit(".", 1)[-1]: m for m in MODULES})
+        rand = harness.random_baseline(mv_scenario)
+    finally:
+        tracer.restore()
+    assert tracer.distinct["harness.run_schedule.calls.distinct"]
+
+    point = mining.InstrumentationPoint(rank=1, syscall="rename", file="copy.c",
+                                        function="copy_internal", line=309, placement="before")
+    repro = harness.reproduce(mv_scenario, [point])
+    explored = harness.enumerate_interleavings(mv_scenario)
+    schedules = [repro.schedule, rand.schedule, *(sched for sched, _verdict in explored)]
+    for sched in schedules:
+        assert type(sched.steps) is tuple and sched.steps
+        assert all(type(step) is tuple and tuple(map(type, step)) == (str, int)
+                   for step in sched.steps)

@@ -14,7 +14,6 @@ from racerepro.testcases import (
     TestCase as Case,
     TslError,
     _base_frames,
-    _satisfied,
     expand_tsl,
     extract_elements,
     parse_tsl,
@@ -97,6 +96,17 @@ def test_parse_if_tag():
 def test_parse_errors(text):
     with pytest.raises(TslError):
         parse_tsl(text)
+
+
+def test_parse_checks_repeats_in_linear_time():
+    # 20,000 categories, each with a condition on the one before it
+    text = "".join(
+        f"category c{i}:\n  choice x\n  choice y [if c{max(i - 1, 0)}=x]\n" for i in range(20_000)
+    )
+    start = time.perf_counter()
+    spec = parse_tsl(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(spec.categories) == 20_000
 
 
 # --- expansion ----------------------------------------------------------------
@@ -208,6 +218,10 @@ def test_partial_overrides_every_frame():
     assert {tuple(c.options) for c in cases} == {(), ("-f",), ("-i",)}
 
 
+def _satisfied(choice, assignment: dict[str, str]) -> bool:
+    return all(assignment.get(cat) == val for cat, val in choice.conditions)
+
+
 def _frames_oracle(spec, values=None):
     """The whole product of ``values`` (per category, the values it may
     take; by default its plain choices) built as a list, then filtered: the
@@ -242,19 +256,21 @@ def test_base_frames_match_the_whole_product_oracle(text):
     assert [list(f) for f in frames] == [list(f) for f in want]  # key order too
 
 
-def _random_spec_text(rng: random.Random) -> str:
+def _random_spec_text(
+    rng: random.Random, categories="abcd", values="xyz", tag_counts=(0, 0, 1, 1, 2)
+) -> str:
     """A small spec with several tags per choice, and conditions on earlier,
     later and the same categories."""
-    names = rng.sample("abcd", rng.randint(1, 4))
+    names = rng.sample(categories, rng.randint(1, len(categories)))
     lines = []
     for name in names:
         lines.append(f"category {name}:")
-        for value in rng.sample("xyz", rng.randint(1, 3)):
+        for value in rng.sample(values, rng.randint(1, len(values))):
             tags = []
-            for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            for _ in range(rng.choice(tag_counts)):
                 tag = rng.choice(("single", "error", "if", "if", "if"))
                 if tag == "if":
-                    tag = f"if {rng.choice(names)}={rng.choice('xyz')}"
+                    tag = f"if {rng.choice(names)}={rng.choice(values)}"
                 tags.append(f"[{tag}]")
             lines.append(f"  choice {value} {' '.join(tags)}")
     return "\n".join(lines) + "\n"
@@ -295,27 +311,50 @@ def test_base_frames_match_the_whole_product_oracle_on_random_specs():
         compared += 1
 
 
+def test_frames_match_the_whole_product_oracle_on_larger_random_specs():
+    # up to 6 categories of 4 values and 3 tags a choice; every search the
+    # expansion runs, the plain one and each special choice's, is compared
+    rng = random.Random(26)
+    compared = 0
+    while compared < 2000:
+        try:
+            spec = parse_tsl(_random_spec_text(rng, "abcdef", "wxyz", (0, 0, 1, 1, 2, 3)))
+        except TslError:  # a condition named a value its category lacks
+            continue
+        plain = [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
+        searches = [plain] + [
+            [*plain[:depth], [choice.value], *plain[depth + 1:]]
+            for depth, cat in enumerate(spec.categories)
+            for choice in cat.choices if not choice.plain
+        ]
+        for values in searches:
+            frames = list(testcases._frames(spec, values))
+            want = _frames_oracle(spec, values)
+            assert [list(f.items()) for f in frames] == [list(f.items()) for f in want]
+        compared += 1
+
+
 def test_conditions_on_an_earlier_category_prune_the_search(monkeypatch):
     # c1..c13 each follow c0, so 2 of the 16,384 combinations are frames;
-    # checking every combination would call _satisfied 14 times for each
+    # checking every combination would call _fits 14 times for each
     follow = "".join(
         f"category c{i}:\n  choice x [if c0=x]\n  choice y [if c0=y]\n" for i in range(1, 14)
     )
     spec = parse_tsl("category c0:\n  choice x\n  choice y\n" + follow)
     calls = 0
-    satisfied = testcases._satisfied
+    fits = testcases._fits
 
-    def counted(choice, assignment):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return satisfied(choice, assignment)
+        return fits(*args)
 
-    monkeypatch.setattr(testcases, "_satisfied", counted)
+    monkeypatch.setattr(testcases, "_fits", counted)
     assert _base_frames(spec) == [
         {f"c{i}": value for i in range(14)} for value in ("x", "y")
     ]
-    # each of c1..c13 tries its two values under each of the two prefixes
-    assert calls <= 13 * 2 * 2
+    # the checks grow with the number of categories, not with the product
+    assert 0 < calls <= 14 * 14
 
 
 def _two_choice_categories(names) -> str:
@@ -340,6 +379,33 @@ def test_a_later_category_left_without_a_value_prunes_the_search():
     # search must see that once c0 is assigned, not after 2**30 combinations
     spec = parse_tsl(_two_choice_categories(f"c{i}" for i in range(30))
                      + "category z:\n  choice q [if c0=x] [if c0=y]\n")
+    start = time.perf_counter()
+    assert _base_frames(spec) == []
+    assert expand_tsl(spec) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_conflicting_conditions_of_two_later_categories_prune_the_search():
+    # z needs c28=x and w needs c28=y, so no frame exists; the search must
+    # see that before it walks the 2**28 combinations of c0..c27
+    spec = parse_tsl(_two_choice_categories(f"c{i}" for i in range(30))
+                     + "category z:\n  choice q [if c28=x]\n"
+                     + "category w:\n  choice p [if c28=y]\n")
+    start = time.perf_counter()
+    assert _base_frames(spec) == []
+    assert expand_tsl(spec) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_an_odd_cycle_of_conditions_prunes_the_search():
+    # a, b and c must each differ from the next, which two values cannot
+    # do around a cycle of three; 28 free categories sit between b and c
+    spec = parse_tsl(
+        "category a:\n  choice x [if c=y]\n  choice y [if c=x]\n"
+        "category b:\n  choice x [if a=y]\n  choice y [if a=x]\n"
+        + _two_choice_categories(f"f{i}" for i in range(28))
+        + "category c:\n  choice x [if b=y]\n  choice y [if b=x]\n"
+    )
     start = time.perf_counter()
     assert _base_frames(spec) == []
     assert expand_tsl(spec) == []
