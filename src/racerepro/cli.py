@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -60,25 +60,13 @@ def _write_files(out_dir: Path, payloads: dict[str, dict | str | None]) -> None:
 
 
 def _keys_payload(keys: KeySystemCalls) -> dict:
-    return {
-        "schema": "racerepro/keys/v1",
-        "path": keys.path,
-        "entries": [
-            {"name": e.name, "count": e.count, "source": e.source} for e in keys.entries
-        ],
-        "sentence_mentions": {str(i): names for i, names in keys.sentence_mentions.items()},
-        "subject_mentions": keys.subject_mentions,
-    }
+    # sentence indices become string keys here, so they sort as the JSON text does
+    mentions = {str(i): names for i, names in keys.sentence_mentions.items()}
+    return {"schema": "racerepro/keys/v1", **asdict(keys), "sentence_mentions": mentions}
 
 
 def _ranking_payload(ranking: PairRanking) -> dict:
-    return {
-        "schema": "racerepro/pair-ranking/v1",
-        "enumerate_all": ranking.enumerate_all,
-        "entries": [
-            {"items": list(e.items), "frequency": e.frequency} for e in ranking.entries
-        ],
-    }
+    return {"schema": "racerepro/pair-ranking/v1", **asdict(ranking)}
 
 
 def _point_payload(p: InstrumentationPoint) -> dict:
@@ -105,24 +93,10 @@ def _ranked_files_payload(ranked: retrieval.RankedFiles) -> dict:
 def _test_cases_payload(
     partial: testcases.TestCase, cases: list[testcases.TestCase]
 ) -> dict:
-    return {
-        "schema": "racerepro/test-cases/v1",
-        "extracted": {
-            "command": partial.command,
-            "options": partial.options,
-            "inputs": partial.inputs,
-        },
-        "cases": [
-            {
-                "command": c.command,
-                "options": c.options,
-                "inputs": c.inputs,
-                "setup": c.setup,
-                "error": c.error,
-            }
-            for c in cases
-        ],
-    }
+    extracted = asdict(partial)
+    del extracted["setup"], extracted["error"]  # a report yields neither
+    return {"schema": "racerepro/test-cases/v1", "extracted": extracted,
+            "cases": [asdict(c) for c in cases]}
 
 
 def _repro_payload(pipe: Pipeline) -> dict:

@@ -251,22 +251,6 @@ def schedule_with_delay(scn: Scenario, point: InstrumentationPoint) -> Interleav
     )))
 
 
-def _check_schedule(scn: Scenario, sched: InterleavingSchedule) -> None:
-    expected: dict[str, int] = {name: 0 for name in scn.process_names}
-    lengths = {name: len(trace) for name, trace in scn.processes}
-    for proc, op_idx in sched.steps:
-        if proc not in expected:
-            raise ValueError(f"schedule references unknown process {proc!r}")
-        if op_idx != expected[proc]:
-            raise ValueError(
-                f"schedule violates program order: {proc} op {op_idx}, expected {expected[proc]}"
-            )
-        expected[proc] += 1
-    for name, count in expected.items():
-        if count != lengths[name]:
-            raise ValueError(f"schedule incomplete: {name} ran {count}/{lengths[name]} ops")
-
-
 @dataclass
 class RunResult:
     fs: VirtualFS
@@ -274,15 +258,25 @@ class RunResult:
 
 
 def run_schedule(scn: Scenario, sched: InterleavingSchedule) -> RunResult:
-    """Execute one interleaving; deterministic final state and verdict."""
-    _check_schedule(scn, sched)
+    """Execute one interleaving; deterministic final state and verdict.
+
+    A schedule must run each process's ops once, in order, to the end, or
+    it raises ValueError.
+    """
     fs = scn.build_fs()
     traces = dict(scn.processes)
+    ran = dict.fromkeys(traces, 0)  # per process, the ops it has run
     open_failed = False
     for proc, op_idx in sched.steps:
+        if op_idx != ran.get(proc) or op_idx == len(traces[proc]):
+            raise ValueError(f"schedule step ({proc!r}, {op_idx}) is not its process's next op")
+        ran[proc] = op_idx + 1
         op = traces[proc][op_idx]
         if fs.apply(op.kind, op.args) == ENOENT and scn.oracle.watches(op):
             open_failed = True
+    for name, trace in traces.items():
+        if ran[name] != len(trace):
+            raise ValueError(f"schedule incomplete: {name} ran {ran[name]}/{len(trace)} ops")
     return RunResult(fs=fs, verdict=scn.oracle.evaluate(fs, open_failed))
 
 

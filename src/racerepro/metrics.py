@@ -215,17 +215,15 @@ def _validate_config(config: ExperimentConfig) -> None:
 def no_apriori_ranking(keys: KeySystemCalls) -> PairRanking:
     """Ablation: singletons by raw mention count, no pair formation.
 
-    Without keys there is nothing to count, so, as in ``rank_fallback``, the
-    locator enumerates every syscall site.
+    Without keys there is nothing to count, so, as in
+    ``mining.rank_interleavings``, the locator enumerates every syscall site.
     """
     if not keys.entries:
         return PairRanking(entries=[], enumerate_all=True)
-    counts = {entry.name: entry.count for entry in keys.entries}
-    entries = [
-        RankEntry(items=(name,), frequency=count)
-        for name, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
-    return PairRanking(entries=entries)
+    return PairRanking(entries=[
+        RankEntry(items=(e.name,), frequency=e.count)
+        for e in sorted(keys.entries, key=lambda e: (-e.count, e.name))
+    ])
 
 
 class Pipeline:
@@ -467,17 +465,7 @@ def render_table(rows: list[ExperimentRow], include_time: bool = True) -> str:
 
 def row_to_json(row: ExperimentRow) -> dict:
     """Structured row for artifact files; deterministic (wall time excluded)."""
-    return {
-        "bug_id": row.bug_id,
-        "mode": row.mode,
-        "brk": row.brk,
-        "srk": row.srk,
-        "rank": row.rank,
-        "ornk": row.ornk,
-        "rec": row.rec,
-        "map": row.map_score,
-        "suc": row.suc,
-        "nor": row.nor,
-        "unscored": row.unscored,
-        "notes": row.notes,
-    }
+    payload = dict(vars(row))
+    del payload["time_s"]
+    payload["map"] = payload.pop("map_score")
+    return payload

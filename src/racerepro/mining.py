@@ -5,7 +5,8 @@ Sentences with syscall mentions become transactions.  Mining is capped at
 counts co-occurring transactions (the only rule consistent with the
 worked example: five rename mentions give {rename}=5 while {unlink,rename}
 spans 2 transactions).  Pairs rank above singletons; within each group
-frequency descends and ties break lexicographically.
+frequency descends and ties break lexicographically.  Keys that no body
+sentence names follow as singletons, in key order.
 
 ``locate`` walks the top-ranked files and resolves each ranking entry to
 verified syscall call sites, emitting ordered instrumentation points.
@@ -18,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .catalog import SOURCE_DIRECT, KeySystemCalls
+from .catalog import KeySystemCalls
 from .csource import CallGraph, Site, SourceIndex
 from .reports import BugReport
 from .retrieval import DEFAULT_TOP_FILES, RankedFiles
@@ -95,26 +96,21 @@ def mine_pairs(db: TransactionDB) -> PairRanking:
     return PairRanking(entries=entries)
 
 
-def rank_fallback(keys: KeySystemCalls) -> PairRanking:
-    """Ranking for reports without literal mentions.
-
-    Derived keys become uniform-frequency singletons in derived-rank order.
-    Fully empty keys set the enumerate-all flag so the locator instruments
-    every syscall site in the top-ranked files one by one.
+def rank_interleavings(report: BugReport, keys: KeySystemCalls) -> PairRanking:
+    """The mined pairs and singletons of the body sentences, then, in key
+    order, a singleton with its key count for each key no body sentence
+    names: every derived key, and a direct key named only in the subject.
+    With no keys, the locator instruments every site of the top files.
     """
-    if keys.entries and keys.path == SOURCE_DIRECT:
-        raise ValueError("rank_fallback is for derived or empty keys; mine direct keys instead")
     if not keys.entries:
         return PairRanking(entries=[], enumerate_all=True)
-    entries = [RankEntry(items=(e.name,), frequency=1) for e in keys.entries]
-    return PairRanking(entries=entries)
-
-
-def rank_interleavings(report: BugReport, keys: KeySystemCalls) -> PairRanking:
-    """Dispatch: direct keys get mined, derived/empty keys take the fallback."""
-    if keys.entries and keys.path == SOURCE_DIRECT:
-        return mine_pairs(build_transactions(report, keys))
-    return rank_fallback(keys)
+    ranking = mine_pairs(build_transactions(report, keys))
+    mined = {name for names in keys.sentence_mentions.values() for name in names}
+    ranking.entries.extend(
+        RankEntry(items=(e.name,), frequency=e.count)
+        for e in keys.entries if e.name not in mined
+    )
+    return ranking
 
 
 # --- instrumentation points -------------------------------------------------

@@ -242,9 +242,12 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
     categories it links (a condition on its own category links a choice to
     itself).  Arc consistency first drops each value that fits no value left
     of a linked category; the depth-first search in declaration order then
-    cuts a branch once its new value does not fit an assigned linked
-    category, or a later linked category has no value left that fits every
-    assigned one (forward checking).  Only branches with no frame are cut.
+    tries only the values left: each choice keeps, of every later linked
+    category, the values that fit it, and its branch is cut once one has
+    none left (forward checking).  A subtree found empty is remembered by
+    its depth and the values its assigned choices left to the categories at
+    or after that depth, which are all its frames depend on, and is not
+    searched again.  Only branches with no frame are cut.
     """
     names = [cat.name for cat in spec.categories]
     if not names:
@@ -261,6 +264,7 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
                 links[depth].add(depth_of[ref])
                 links[depth_of[ref]].add(depth)
     arcs = [(a, b) for a, linked in enumerate(links) for b in linked]
+    dead: dict[int, set[frozenset[tuple[int | str, ...]]]] = {}  # per depth, its subtrees found empty
     while arcs:
         a, b = arcs.pop()
         kept = [v for v in domains[a] if any(
@@ -271,28 +275,45 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
     if not all(domains):
         return
 
-    def fits_assigned(e: int, w: Choice, assigned: int) -> bool:
-        # w of category e fits each linked category among the first `assigned`
-        return all(_fits(names[c], chosen[c], names[e], w) for c in links[e] if c < assigned)
+    def cut(e: int, depth: int) -> bool:
+        # keep the values of category e that fit the choice at depth; whether any is left
+        kept = [w for w in domains[e] if _fits(names[depth], chosen[depth], names[e], w)]
+        if len(kept) < len(domains[e]):
+            trail.append((e, domains[e]))
+            domains[e] = kept
+        return bool(kept)
+
+    def memo_key(depth: int) -> frozenset[tuple[int | str, ...]]:
+        # the values left to each category at or after depth that an assigned choice cut
+        return frozenset((e, *(w.value for w in domains[e])) for e, _ in trail if e >= depth)
 
     chosen: list[Choice] = []  # per assigned category, its choice
     untried = [iter(domains[0])]  # per open category, its values not yet tried
+    trail: list[tuple[int, list[Choice]]] = []  # each domain an assigned choice cut, and its values before
+    opened = [(0, 0)]  # per open category, the frames found and the cuts made before it opened
+    found = 0
     while untried:
         depth = len(untried) - 1
+        while len(trail) > opened[depth][1]:
+            e, values = trail.pop()
+            domains[e] = values
         choice = next(untried[depth], None)
         if choice is None:
             untried.pop()
+            if found == opened.pop()[0]:
+                dead.setdefault(depth, set()).add(memo_key(depth))
             continue
         chosen[depth:] = [choice]
-        if links[depth] and not (
-            fits_assigned(depth, choice, depth)
-            and all(any(fits_assigned(e, w, depth + 1) for w in domains[e])
-                    for e in links[depth] if e > depth)):
+        if links[depth] and not all(cut(e, depth) for e in links[depth] if e > depth):
             continue
-        if depth + 1 < len(names):
-            untried.append(iter(domains[depth + 1]))
-        else:
+        if depth + 1 == len(names):
+            found += 1
             yield {name: c.value for name, c in zip(names, chosen)}
+            continue
+        if depth + 1 in dead and memo_key(depth + 1) in dead[depth + 1]:
+            continue
+        opened.append((found, len(trail)))
+        untried.append(iter(domains[depth + 1]))
 
 
 def _plain_values(spec: TslSpec) -> list[list[str]]:

@@ -299,6 +299,25 @@ def test_pipeline_writes_every_stage(tmp_path, capsys):
     assert "reproduced: True in 1 attempts" in out
 
 
+def test_pipeline_locates_the_syscalls_a_report_names_only_in_its_subject(tmp_path):
+    # the body names no syscall, so the subject's keys alone give the points,
+    # as the ablation's do
+    report = tmp_path / "report.txt"
+    report.write_text(
+        "Subject: mv: rename and unlink of the target race with a reader\n\n"
+        "A move that replaces an existing file is documented to be atomic.  A reader\n"
+        "that looks up the destination while mv replaces it sometimes finds nothing.\n",
+        "utf-8",
+    )
+    args = ["pipeline", "--report", str(report), "--src", MV_SRC, "--scenario", MV_SCENARIO]
+    assert main([*args, "--out-dir", str(tmp_path / "apriori")]) == EXIT_OK
+    assert _read_json(tmp_path / "apriori" / "points.json")["points"]
+    ablation = ["--mode", "no-apriori", "--out-dir", str(tmp_path / "ablation")]
+    assert main([*args, *ablation]) == EXIT_OK
+    assert (tmp_path / "apriori" / "repro.json").read_bytes() == (
+        tmp_path / "ablation" / "repro.json").read_bytes()
+
+
 @pytest.mark.parametrize(("fixture_dir", "delays"), [
     (MV_DIR, [["mv", 0, "between-pair"]]), (GZIP_DIR, [["gzip", 2, "before"]]),
 ], ids=["mv", "gzip"])

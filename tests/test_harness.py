@@ -282,6 +282,7 @@ def _mini() -> Scenario:
         [("a", 1), ("a", 0), ("b", 0)],              # program order violated
         [("a", 0), ("a", 0), ("a", 1), ("b", 0)],    # repeated op
         [("a", 0), ("b", 0)],                        # incomplete
+        [("a", 0), ("a", 1), ("a", 2), ("b", 0)],    # op past the trace
     ],
 )
 def test_run_schedule_rejects_malformed(steps):

@@ -19,7 +19,6 @@ from racerepro.mining import (
     build_transactions,
     locate,
     mine_pairs,
-    rank_fallback,
     rank_interleavings,
 )
 from racerepro.reports import BugReport
@@ -138,30 +137,44 @@ def test_mv_fixture_pairs(mv_ranking):
     assert singles[0] == ("rename", 7)
 
 
-# --- fallback -----------------------------------------------------------------------
+# --- keys no body sentence names --------------------------------------------------
 
-def test_rank_fallback_uniform_singletons():
+def test_rank_interleavings_derived_keys_uniform_singletons():
     keys = KeySystemCalls(
         entries=[KeyEntry("chmod", 1, "derived"), KeyEntry("rename", 1, "derived")],
         path="derived",
     )
-    ranking = rank_fallback(keys)
+    ranking = rank_interleavings(BugReport("t", "subj", "body."), keys)
     assert [(tuple(e.items), e.frequency) for e in ranking.entries] == [
         (("chmod",), 1), (("rename",), 1),
     ]
     assert not ranking.enumerate_all
 
 
-def test_rank_fallback_rejects_direct_keys():
-    keys = KeySystemCalls(entries=[KeyEntry("rename", 2, "direct")], path="direct")
-    with pytest.raises(ValueError):
-        rank_fallback(keys)
-
-
-def test_rank_fallback_empty_keys_enumerates_all():
-    ranking = rank_fallback(KeySystemCalls(entries=[], path="derived"))
+def test_rank_interleavings_empty_keys_enumerates_all():
+    ranking = rank_interleavings(
+        BugReport("t", "subj", "body."), KeySystemCalls(entries=[], path="derived")
+    )
     assert ranking.enumerate_all
     assert ranking.entries == []
+
+
+def test_unmentioned_keys_follow_the_mined_entries_in_key_order():
+    # stat is named only in the subject; link's one body mention was removed,
+    # as perturbation does; both follow the mined entries with their counts
+    report = BugReport("t", "stat, then stat fails", "unlink then rename. rename again.")
+    keys = KeySystemCalls(
+        entries=[KeyEntry("stat", 2, "direct"), KeyEntry("link", 1, "direct"),
+                 KeyEntry("unlink", 1, "direct"), KeyEntry("rename", 2, "direct")],
+        sentence_mentions={0: ["unlink", "rename"], 1: ["rename"]},
+        subject_mentions=["stat", "stat"],
+    )
+    ranking = rank_interleavings(report, keys)
+    assert [(e.items, e.frequency) for e in ranking.entries] == [
+        (("unlink", "rename"), 1), (("rename",), 2), (("unlink",), 1),
+        (("stat",), 2), (("link",), 1),
+    ]
+    assert not ranking.enumerate_all
 
 
 def test_rank_interleavings_dispatch(mv_report, mv_keys):

@@ -334,6 +334,25 @@ def test_frames_match_the_whole_product_oracle_on_larger_random_specs():
         compared += 1
 
 
+def test_a_subtree_found_empty_is_skipped_only_under_the_same_values():
+    # the odd cycle a/b/c has a way out, all three w, only with t=y; p=x
+    # leaves t just x, so the search below p=x is empty, and p=y, which
+    # leaves t just y, must still find the frames below it
+    spec = parse_tsl(
+        "category p:\n  choice x [if t=x]\n  choice y [if t=y]\n"
+        + _two_choice_categories(["f0", "f1"])
+        + "category t:\n  choice x\n  choice y\n"
+        + "category a:\n  choice x [if c=y]\n  choice y [if c=x]\n  choice w [if t=y] [if c=w]\n"
+        + "category b:\n  choice x [if a=y]\n  choice y [if a=x]\n  choice w [if a=w]\n"
+        + "category c:\n  choice x [if b=y]\n  choice y [if b=x]\n  choice w [if b=w]\n"
+    )
+    frames = _base_frames(spec)
+    assert frames == _frames_oracle(spec)
+    assert [(f["p"], f["f0"], f["f1"], f["t"], f["a"]) for f in frames] == [
+        ("y", f0, f1, "y", "w") for f0 in "xy" for f1 in "xy"
+    ]
+
+
 def test_conditions_on_an_earlier_category_prune_the_search(monkeypatch):
     # c1..c13 each follow c0, so 2 of the 16,384 combinations are frames;
     # checking every combination would call _fits 14 times for each
@@ -409,6 +428,42 @@ def test_an_odd_cycle_of_conditions_prunes_the_search():
     start = time.perf_counter()
     assert _base_frames(spec) == []
     assert expand_tsl(spec) == []
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("before, after", [
+    (_two_choice_categories(f"f{i}" for i in range(28)), ""),
+    # each category before the cycle is linked to l, after it, but leaves l its one value
+    ("".join(f"category f{i}:\n  choice x [if l=x]\n  choice y [if l=x]\n" for i in range(28)),
+     "category l:\n  choice x\n"),
+])
+def test_an_odd_cycle_after_free_categories_is_searched_once(before, after):
+    # 28 categories that leave the cycle free come before it; the empty search
+    # below them must be remembered, not repeated for each of their 2**28 combinations
+    spec = parse_tsl(
+        before
+        + "category a:\n  choice x [if c=y]\n  choice y [if c=x]\n"
+        + "category b:\n  choice x [if a=y]\n  choice y [if a=x]\n"
+        + "category c:\n  choice x [if b=y]\n  choice y [if b=x]\n"
+        + after
+    )
+    start = time.perf_counter()
+    assert _base_frames(spec) == []
+    assert expand_tsl(spec) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_many_categories_conditioned_on_the_last_one_expand_in_linear_time():
+    # each choice cuts the last category's values once, instead of checking
+    # every earlier category against them again at each depth
+    n = 5_000
+    spec = parse_tsl(
+        "".join(f"category c{i}:\n  choice x [if c{n - 1}=x]\n" for i in range(n - 1))
+        + f"category c{n - 1}:\n  choice x\n"
+    )
+    start = time.perf_counter()
+    assert _base_frames(spec) == [{f"c{i}": "x" for i in range(n)}]
+    assert len(expand_tsl(spec)) == 1
     assert time.perf_counter() - start < 1.0
 
 
