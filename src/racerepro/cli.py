@@ -306,8 +306,8 @@ def _bundle_from_dir(path: Path) -> FixtureBundle:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     pipe = _pipeline(args)
-    corpus = [_bundle_from_dir(Path(d)) for d in args.fixtures]
-    rows = metrics_mod.run_experiment(corpus, pipe.config, pipe.catalog)
+    rows = [metrics_mod.run_fixture(_bundle_from_dir(Path(d)), pipe.config, pipe.catalog)
+            for d in args.fixtures]
     payload = {
         "schema": "racerepro/results/v1",
         "mode": args.mode,

@@ -46,7 +46,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import logging
-import operator
 import os
 import re
 import threading
@@ -93,8 +92,6 @@ class CallGraph:
 
     def reaches(self, start: str, goal: str) -> bool:
         """True when goal is reachable from start over call edges (start != goal ok)."""
-        if start not in self.nodes:
-            return False
         seen = {start}
         frontier = [start]
         while frontier:
@@ -120,17 +117,16 @@ class Site(NamedTuple):
 def _file_sites(records: list[FunctionRecord], syscall_names: frozenset[str]) -> list[Site]:
     """Every call site of one file's functions that names a syscall.
 
-    Sites are in file order: by line, and within a line in token order
-    (the sort is stable over each function's token-ordered sites).
+    Sites are in file order, by line and then by token: definitions open only
+    at brace depth zero, so bodies never nest, and the scan appends each
+    record, its call sites in token order, when its body closes.
     """
-    sites = [
+    return [
         Site(name, record.file, record.name, line)
         for record in records
         for name, line in record.call_sites
         if name in syscall_names
     ]
-    sites.sort(key=operator.itemgetter(3))  # Site.line
-    return sites
 
 
 @dataclass

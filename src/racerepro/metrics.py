@@ -421,15 +421,6 @@ def run_fixture(
     return row
 
 
-def run_experiment(
-    corpus: list[FixtureBundle],
-    config: ExperimentConfig,
-    catalog: Catalog | None = None,
-) -> list[ExperimentRow]:
-    """One scored row per fixture; an empty corpus gives an empty table."""
-    return [run_fixture(bundle, config, catalog) for bundle in corpus]
-
-
 # --- rendering --------------------------------------------------------------
 
 def _fmt_ranks(ranks: list[int | None]) -> str:

@@ -49,9 +49,10 @@ def _ends_cvc(word: str) -> bool:
     return _pattern(word).endswith("cvc") and word[-1] not in "wxy"
 
 
-# Rule tables for steps 2-4, suffix -> replacement; within a step the longest
-# matching suffix is selected and its condition tested once (no fallthrough),
-# per Porter (1980).
+# Rule tables for steps 1a and 2-4, suffix -> replacement; within a step the
+# longest matching suffix is selected and its condition tested once (no
+# fallthrough), per Porter (1980).  Step 1a has no condition ("ss" keeps ss).
+_STEP1A = {"sses": "ss", "ies": "i", "ss": "ss", "s": ""}
 _STEP2 = {
     "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
     "izer": "ize", "abli": "able", "alli": "al", "entli": "ent",
@@ -67,13 +68,13 @@ _STEP4 = dict.fromkeys([
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 ], "")
-_LONGEST_SUFFIX = max(map(len, [*_STEP2, *_STEP3, *_STEP4]))
+_LONGEST_SUFFIX = max(map(len, [*_STEP1A, *_STEP2, *_STEP3, *_STEP4]))
 
 
 def _replace_suffix(word: str, table: dict[str, str], min_measure: int) -> str:
-    """Steps 2-4: swap the longest suffix of ``word`` in ``table`` for its
-    replacement when the stem left has a measure of at least ``min_measure``
-    (and, for step 4's ``ion``, ends in s or t)."""
+    """Steps 1a and 2-4: swap the longest suffix of ``word`` in ``table``
+    for its replacement when the stem left has a measure of at least
+    ``min_measure`` (and, for step 4's ``ion``, ends in s or t)."""
     for n in range(min(len(word), _LONGEST_SUFFIX), 0, -1):
         sfx = word[-n:]
         if sfx in table:
@@ -83,18 +84,6 @@ def _replace_suffix(word: str, table: dict[str, str], min_measure: int) -> str:
             if sfx == "ion" and not stem.endswith(("s", "t")):
                 return word
             return stem + table[sfx]
-    return word
-
-
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
     return word
 
 
@@ -150,7 +139,7 @@ def stem(word: str) -> str:
     """
     if len(word) <= 2:
         return word
-    word = _step1a(word)
+    word = _replace_suffix(word, _STEP1A, 0)
     word = _step1b(word)
     word = _step1c(word)
     word = _replace_suffix(word, _STEP2, 1)

@@ -236,7 +236,8 @@ def _fits(a: str, v: Choice, b: str, w: Choice) -> bool:
 def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
     """The frames that give each category one of its ``values`` and satisfy
     every [if] condition of their choices, in product order (last category
-    fastest).
+    fastest).  The spec has at least one category (``expand_tsl`` returns
+    no case for an empty one before it searches).
 
     Every condition is checked by one pairwise rule, ``_fits``, between the
     categories it links (a condition on its own category links a choice to
@@ -246,13 +247,11 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
     category, the values that fit it, and its branch is cut once one has
     none left (forward checking).  A subtree found empty is remembered by
     its depth and the values its assigned choices left to the categories at
-    or after that depth, which are all its frames depend on, and is not
-    searched again.  Only branches with no frame are cut.
+    or after that depth that link to another one there (the rest only need
+    a value left, which forward checking keeps), and is not searched again.
+    Only branches with no frame are cut.
     """
     names = [cat.name for cat in spec.categories]
-    if not names:
-        yield {}  # the empty product
-        return
     depth_of = {name: depth for depth, name in enumerate(names)}
     domains: list[list[Choice]] = []
     links: list[set[int]] = [set() for _ in names]
@@ -263,6 +262,7 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
             for ref, _ in choice.conditions:
                 links[depth].add(depth_of[ref])
                 links[depth_of[ref]].add(depth)
+    furthest_other = [max(linked - {e}, default=-1) for e, linked in enumerate(links)]
     arcs = [(a, b) for a, linked in enumerate(links) for b in linked]
     dead: dict[int, set[frozenset[tuple[int | str, ...]]]] = {}  # per depth, its subtrees found empty
     while arcs:
@@ -284,8 +284,10 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
         return bool(kept)
 
     def memo_key(depth: int) -> frozenset[tuple[int | str, ...]]:
-        # the values left to each category at or after depth that an assigned choice cut
-        return frozenset((e, *(w.value for w in domains[e])) for e, _ in trail if e >= depth)
+        # the values left to each category at or after depth that an assigned
+        # choice cut and that links to another category there
+        return frozenset((e, *(w.value for w in domains[e]))
+                         for e, _ in trail if e >= depth and furthest_other[e] >= depth)
 
     chosen: list[Choice] = []  # per assigned category, its choice
     untried = [iter(domains[0])]  # per open category, its values not yet tried

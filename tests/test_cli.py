@@ -111,6 +111,24 @@ def test_locate_writes_ranked_points(tmp_path, capsys):
     assert "between-pair unlink copy.c:copy_internal:307" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, line", [
+    ("extract", "  (no system calls extracted)"),
+    ("mine-pairs", "no key system calls: locator will enumerate all sites"),
+    ("locate", "  (no instrumentation points)"),
+])
+def test_summary_says_when_a_stage_found_nothing(tmp_path, capsys, command, line):
+    # a report of stop words names no syscall, and the tree calls none
+    report = tmp_path / "stop_words.txt"
+    report.write_text("Subject: the and of\n\nit is about them and all of the above\n")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "quiet.c").write_text("int f (void) { return 0; }\n")
+    argv = [command, "--report", str(report), "--out-dir", str(tmp_path / "out")]
+    if command == "locate":
+        argv += ["--src", str(tmp_path / "src")]
+    assert main(argv) == EXIT_OK
+    assert line in capsys.readouterr().out.splitlines()
+
+
 # --- gen-tests ---------------------------------------------------------------
 
 def test_gen_tests_expands_the_tsl(tmp_path, capsys):
@@ -740,6 +758,22 @@ def test_scenario_value_outside_the_model_exits_two_naming_the_field(tmp_path, c
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"error: {scenario_path}: field {EDITED_FIELD[edit]!r}" in err
+    assert not (tmp_path / "repro.json").exists()
+
+
+def test_scenario_mode_above_7777_exits_two_naming_the_field(tmp_path, capsys):
+    def edit(payload):
+        payload["initial_fs"][0]["mode"] = "17777"  # octal digits alone, but past 0o7777
+
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(_mv_scenario_with(edit)))
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {scenario_path}: field 'initial_fs'" in err and "outside 0..7777" in err
     assert not (tmp_path / "repro.json").exists()
 
 

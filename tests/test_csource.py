@@ -18,6 +18,7 @@ from racerepro.catalog import bundled_catalog
 from racerepro.cli import EXIT_CONFIG, EXIT_OK, main
 from racerepro.csource import (
     _SCAN_RE,
+    CallGraph,
     FunctionRecord,
     _line_of,
     _line_starts,
@@ -295,6 +296,16 @@ def test_call_graph_edges(snippet_index):
 def test_mv_call_graph_reaches_do_link(mv_index):
     assert mv_index.graph.reaches("main", "do_link")
     assert not mv_index.graph.reaches("backup_rename", "do_link")
+
+
+def test_call_graph_reaches_over_several_calls():
+    graph = CallGraph(nodes={"a", "b", "c", "d"})
+    for caller, callee in [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]:
+        graph.add_edge(caller, callee)
+    assert graph.reaches("a", "d")  # a -> b -> c -> d
+    assert graph.reaches("a", "a")  # around the cycle
+    assert not graph.reaches("d", "a")
+    assert not graph.reaches("x", "a")  # not a node: no edges leave it
 
 
 def test_variable_field_collects_identifiers(snippet_index):
@@ -731,6 +742,17 @@ def test_unreadable_source_file_logs_one_warning_per_build(monkeypatch, caplog):
     (record,) = caplog.records
     assert (record.name, record.levelname) == ("racerepro.csource", "WARNING")
     assert record.getMessage() == f"1 source file(s) skipped; first: {index.diagnostics[0]}"
+
+
+def test_a_tree_of_unreadable_source_files_is_refused(monkeypatch):
+    def refusing(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(csource, "open", refusing, raising=False)
+    monkeypatch.setattr(csource, "_indexes", {})
+    with pytest.raises(ValueError, match="every source file was unreadable"):
+        index_tree(MV_DIR / "src", SYSCALLS)
+    assert csource._indexes == {}
 
 
 def test_pipeline_runs_share_the_index_without_changing_it(tmp_path):

@@ -31,7 +31,6 @@ from racerepro.metrics import (
     recall_at_k,
     render_table,
     row_to_json,
-    run_experiment,
     run_fixture,
 )
 from racerepro.mining import InstrumentationPoint, Site
@@ -192,6 +191,11 @@ def test_stochastic_modes_require_seed():
         run_fixture(bundle, ExperimentConfig(recall_k=0))
 
 
+def test_pipeline_rejects_an_unknown_mode():
+    with pytest.raises(ConfigError, match="unknown mode 'telekinesis'"):
+        Pipeline(ExperimentConfig(mode="telekinesis"))
+
+
 # --- ground truth and location ranking ------------------------------------------
 
 def test_load_ground_truth_mv():
@@ -252,8 +256,7 @@ def test_no_apriori_without_keys_enumerates_every_site(tmp_path):
 
 # --- experiment driver -------------------------------------------------------------
 
-def test_empty_corpus_gives_empty_table():
-    assert run_experiment([], ExperimentConfig()) == []
+def test_a_table_of_no_rows_is_its_header():
     assert render_table([]) == "Bug\tMode\tBRk\tSRk\tRank\tORnk\tRec\tMAP\tSuc\tNoR\tTime(s)"
 
 
@@ -363,6 +366,21 @@ def test_pipeline_stages_are_lazy(monkeypatch):
 def test_pipeline_validates_its_config():
     with pytest.raises(ConfigError):
         _mv_pipeline(mode=MODE_RANDOM_BASELINE)
+
+
+def test_test_cases_know_a_command_from_the_spec_alone(tmp_path):
+    # no scenario and no given commands: cp is known only as a choice of the
+    # spec's command category, and the report's line fills every case
+    report = tmp_path / "cp.txt"
+    report.write_text("Subject: cp loses the mode\n\n$ cp -p 644 src dst\n")
+    tsl = tmp_path / "cp.tsl"
+    tsl.write_text("category command:\n  choice cp\n  choice mv\n"
+                   "category options:\n  choice none\n  choice -f\n")
+    pipe = Pipeline(ExperimentConfig(), report_path=report, tsl_path=tsl)
+    partial, cases = pipe.test_cases
+    assert (partial.command, partial.options, partial.inputs) == ("cp", ["-p", "644"], ["src", "dst"])
+    assert len(cases) == 4
+    assert all((c.command, c.options) == ("cp", ["-p", "644"]) for c in cases)
 
 
 # --- rendering ----------------------------------------------------------------------

@@ -216,6 +216,25 @@ def test_pair_point_minimal_line_distance(tmp_path):
     assert (point.pair_partner.syscall, point.pair_partner.line) == ("unlink", 7)
 
 
+def test_pair_point_anchors_at_the_second_member_whose_function_reaches_the_first(
+    tmp_path, caplog
+):
+    # unlink comes first in the file, but only outer (rename) reaches inner
+    # (unlink), over two calls, so the call graph puts rename first
+    (tmp_path / "w.c").write_text(
+        "int inner (void) { unlink (\"a\"); }\n"
+        "int middle (void) { inner (); }\n"
+        "int outer (void) { middle (); rename (\"a\", \"b\"); }\n"
+    )
+    index = index_tree(tmp_path, SYSCALLS)
+    ranking = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=2)])
+    with caplog.at_level("WARNING"):
+        (point,) = locate(ranking, _ranked(["w.c"]), index)
+    assert (point.syscall, point.function, point.line) == ("rename", "outer", 3)
+    assert point.pair_partner == Site("unlink", "w.c", "inner", 1)
+    assert not caplog.records  # the pair is connected
+
+
 def test_singletons_give_before_and_after_per_site(tmp_path):
     (tmp_path / "w.c").write_text(PAIR_TREE)
     index = index_tree(tmp_path, SYSCALLS)

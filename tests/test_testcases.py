@@ -453,6 +453,28 @@ def test_an_odd_cycle_after_free_categories_is_searched_once(before, after):
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_cut_category_linked_to_no_later_one_does_not_split_the_memo():
+    # f=x leaves the odd cycle a/b/c only x and y, so its subtree is empty
+    # under each of the 2**28 choices of e0..e27; each choice cuts r<i>, after
+    # the cycle, but r<i> links to no category after the cycle and keeps a
+    # value, so the empty search below a runs once; f=y gives the one frame
+    k = 28
+    spec = parse_tsl(
+        "category f:\n  choice x\n  choice y\n"
+        + "".join(f"category e{i}:\n  choice x [if r{i}=a]\n  choice y [if r{i}=b] [if f=x]\n"
+                  for i in range(k))
+        + "category a:\n  choice x [if c=y]\n  choice y [if c=x]\n  choice z [if f=y]\n"
+        + "category b:\n  choice x [if a=y]\n  choice y [if a=x]\n  choice z [if f=y]\n"
+        + "category c:\n  choice x [if b=y]\n  choice y [if b=x]\n  choice z [if f=y]\n"
+        + "".join(f"category r{i}:\n  choice a\n  choice b\n" for i in range(k))
+    )
+    start = time.perf_counter()
+    (case,) = expand_tsl(spec)
+    assert time.perf_counter() - start < 1.0
+    assert case.setup == ["f=y", *(f"e{i}=x" for i in range(k)), "a=z", "b=z", "c=z",
+                          *(f"r{i}=a" for i in range(k))]
+
+
 def test_many_categories_conditioned_on_the_last_one_expand_in_linear_time():
     # each choice cuts the last category's values once, instead of checking
     # every earlier category against them again at each depth
@@ -483,6 +505,22 @@ def test_empty_spec_expands_to_nothing():
     from racerepro.testcases import TslSpec
 
     assert expand_tsl(TslSpec(categories=[])) == []
+
+
+def test_command_category_fills_the_command_and_a_partial_overrides_it():
+    spec = parse_tsl("category command:\n  choice cp\n  choice mv\n"
+                     "category options:\n  choice none\n  choice -f\n"
+                     "category target:\n  choice file\n")
+    assert [(c.command, c.options, c.setup) for c in expand_tsl(spec)] == [
+        ("cp", [], ["target=file"]), ("cp", ["-f"], ["target=file"]),
+        ("mv", [], ["target=file"]), ("mv", ["-f"], ["target=file"]),
+    ]
+    # the partial's options replace every frame's, "none" included
+    partial = Case(command="", options=["-p", "644"])
+    assert [(c.command, c.options) for c in expand_tsl(spec, partial)] == [
+        ("cp", ["-p", "644"]), ("cp", ["-p", "644"]),
+        ("mv", ["-p", "644"]), ("mv", ["-p", "644"]),
+    ]
 
 
 # --- extraction ---------------------------------------------------------------
