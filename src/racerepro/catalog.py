@@ -12,8 +12,10 @@ summary from the manual page.  Extraction runs in two modes:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import chain
 from pathlib import Path
 
 from .reports import BugReport, InputError, preprocess, reading, words
@@ -105,13 +107,7 @@ def extract_direct(report: BugReport, catalog: Catalog) -> KeySystemCalls:
         if found:
             sentence_mentions[idx] = found
 
-    counts: dict[str, int] = {}
-    for name in subject_mentions:
-        counts[name] = counts.get(name, 0) + 1
-    for found in sentence_mentions.values():
-        for name in found:
-            counts[name] = counts.get(name, 0) + 1
-
+    counts = Counter(chain(subject_mentions, *sentence_mentions.values()))
     entries = [KeyEntry(name, count, SOURCE_DIRECT) for name, count in counts.items()]
     return KeySystemCalls(
         entries=entries,

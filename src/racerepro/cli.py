@@ -66,7 +66,8 @@ def _keys_payload(keys: KeySystemCalls) -> dict:
 
 
 def _ranking_payload(ranking: PairRanking) -> dict:
-    return {"schema": "racerepro/pair-ranking/v1", **asdict(ranking)}
+    return {"schema": "racerepro/pair-ranking/v1", **asdict(ranking),
+            "enumerate_all": ranking.enumerate_all}
 
 
 def _point_payload(p: InstrumentationPoint) -> dict:

@@ -391,16 +391,11 @@ def _index_files(
     for rel, data in sources:
         text = data.decode("utf-8", errors="replace")
         file_functions, variables = _scan_file(rel, text)
-        names = " ".join(f.name for f in file_functions)
-        doc = SourceDoc(
-            path=rel,
-            fields={
-                "file_name": preprocess(rel.rpartition("/")[2], MODE_C_SOURCE, terms),
-                "function_names": preprocess(names, MODE_C_SOURCE, terms),
-                "variable_names": preprocess(" ".join(variables), MODE_C_SOURCE, terms),
-                "full_text_with_comments": preprocess(text, MODE_C_SOURCE, terms),
-            },
-        )
+        texts = (rel.rpartition("/")[2], " ".join(f.name for f in file_functions),
+                 " ".join(variables), text)
+        doc = SourceDoc(path=rel, fields={
+            name: preprocess(field_text, MODE_C_SOURCE, terms)
+            for name, field_text in zip(retrieval.FIELD_NAMES, texts)})
         per_file.append((file_functions, doc))
     return per_file
 

@@ -153,9 +153,8 @@ def _parse_mode(value: int | str) -> int:
 
 
 def _op_from_json(obj: dict) -> SyscallOp:
-    args, kind = json_of(list, obj["args"]), obj["kind"]
-    # any other kind, a list or an object too, is SyscallOp's to reject, after the arguments
-    kinds = OPS.get(kind, ()) if isinstance(kind, str) else ()
+    args, kind = json_of(list, obj["args"]), json_of(str, obj["kind"])
+    kinds = OPS.get(kind, ())
     return SyscallOp(kind=kind, args=tuple(
         _parse_mode(arg) if i < len(kinds) and kinds[i] == MODE else json_of(str, arg)
         for i, arg in enumerate(args)))

@@ -162,13 +162,6 @@ class FixtureBundle:
     scenario_path: Path
     ground_truth_path: Path | None = None
 
-    def __post_init__(self) -> None:
-        self.report_path = Path(self.report_path)
-        self.src_root = Path(self.src_root)
-        self.scenario_path = Path(self.scenario_path)
-        if self.ground_truth_path is not None:
-            self.ground_truth_path = Path(self.ground_truth_path)
-
 
 @dataclass
 class ExperimentConfig:
@@ -215,11 +208,8 @@ def _validate_config(config: ExperimentConfig) -> None:
 def no_apriori_ranking(keys: KeySystemCalls) -> PairRanking:
     """Ablation: singletons by raw mention count, no pair formation.
 
-    Without keys there is nothing to count, so, as in
-    ``mining.rank_interleavings``, the locator enumerates every syscall site.
+    Without keys there is no entry, so the locator enumerates every syscall site.
     """
-    if not keys.entries:
-        return PairRanking(entries=[], enumerate_all=True)
     return PairRanking(entries=[
         RankEntry(items=(e.name,), frequency=e.count)
         for e in sorted(keys.entries, key=lambda e: (-e.count, e.name))

@@ -65,10 +65,14 @@ class RankEntry:
 
 @dataclass
 class PairRanking:
+    """Ranked 1- and 2-itemsets; with none (``enumerate_all``), the locator
+    instruments every syscall site of the ranked files one by one."""
+
     entries: list[RankEntry]
-    #: set when there were no keys at all: the locator should instrument
-    #: every syscall site in the ranked files one by one.
-    enumerate_all: bool = False
+
+    @property
+    def enumerate_all(self) -> bool:
+        return not self.entries
 
     @property
     def pairs(self) -> list[RankEntry]:
@@ -102,8 +106,6 @@ def rank_interleavings(report: BugReport, keys: KeySystemCalls) -> PairRanking:
     names: every derived key, and a direct key named only in the subject.
     With no keys, the locator instruments every site of the top files.
     """
-    if not keys.entries:
-        return PairRanking(entries=[], enumerate_all=True)
     ranking = mine_pairs(build_transactions(report, keys))
     mined = {name for names in keys.sentence_mentions.values() for name in names}
     ranking.entries.extend(

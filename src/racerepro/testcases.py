@@ -31,8 +31,8 @@ _PROMPT_RE = re.compile(r"^\s*[$%>]\s+(.*)$")
 _QUOTED_RE = re.compile(r'"([^"\n]+)"|`([^`\n]+)`')
 _NUMERIC_RE = re.compile(r"^\d+$")
 
-#: The most frames a spec's plain choices may yield; each further two-choice
-#: category doubles the product, so a larger spec is refused, not expanded.
+#: The most frames a spec's plain choices may yield, and the most empty
+#: subtrees one frame search may find; past either, the spec is refused.
 MAX_FRAMES = 4096
 
 
@@ -249,7 +249,8 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
     its depth and the values its assigned choices left to the categories at
     or after that depth that link to another one there (the rest only need
     a value left, which forward checking keeps), and is not searched again.
-    Only branches with no frame are cut.
+    Only branches with no frame are cut; past ``MAX_FRAMES`` empty subtrees
+    the search raises ``TslError`` (whether any frame exists is NP-complete).
     """
     names = [cat.name for cat in spec.categories]
     depth_of = {name: depth for depth, name in enumerate(names)}
@@ -293,7 +294,7 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
     untried = [iter(domains[0])]  # per open category, its values not yet tried
     trail: list[tuple[int, list[Choice]]] = []  # each domain an assigned choice cut, and its values before
     opened = [(0, 0)]  # per open category, the frames found and the cuts made before it opened
-    found = 0
+    found = empty = 0
     while untried:
         depth = len(untried) - 1
         while len(trail) > opened[depth][1]:
@@ -304,6 +305,9 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
             untried.pop()
             if found == opened.pop()[0]:
                 dead.setdefault(depth, set()).add(memo_key(depth))
+                empty += 1
+                if empty > MAX_FRAMES:
+                    raise TslError(f"the frame search found more than {MAX_FRAMES} empty subtrees")
             continue
         chosen[depth:] = [choice]
         if links[depth] and not all(cut(e, depth) for e in links[depth] if e > depth):

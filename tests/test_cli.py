@@ -129,6 +129,17 @@ def test_summary_says_when_a_stage_found_nothing(tmp_path, capsys, command, line
     assert line in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("mode", ["structured-ir", "no-apriori"])
+def test_mine_pairs_on_stop_words_writes_enumerate_all(tmp_path, mode):
+    # no key at all: no entry, and the ranking says every site is enumerated
+    report = tmp_path / "stop_words.txt"
+    report.write_text("Subject: the and of\n\nit is about them and all of the above\n")
+    argv = ["mine-pairs", "--report", str(report), "--mode", mode, "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    payload = _read_json(tmp_path / "pair_ranking.json")
+    assert (payload["entries"], payload["enumerate_all"]) == ([], True)
+
+
 # --- gen-tests ---------------------------------------------------------------
 
 def test_gen_tests_expands_the_tsl(tmp_path, capsys):
@@ -644,6 +655,21 @@ def test_scenario_args_string_exits_two_naming_the_field(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(scenario_path) in err and "field 'processes': wrong JSON type" in err
+
+
+def test_scenario_op_kind_object_exits_two_naming_the_field(tmp_path, capsys):
+    payload = _read_json(MV_DIR / "scenario.json")
+    payload["processes"][0]["trace"][1]["kind"] = {"name": "rename"}
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(payload))
+    code = main([
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {scenario_path}: field 'processes'" in err and "expected str, got dict" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _mv_scenario_with(edit) -> dict:

@@ -301,6 +301,14 @@ def test_unscored_row_without_ground_truth(tmp_path):
     assert (row.suc, row.nor) == ("Y", 1)
 
 
+def test_unscored_row_renders_a_dash_for_its_ranks(tmp_path):
+    bundle = _mv_bundle()
+    bundle.ground_truth_path = tmp_path / "missing.json"
+    header, line = render_table([run_fixture(bundle, ExperimentConfig())]).splitlines()
+    cells = dict(zip(header.split("\t"), line.split("\t")))
+    assert (cells["Rank"], cells["ORnk"]) == ("-", "-")
+
+
 def _counting(monkeypatch, name: str) -> list:
     """Record the arguments of every call to ``metrics.<name>``."""
     calls, real = [], getattr(metrics, name)

@@ -286,7 +286,7 @@ def test_locate_no_sites_returns_empty_with_diagnostic(tmp_path, caplog):
 def test_locate_enumerate_all_instruments_every_site(tmp_path):
     (tmp_path / "w.c").write_text(PAIR_TREE)
     index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[], enumerate_all=True)
+    ranking = PairRanking(entries=[])
     points = locate(ranking, _ranked(["w.c"]), index)
     # 3 sites (unlink@4, rename@6, unlink@7) x before/after, in line order
     assert [(p.syscall, p.line, p.placement) for p in points] == [
@@ -358,7 +358,7 @@ def test_same_function_name_in_two_files_keeps_each_files_syscall(tmp_path):
     (tmp_path / "v.c").write_text("static void step (const char *p) { unlink (p); }\n")
     (tmp_path / "w.c").write_text("static void step (const char *p) { rename (p, p); }\n")
     index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[], enumerate_all=True)
+    ranking = PairRanking(entries=[])
     points = locate(ranking, _ranked(["w.c", "v.c"]), index)
     assert [(p.file, p.syscall, p.placement) for p in points] == [
         ("w.c", "rename", "before"), ("w.c", "rename", "after"),
@@ -387,7 +387,7 @@ def test_sites_on_one_line_keep_their_own_syscalls(tmp_path, caplog):
     assert (point.syscall, point.line) == ("rename", 4)
     assert (point.pair_partner.syscall, point.pair_partner.line) == ("unlink", 4)
     assert not caplog.records
-    every = locate(PairRanking(entries=[], enumerate_all=True), _ranked(["w.c"]), index)
+    every = locate(PairRanking(entries=[]), _ranked(["w.c"]), index)
     assert [(p.syscall, p.line, p.placement) for p in every] == [
         ("rename", 4, "before"), ("rename", 4, "after"),
         ("unlink", 4, "before"), ("unlink", 4, "after"),
@@ -447,7 +447,7 @@ def test_two_locates_build_each_top_files_sites_once(tmp_path, monkeypatch):
     assert built == ["a/b.c", "a-b.c", "a.c", None]
     built.clear()
     pair = PairRanking(entries=[RankEntry(items=("unlink", "stat"), frequency=1)])
-    every = PairRanking(entries=[], enumerate_all=True)
+    every = PairRanking(entries=[])
     first = locate(pair, _ranked(["a/b.c", "a.c"]), index)
     second = locate(every, _ranked(["a/b.c", "a.c", "a-b.c"]), index, top_files=2)
     assert built == []

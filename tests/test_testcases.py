@@ -475,6 +475,34 @@ def test_a_cut_category_linked_to_no_later_one_does_not_split_the_memo():
                           *(f"r{i}=a" for i in range(k))]
 
 
+def _linked_padded_spec(k: int):
+    # the spec above, with each r<i> linked on to a later s<i>: every r<i>
+    # splits the memo key, so the empty search below the cycle runs 2**k times
+    return parse_tsl(
+        "category f:\n  choice x\n  choice y\n"
+        + "".join(f"category e{i}:\n  choice x [if r{i}=a]\n  choice y [if r{i}=b] [if f=x]\n"
+                  for i in range(k))
+        + "category a:\n  choice x [if c=y]\n  choice y [if c=x]\n  choice z [if f=y]\n"
+        + "category b:\n  choice x [if a=y]\n  choice y [if a=x]\n  choice z [if f=y]\n"
+        + "category c:\n  choice x [if b=y]\n  choice y [if b=x]\n  choice z [if f=y]\n"
+        + "".join(f"category r{i}:\n  choice a [if s{i}=a]\n  choice b [if s{i}=b]\n"
+                  for i in range(k))
+        + "".join(f"category s{i}:\n  choice a\n  choice b\n" for i in range(k))
+    )
+
+
+def test_a_search_past_max_frames_empty_subtrees_is_refused():
+    # k=28 would find 2**28 empty subtrees; the search stops past MAX_FRAMES
+    start = time.perf_counter()
+    with pytest.raises(TslError, match=f"more than {MAX_FRAMES} empty subtrees"):
+        expand_tsl(_linked_padded_spec(28))
+    assert time.perf_counter() - start < 1.0
+    # k=8 finds 1,025, within the bound: f=y still gives the one case
+    (case,) = expand_tsl(_linked_padded_spec(8))
+    assert case.setup == ["f=y", *(f"e{i}=x" for i in range(8)), "a=z", "b=z", "c=z",
+                          *(f"r{i}=a" for i in range(8)), *(f"s{i}=a" for i in range(8))]
+
+
 def test_many_categories_conditioned_on_the_last_one_expand_in_linear_time():
     # each choice cuts the last category's values once, instead of checking
     # every earlier category against them again at each depth
