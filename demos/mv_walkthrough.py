@@ -1,5 +1,8 @@
 """Walk the full pipeline on the bundled mv fixture, stage by stage.
 
+Each stage prints the summary its CLI artifact prints, so the walkthrough
+shows what ``racerepro pipeline`` computes, in the words the CLI uses.
+
 Run from the repository root:
 
     python3 demos/mv_walkthrough.py
@@ -8,11 +11,22 @@ Run from the repository root:
 from __future__ import annotations
 
 import logging
+from itertools import islice
 from pathlib import Path
 
+from racerepro import cli
 from racerepro.metrics import ExperimentConfig, Pipeline
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "mv_438076"
+
+#: stage title, the artifact whose summary it prints, and the lines shown (None: all)
+STAGES = (
+    ("key system calls", cli.KEYS, None),
+    ("mined interleaving candidates (pairs first, then singletons)", cli.PAIR_RANKING, 5),
+    ("structured file ranking (the top three)", cli.RANKED_FILES, 4),
+    ("instrumentation points (the first three)", cli.POINTS, 3),
+    ("reproduction (the delay opens the unlink/rename window)", cli.REPRO, None),
+)
 
 
 def main() -> None:
@@ -22,51 +36,13 @@ def main() -> None:
         src_root=FIXTURE / "src",
         scenario_path=FIXTURE / "scenario.json",
     )
-    report = pipe.report
-    print(f"report: {report.id}")
-    print(f"subject: {report.subject}")
-    print()
-
-    # --- stage 1: key system calls ---------------------------------------
-    keys = pipe.keys
-    print(f"key system calls ({keys.path} path):")
-    for entry in keys.entries:
-        print(f"  {entry.name:8s} mentioned {entry.count}x")
-    print()
-
-    # --- stage 2: interleaving candidates ---------------------------------
-    ranking = pipe.ranking
-    print("mined interleaving candidates (pairs first, then singletons):")
-    for entry in ranking.entries[:5]:
-        print(f"  {{{', '.join(entry.items)}}} = {entry.frequency}")
-    print()
-
-    # --- stage 3: file ranking --------------------------------------------
-    ranked = pipe.file_ranking
-    print("structured file ranking:")
-    for rank_no, (path, score) in enumerate(ranked.entries[:3], 1):
-        print(f"  {rank_no}. {path:10s} {score:.4f}")
-    print()
-
-    # --- stage 4: instrumentation points -----------------------------------
-    points = pipe.points
-    print(f"{len(points)} instrumentation points; the first three:")
-    for point in points[:3]:
-        partner = ""
-        if point.pair_partner is not None:
-            partner = f" (pairs with {point.pair_partner.syscall}@{point.pair_partner.line})"
-        print(
-            f"  {point.rank:3d}. {point.placement:12s} {point.syscall} "
-            f"{point.file}:{point.function}:{point.line}{partner}"
-        )
-    print()
-
-    # --- stage 5: reproduction ---------------------------------------------
-    result = pipe.result
-    print(f"reproduced: {result.reproduced} after {result.attempts} attempt(s)")
-    print("failing schedule (the delay opens the unlink/rename window):")
-    for line in pipe.schedule_lines:
-        print(f"  {line}")
+    print(f"report: {pipe.report.id}")
+    print(f"subject: {pipe.report.subject}")
+    for title, artifact, shown in STAGES:
+        print()
+        print(f"{title}:")
+        for line in islice(artifact.summary(pipe), shown):
+            print(line)
 
 
 if __name__ == "__main__":

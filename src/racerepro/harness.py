@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .mining import InstrumentationPoint
+from .mining import PLACEMENT_BEFORE, InstrumentationPoint
 from .reports import json_of, load_json_object, reading
 from .vfs import ENOENT, KIND_DIR, KIND_FILE, MODE, OPS, Node, VirtualFS, arity, path_args
 
@@ -139,6 +139,13 @@ class Scenario:
     def map_point(self, point: InstrumentationPoint) -> tuple[str, int] | None:
         return self.src_map.get((point.file, point.function, point.line))
 
+    def delay(self, point: InstrumentationPoint) -> tuple[str, int] | None:
+        """The process a sleep at the point delays and the op it resumes at."""
+        if (target := self.map_point(point)) is None:
+            return None
+        proc, op_idx = target
+        return proc, op_idx if point.placement == PLACEMENT_BEFORE else op_idx + 1
+
 
 def _parse_mode(value: int | str) -> int:
     """Modes are octal strings of the digits 0-7 alone in scenario files
@@ -238,13 +245,9 @@ def schedule_with_delay(scn: Scenario, point: InstrumentationPoint) -> Interleav
     order with the delayed process's ops from the resume index on moved, in
     order, to the end.
     """
-    target = scn.map_point(point)
-    if target is None:
-        raise KeyError(
-            f"no src_map entry for {point.file}:{point.function}:{point.line}"
-        )
-    proc, op_idx = target
-    resume = op_idx if point.placement == "before" else op_idx + 1
+    if (delay := scn.delay(point)) is None:
+        raise KeyError(f"no src_map entry for {point.file}:{point.function}:{point.line}")
+    proc, resume = delay
     return InterleavingSchedule(steps=tuple(sorted(
         baseline_schedule(scn).steps, key=lambda step: step[0] == proc and step[1] >= resume
     )))
@@ -325,8 +328,8 @@ def reproduce(
     The undelayed order runs first; when it already fails, that is the
     result (one attempt, no point credited).  Otherwise each of the first
     ``max_attempts`` points is one attempt.  Only the first point with a given
-    delay (mapped process and op index, and whether it yields before the op)
-    gets a schedule.  A point with no src_map entry, a later point with the
+    delay (``Scenario.delay``: the process and the op it resumes at) gets a
+    schedule.  A point with no src_map entry, a later point with the
     same delay, and a point whose schedule already ran and passed in this
     call (the undelayed order included) each use up an attempt without a run.
     """
@@ -338,11 +341,10 @@ def reproduce(
             return ReproResult(1, base, wall_time=time.perf_counter() - start,
                                fails_undelayed=True)
         passed.add(base.steps)
-    built: set[tuple[str, int, bool]] = set()
+    built: set[tuple[str, int]] = set()
 
     def delayed(point: InstrumentationPoint) -> InterleavingSchedule | None:
-        target = scn.map_point(point)
-        if target is None or (delay := (*target, point.placement == "before")) in built:
+        if (delay := scn.delay(point)) is None or delay in built:
             return None
         built.add(delay)
         return schedule_with_delay(scn, point)
@@ -468,12 +470,6 @@ def random_baseline(scn: Scenario, runs: int = 100, seed: int = 0) -> ReproResul
 
 # --- rendering --------------------------------------------------------------
 
-def _format_arg(arg) -> str:
-    if isinstance(arg, int):
-        return f"0{arg:o}"
-    return str(arg)
-
-
 def format_schedule(scn: Scenario, sched: InterleavingSchedule) -> list[str]:
     """Render steps as ``<proc>:<syscall>(<args>) @ <file>:<function>:<line>``.
 
@@ -486,7 +482,7 @@ def format_schedule(scn: Scenario, sched: InterleavingSchedule) -> list[str]:
     lines = []
     for proc, op_idx in sched.steps:
         op = traces[proc][op_idx]
-        args = ", ".join(_format_arg(a) for a in op.args)
+        args = ", ".join(f"0{a:o}" if isinstance(a, int) else str(a) for a in op.args)
         line = f"{proc}:{op.kind}({args})"
         source = sources.get((proc, op_idx))
         if source is not None:

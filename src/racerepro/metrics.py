@@ -19,7 +19,7 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from . import harness as harness_mod
 from . import mining, retrieval, testcases
-from .catalog import Catalog, KeySystemCalls
+from .catalog import SOURCE_DIRECT, Catalog, KeySystemCalls
 from .csource import SourceIndex, index_tree
 from .mining import InstrumentationPoint, PairRanking, RankEntry, Site, locate
 from .reports import BugReport, json_of, load_json_object, load_report, reading
@@ -206,14 +206,15 @@ def _validate_config(config: ExperimentConfig) -> None:
 
 
 def no_apriori_ranking(keys: KeySystemCalls) -> PairRanking:
-    """Ablation: singletons by raw mention count, no pair formation.
+    """Ablation: singletons, no pair formation; direct keys by raw mention
+    count, derived keys (all counted 1) in their similarity order.
 
     Without keys there is no entry, so the locator enumerates every syscall site.
     """
-    return PairRanking(entries=[
-        RankEntry(items=(e.name,), frequency=e.count)
-        for e in sorted(keys.entries, key=lambda e: (-e.count, e.name))
-    ])
+    entries = keys.entries
+    if keys.path == SOURCE_DIRECT:
+        entries = sorted(entries, key=lambda e: (-e.count, e.name))
+    return PairRanking(entries=[RankEntry(items=(e.name,), frequency=e.count) for e in entries])
 
 
 class Pipeline:

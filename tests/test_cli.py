@@ -721,11 +721,12 @@ def test_scenario_non_numeric_value_exits_two_naming_the_file(tmp_path, capsys, 
     scenario_path.write_text(json.dumps(_mv_scenario_with(edit)))
     code = main([
         "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
-        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
+        "--scenario", str(scenario_path), "--out-dir", str(tmp_path / "out"),
     ])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(scenario_path) in err and f"field {EDITED_FIELD[edit]!r}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _float_line(payload):

@@ -9,7 +9,7 @@ import pytest
 from conftest import ROOT
 
 HEADLINES = {
-    "mv_walkthrough": "reproduced: True after 1 attempt(s)",
+    "mv_walkthrough": "reproduced: True in 1 attempts",
     "perturbation_study": "  10%     20/20 ",
     "schedule_exploration": "guided injection: reproduced in 1 attempt(s)",
     "worked_table": "  1. {unlink, rename} = 2",

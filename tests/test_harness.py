@@ -692,12 +692,12 @@ def test_reproduce_failing_undelayed_order_runs_once(monkeypatch):
 
 
 def _count_builds(monkeypatch) -> Counter:
-    """Count harness.schedule_with_delay calls by (target, yields before the op)."""
+    """Count harness.schedule_with_delay calls by the delay they build."""
     builds: Counter = Counter()
     real = harness.schedule_with_delay
 
     def counting(scn, point):
-        builds[scn.map_point(point), point.placement == "before"] += 1
+        builds[scn.delay(point)] += 1
         return real(scn, point)
 
     monkeypatch.setattr(harness, "schedule_with_delay", counting)
@@ -705,7 +705,8 @@ def _count_builds(monkeypatch) -> Counter:
 
 
 # "after" and "between-pair" at one site yield at the same position, so they
-# share a delay; mv after 307 and gzip between-pair 52 are failing orders.
+# share a delay, as gzip after 57 and before 62 (the next op) do; mv after 307
+# and gzip between-pair 52 are failing orders.
 SHARED_DELAYS = {
     "mv_scenario": [_mv("before", 307), _mv("after", 309), _mv("between-pair", 309), GHOST,
                     _mv("before", 307), _mv("between-pair", 309), _mv("after", 307)],
@@ -726,10 +727,20 @@ def test_reproduce_builds_each_delay_once(fixture, budget, request, monkeypatch)
     assert (result.reproduced, result.attempts, result.point_used, steps,
             result.fails_undelayed) == expected
     tried = points[:result.attempts]
-    assert builds == Counter({(scn.map_point(p), p.placement == "before"): 1
-                              for p in tried if scn.map_point(p) is not None})
+    assert builds == Counter({scn.delay(p): 1 for p in tried if scn.delay(p) is not None})
     if budget == 100:
         assert result.reproduced and len(tried) > len(builds)  # a delay repeats
+
+
+def test_a_point_after_an_op_and_one_before_the_next_build_one_schedule(
+    gzip_scenario, monkeypatch
+):
+    after, before = _gz("after", 57), _gz("before", 62)  # gzip ops 2 and 3
+    assert gzip_scenario.delay(after) == gzip_scenario.delay(before) == ("gzip", 3)
+    builds = _count_builds(monkeypatch)
+    result = reproduce(gzip_scenario, [after, before])
+    assert (result.reproduced, result.attempts) == (False, 2)
+    assert builds == Counter({("gzip", 3): 1})
 
 
 # --- random baseline -------------------------------------------------------------

@@ -240,6 +240,14 @@ def test_no_apriori_ranks_by_raw_count(mv_keys):
     assert freqs == sorted(freqs, reverse=True)
 
 
+def test_no_apriori_keeps_the_similarity_order_of_derived_keys(gzip_keys):
+    # every derived key counts 1, so a sort by name would discard their order
+    assert gzip_keys.path == "derived"
+    ranking = no_apriori_ranking(gzip_keys)
+    assert [e.items for e in ranking.entries] == [(e.name,) for e in gzip_keys.entries]
+    assert ranking.entries[0].items == ("chmod",)
+
+
 def test_no_apriori_without_keys_enumerates_every_site(tmp_path):
     # a report of stop words yields no keys; the ablation drops pair
     # mining, not the fallback that instruments every site
