@@ -26,13 +26,7 @@ FRACTIONS = (0.1, 0.3, 0.5)
 
 
 def main() -> None:
-    bundle = FixtureBundle(
-        bug_id="mv_438076",
-        report_path=FIXTURE / "mv_438076.txt",
-        src_root=FIXTURE / "src",
-        scenario_path=FIXTURE / "scenario.json",
-        ground_truth_path=FIXTURE / "ground_truth.json",
-    )
+    bundle = FixtureBundle.from_dir(FIXTURE)
     catalog = bundled_catalog()
 
     print(f"{len(SEEDS)} seeds per level, 100-attempt budget each")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
-from racerepro.harness import enumerate_interleavings, random_baseline
-from racerepro.metrics import ExperimentConfig, Pipeline
+from racerepro.harness import enumerate_interleavings
+from racerepro.metrics import MODE_RANDOM_BASELINE, ExperimentConfig, Pipeline
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "mv_438076"
 
@@ -45,7 +45,8 @@ def main() -> None:
     # --- unassisted baseline ---------------------------------------------------
     print("random baseline (100-run budget) across ten seeds:")
     for seed in range(10):
-        result = random_baseline(scenario, runs=100, seed=seed)
+        config = ExperimentConfig(mode=MODE_RANDOM_BASELINE, seed=seed, max_attempts=100)
+        result = Pipeline(config, scenario_path=FIXTURE / "scenario.json").result
         status = f"attempt {result.attempts}" if result.reproduced else "never"
         print(f"  seed {seed}: {status}")
 

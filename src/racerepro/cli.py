@@ -287,27 +287,9 @@ def write_artifacts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bundle_from_dir(path: Path) -> FixtureBundle:
-    candidates = [
-        path / "report.txt",
-        path / "report.json",
-        path / f"{path.name}.txt",
-        path / f"{path.name}.json",
-    ]
-    report = next((c for c in candidates if c.exists()), candidates[0])
-    truth = path / "ground_truth.json"
-    return FixtureBundle(
-        bug_id=path.name,
-        report_path=report,
-        src_root=path / "src",
-        scenario_path=path / "scenario.json",
-        ground_truth_path=truth if truth.exists() else None,
-    )
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     pipe = _pipeline(args)
-    rows = [metrics_mod.run_fixture(_bundle_from_dir(Path(d)), pipe.config, pipe.catalog)
+    rows = [metrics_mod.run_fixture(FixtureBundle.from_dir(d), pipe.config, pipe.catalog)
             for d in args.fixtures]
     payload = {
         "schema": "racerepro/results/v1",
@@ -356,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(subcommand=subcommand, func=write_artifacts)
 
     p = sub.choices["eval"]
-    p.add_argument("fixtures", nargs="+",
+    p.add_argument("fixtures", nargs="+", type=Path,
                    help="fixture bundle directories (report + src/ + scenario.json)")
     p.set_defaults(func=cmd_eval)
     return parser

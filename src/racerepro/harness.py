@@ -325,8 +325,9 @@ def reproduce(
 ) -> ReproResult:
     """Try points in rank order until the oracle fails or the budget runs out.
 
-    The undelayed order runs first; when it already fails, that is the
-    result (one attempt, no point credited).  Otherwise each of the first
+    A budget below 1 runs nothing (0 attempts).  Any other runs the
+    undelayed order first; when it already fails, that is the result
+    (one attempt, no point credited).  Otherwise each of the first
     ``max_attempts`` points is one attempt.  Only the first point with a given
     delay (``Scenario.delay``: the process and the op it resumes at) gets a
     schedule.  A point with no src_map entry, a later point with the
@@ -334,13 +335,12 @@ def reproduce(
     call (the undelayed order included) each use up an attempt without a run.
     """
     start = time.perf_counter()
-    passed: set[tuple[tuple[str, int], ...]] = set()
-    if max_attempts >= 1:
-        base = baseline_schedule(scn)
-        if run_schedule(scn, base).verdict == VERDICT_FAIL:
-            return ReproResult(1, base, wall_time=time.perf_counter() - start,
-                               fails_undelayed=True)
-        passed.add(base.steps)
+    if max_attempts < 1:
+        return ReproResult(0, wall_time=time.perf_counter() - start)
+    base = baseline_schedule(scn)
+    if run_schedule(scn, base).verdict == VERDICT_FAIL:
+        return ReproResult(1, base, wall_time=time.perf_counter() - start,
+                           fails_undelayed=True)
     built: set[tuple[str, int]] = set()
 
     def delayed(point: InstrumentationPoint) -> InterleavingSchedule | None:
@@ -349,8 +349,8 @@ def reproduce(
         built.add(delay)
         return schedule_with_delay(scn, point)
 
-    tries = ((delayed(point), point) for point in points[:max(max_attempts, 0)])
-    return _first_failure(scn, tries, passed, start)
+    tries = ((delayed(point), point) for point in points[:max_attempts])
+    return _first_failure(scn, tries, {base.steps}, start)
 
 
 # --- systematic and random exploration --------------------------------------

@@ -160,7 +160,18 @@ class FixtureBundle:
     report_path: Path
     src_root: Path
     scenario_path: Path
-    ground_truth_path: Path | None = None
+    ground_truth_path: Path  # a bundle without this file gives an unscored row
+
+    @classmethod
+    def from_dir(cls, path: Path) -> FixtureBundle:
+        """The bundle in directory ``path``: the first report that exists of
+        ``report.txt``, ``report.json``, ``<dir>.txt`` and ``<dir>.json``
+        (``report.txt`` when none does), then ``src/``, ``scenario.json``
+        and ``ground_truth.json``."""
+        reports = [path / f"{stem}{ext}" for stem in ("report", path.name)
+                   for ext in (".txt", ".json")]
+        return cls(path.name, next((r for r in reports if r.exists()), reports[0]),
+                   path / "src", path / "scenario.json", path / "ground_truth.json")
 
 
 @dataclass
@@ -343,7 +354,7 @@ class Pipeline:
             known.extend(self.scenario.process_names)
         known.extend(
             choice.value
-            for category in spec.categories if category.name == "command"
+            for category in spec if category.name == "command"
             for choice in category.choices
         )
         partial = testcases.extract_elements(self.report, known)
@@ -360,7 +371,7 @@ class ExperimentRow:
     rank: list[int | None] = field(default_factory=list)  # GT locations, apriori
     ornk: list[int | None] = field(default_factory=list)  # GT locations, no-apriori
     rec: float | None = None
-    map_score: float | None = None
+    map: float | None = None
     suc: str = "N"
     nor: int = 0
     time_s: float = 0.0  # human output only; never serialized into artifacts
@@ -393,12 +404,11 @@ def run_fixture(
     row.suc = "Y" if pipe.result.reproduced else "N"
     row.nor = pipe.result.attempts
 
-    truth_path = bundle.ground_truth_path
-    if truth_path is None or not truth_path.exists():
+    if not bundle.ground_truth_path.exists():
         row.unscored = True
         row.notes = "no ground truth"
     else:
-        truth = load_ground_truth(truth_path)
+        truth = load_ground_truth(bundle.ground_truth_path)
         row.brk = _best_file_rank(pipe.basic, truth.expected_files)
         row.srk = _best_file_rank(pipe.structured, truth.expected_files)
         row.rank = _gt_location_ranks(pipe.apriori_points, truth)
@@ -406,7 +416,7 @@ def run_fixture(
         ranking = location_ranking(pipe.points)
         relevant = set(truth.expected_syscalls)
         row.rec = recall_at_k(ranking, relevant, config.recall_k)
-        row.map_score = average_precision(ranking, relevant)
+        row.map = average_precision(ranking, relevant)
 
     row.time_s = time.perf_counter() - start
     return row
@@ -435,7 +445,7 @@ def render_table(rows: list[ExperimentRow], include_time: bool = True) -> str:
             _fmt_ranks(row.rank),
             _fmt_ranks(row.ornk),
             f"{row.rec:.4f}" if row.rec is not None else "-",
-            f"{row.map_score:.4f}" if row.map_score is not None else "-",
+            f"{row.map:.4f}" if row.map is not None else "-",
             row.suc,
             str(row.nor),
         ]
@@ -447,7 +457,4 @@ def render_table(rows: list[ExperimentRow], include_time: bool = True) -> str:
 
 def row_to_json(row: ExperimentRow) -> dict:
     """Structured row for artifact files; deterministic (wall time excluded)."""
-    payload = dict(vars(row))
-    del payload["time_s"]
-    payload["map"] = payload.pop("map_score")
-    return payload
+    return {name: value for name, value in vars(row).items() if name != "time_s"}

@@ -195,14 +195,11 @@ def locate(
     """
     located: list[_Located] = []
     unconnected: list[str] = []
+    # with no entries (enumerate_all), one entry of no items that every site matches
+    entries = ranking.entries or [RankEntry(items=(), frequency=0)]
     for path in ranked_files.top(top_files):
         sites = index.sites.get(path, [])
-        if ranking.enumerate_all:
-            for site in sites:
-                located.append((site, PLACEMENT_BEFORE, None))
-                located.append((site, PLACEMENT_AFTER, None))
-            continue
-        for entry in ranking.entries:
+        for entry in entries:
             if len(entry.items) == 2:
                 point = _pair_point(
                     sites, index.graph, path, entry.items[0], entry.items[1], unconnected
@@ -211,7 +208,7 @@ def locate(
                     located.append(point)
             else:
                 for site in sites:
-                    if site.syscall == entry.items[0]:
+                    if not entry.items or site.syscall == entry.items[0]:
                         located.append((site, PLACEMENT_BEFORE, None))
                         located.append((site, PLACEMENT_AFTER, None))
 

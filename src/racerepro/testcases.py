@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -142,11 +143,6 @@ class Category:
     choices: list[Choice]
 
 
-@dataclass
-class TslSpec:
-    categories: list[Category]
-
-
 class TslError(ValueError):
     """Raised for unparsable specs or unsatisfiable frames."""
 
@@ -170,7 +166,7 @@ def _parse_tags(raw_tags: list[str], value: str) -> Choice:
     return Choice(value=value, error=error, single=single, conditions=tuple(conditions))
 
 
-def parse_tsl(text: str) -> TslSpec:
+def parse_tsl(text: str) -> list[Category]:
     choices: dict[str, dict[str, Choice]] = {}  # per category, its choices by value
     current: str | None = None  # the category the next choice belongs to
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -223,7 +219,7 @@ def parse_tsl(text: str) -> TslSpec:
                         f"choice {choice.value!r} references unknown choice "
                         f"{ref_cat}={ref_val!r}"
                     )
-    return TslSpec(categories=categories)
+    return categories
 
 
 def _fits(a: str, v: Choice, b: str, w: Choice) -> bool:
@@ -233,7 +229,7 @@ def _fits(a: str, v: Choice, b: str, w: Choice) -> bool:
             and all(val == v.value for cat, val in w.conditions if cat == a))
 
 
-def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
+def _frames(spec: list[Category], values: list[list[str]]) -> Iterator[dict[str, str]]:
     """The frames that give each category one of its ``values`` and satisfy
     every [if] condition of their choices, in product order (last category
     fastest).  The spec has at least one category (``expand_tsl`` returns
@@ -252,11 +248,11 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
     Only branches with no frame are cut; past ``MAX_FRAMES`` empty subtrees
     the search raises ``TslError`` (whether any frame exists is NP-complete).
     """
-    names = [cat.name for cat in spec.categories]
+    names = [cat.name for cat in spec]
     depth_of = {name: depth for depth, name in enumerate(names)}
     domains: list[list[Choice]] = []
     links: list[set[int]] = [set() for _ in names]
-    for depth, (cat, cat_values) in enumerate(zip(spec.categories, values)):
+    for depth, (cat, cat_values) in enumerate(zip(spec, values)):
         by_value = {choice.value: choice for choice in cat.choices}
         domains.append([by_value[value] for value in cat_values])
         for choice in domains[depth]:
@@ -322,11 +318,11 @@ def _frames(spec: TslSpec, values: list[list[str]]) -> Iterator[dict[str, str]]:
         untried.append(iter(domains[depth + 1]))
 
 
-def _plain_values(spec: TslSpec) -> list[list[str]]:
-    return [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
+def _plain_values(spec: list[Category]) -> list[list[str]]:
+    return [[c.value for c in cat.choices if c.plain] for cat in spec]
 
 
-def _base_frames(spec: TslSpec) -> list[dict[str, str]]:
+def _base_frames(spec: list[Category]) -> list[dict[str, str]]:
     """The frames of the plain choices, refused past ``MAX_FRAMES``."""
     frames = list(islice(_frames(spec, _plain_values(spec)), MAX_FRAMES + 1))
     if len(frames) > MAX_FRAMES:
@@ -334,46 +330,28 @@ def _base_frames(spec: TslSpec) -> list[dict[str, str]]:
     return frames
 
 
-def _frame_to_case(
-    spec: TslSpec, frame: dict[str, str], partial: TestCase | None, error: bool
-) -> TestCase:
-    command = ""
-    options: list[str] = []
-    inputs: list[str] = []
-    setup: list[str] = []
-    for cat in spec.categories:
-        value = frame[cat.name]
-        if cat.name == "command":
-            command = value
-        elif cat.name == "options":
-            options = value.split() if value != "none" else []
-        elif cat.name == "inputs":
-            inputs = value.split() if value != "none" else []
-        else:
-            setup.append(f"{cat.name}={value}")
-    if partial is not None:
-        if partial.command:
-            command = partial.command
-        if partial.options:
-            options = list(partial.options)
-        if partial.inputs:
-            inputs = list(partial.inputs)
-    return TestCase(
-        command=command, options=options, inputs=inputs, setup=setup, error=error
-    )
+def _frame_to_case(frame: dict[str, str], partial: TestCase | None, error: bool) -> TestCase:
+    """The case of one frame, whose categories come in declaration order."""
+    case = TestCase(command=frame.get("command", ""), error=error)
+    for name, value in frame.items():
+        if name in ("options", "inputs"):
+            setattr(case, name, [] if value == "none" else value.split())
+        elif name != "command":
+            case.setup.append(f"{name}={value}")
+    for name in ("command", "options", "inputs"):
+        if partial is not None and getattr(partial, name):
+            setattr(case, name, copy(getattr(partial, name)))  # the case owns its lists
+    return case
 
 
-def expand_tsl(spec: TslSpec, partial: TestCase | None = None) -> list[TestCase]:
+def expand_tsl(spec: list[Category], partial: TestCase | None = None) -> list[TestCase]:
     """Expand a spec into concrete frames; the partial's command, options
     and inputs, where set, override every frame's (its setup is not read)."""
-    if not spec.categories:
+    if not spec:
         return []
-    cases = [
-        _frame_to_case(spec, frame, partial, error=False)
-        for frame in _base_frames(spec)
-    ]
+    cases = [_frame_to_case(frame, partial, error=False) for frame in _base_frames(spec)]
     plain = _plain_values(spec)
-    for depth, cat in enumerate(spec.categories):
+    for depth, cat in enumerate(spec):
         for choice in cat.choices:
             if choice.plain:
                 continue
@@ -386,5 +364,5 @@ def expand_tsl(spec: TslSpec, partial: TestCase | None = None) -> list[TestCase]
                     f"[{'error' if choice.error else 'single'}] choice "
                     f"{choice.value!r} of category {cat.name!r}"
                 )
-            cases.append(_frame_to_case(spec, frame, partial, error=choice.error))
+            cases.append(_frame_to_case(frame, partial, error=choice.error))
     return cases

@@ -15,6 +15,7 @@ from racerepro import harness
 from racerepro.cli import EXIT_CONFIG, EXIT_NOT_REPRODUCED, EXIT_OK, _write_files, main
 from racerepro.harness import load_scenario, random_baseline
 from racerepro.metrics import MODES
+from racerepro.reports import load_report
 from racerepro.testcases import MAX_FRAMES
 
 MV_REPORT = str(MV_DIR / "mv_438076.txt")
@@ -300,6 +301,55 @@ def test_eval_random_baseline_needs_seed(tmp_path, fixture_dirs):
         str(fixture_dirs[0]),
     ])
     assert code == EXIT_CONFIG
+
+
+# --- eval: the bundle layout ------------------------------------------------------
+
+def _mv_bundle_copy(tmp_path):
+    bundle = tmp_path / "mv_438076"
+    shutil.copytree(MV_DIR, bundle)
+    return bundle
+
+
+def _eval_row(bundle, out_dir) -> dict:
+    """The one row ``racerepro eval`` writes for ``bundle``."""
+    assert main(["eval", "--out-dir", str(out_dir), str(bundle)]) == EXIT_OK
+    (row,) = _read_json(out_dir / "results.json")["rows"]
+    return row
+
+
+def test_eval_reads_report_txt_before_the_report_named_after_its_bundle(tmp_path):
+    bundle = _mv_bundle_copy(tmp_path)
+    (bundle / "mv_438076.txt").rename(bundle / "report.txt")
+    (bundle / "mv_438076.txt").write_bytes(b"\xff not UTF-8: exit 2 if read\n")
+    assert _eval_row(bundle, tmp_path / "out") == _eval_row(MV_DIR, tmp_path / "fixture")
+
+
+def test_eval_reads_a_lone_report_json_as_json(tmp_path):
+    bundle = _mv_bundle_copy(tmp_path)
+    report = load_report(bundle / "mv_438076.txt")
+    (bundle / "mv_438076.txt").unlink()
+    (bundle / "report.json").write_text(json.dumps(
+        {"id": report.id, "subject": report.subject, "body": report.body}))
+    assert _eval_row(bundle, tmp_path / "out") == _eval_row(MV_DIR, tmp_path / "fixture")
+
+
+def test_eval_without_ground_truth_gives_an_unscored_row(tmp_path):
+    bundle = _mv_bundle_copy(tmp_path)
+    (bundle / "ground_truth.json").unlink()
+    row = _eval_row(bundle, tmp_path / "out")
+    assert (row["unscored"], row["notes"]) == (True, "no ground truth")
+    assert (row["rank"], row["map"], row["suc"]) == ([], None, "Y")
+
+
+def test_eval_without_a_report_exits_two_naming_report_txt(tmp_path, capsys):
+    bundle = _mv_bundle_copy(tmp_path)
+    (bundle / "mv_438076.txt").unlink()
+    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {bundle / 'report.txt'}: No such file or directory" in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- pipeline -------------------------------------------------------------------
@@ -804,31 +854,6 @@ def test_scenario_mode_above_7777_exits_two_naming_the_field(tmp_path, capsys):
     assert not (tmp_path / "repro.json").exists()
 
 
-@pytest.mark.parametrize("line", [307.9, True])
-def test_ground_truth_non_integer_line_exits_two_naming_the_field(tmp_path, capsys, line):
-    bundle = tmp_path / "mv_438076"
-    shutil.copytree(MV_DIR, bundle)
-    truth = bundle / "ground_truth.json"
-    payload = _read_json(truth)
-    payload["syscalls"][0]["line"] = line
-    truth.write_text(json.dumps(payload))
-    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
-    assert code == EXIT_CONFIG
-    assert f"error: {truth}: field 'syscalls': wrong JSON type" in capsys.readouterr().err
-
-
-def test_ground_truth_non_string_id_exits_two_naming_the_field(tmp_path, capsys):
-    bundle = tmp_path / "mv_438076"
-    shutil.copytree(MV_DIR, bundle)
-    truth = bundle / "ground_truth.json"
-    payload = _read_json(truth)
-    payload["id"] = 438076
-    truth.write_text(json.dumps(payload))
-    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
-    assert code == EXIT_CONFIG
-    assert f"error: {truth}: field 'id': wrong JSON type" in capsys.readouterr().err
-
-
 def test_json_report_non_string_id_exits_two_naming_the_field(tmp_path, capsys):
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"id": ["mv"], "subject": "mv race", "body": "b"}))
@@ -838,67 +863,37 @@ def test_json_report_non_string_id_exits_two_naming_the_field(tmp_path, capsys):
     assert not (tmp_path / "keys.json").exists()
 
 
-def test_ground_truth_non_numeric_line_exits_two_naming_the_file(tmp_path, capsys):
-    bundle = tmp_path / "mv_438076"
-    shutil.copytree(MV_DIR, bundle)
+#: edit of the mv ground truth (its new text, or a change to its JSON) -> the
+#: message that follows "error: <file>: "
+GROUND_TRUTH_EDITS = [
+    pytest.param(lambda p: p["syscalls"][0].update(line=307.9),
+                 "field 'syscalls': wrong JSON type", id="line-float"),
+    pytest.param(lambda p: p["syscalls"][0].update(line=True),
+                 "field 'syscalls': wrong JSON type", id="line-bool"),
+    pytest.param(lambda p: p["syscalls"][0].update(line="x"), "field 'syscalls'", id="line-str"),
+    pytest.param(lambda p: p.update(id=438076), "field 'id': wrong JSON type", id="id-int"),
+    pytest.param(lambda p: p.update(files=5), "field 'files': wrong JSON type", id="files-int"),
+    pytest.param(lambda p: p.update(files="copy.c"), "field 'files': wrong JSON type",
+                 id="files-str"),
+    pytest.param(lambda p: p.pop("syscalls"), "missing field 'syscalls'", id="no-syscalls"),
+    pytest.param("[]", "wrong JSON type", id="json-array"),
+    pytest.param("{x}", "Expecting property name", id="json-syntax"),
+]
+
+
+@pytest.mark.parametrize("edit, message", GROUND_TRUTH_EDITS)
+def test_malformed_ground_truth_exits_two_naming_the_file(tmp_path, capsys, edit, message):
+    bundle = _mv_bundle_copy(tmp_path)
     truth = bundle / "ground_truth.json"
-    payload = _read_json(truth)
-    payload["syscalls"][0]["line"] = "x"
-    truth.write_text(json.dumps(payload))
+    if isinstance(edit, str):
+        truth.write_text(edit)
+    else:
+        payload = _read_json(truth)
+        edit(payload)
+        truth.write_text(json.dumps(payload))
     code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
     assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(truth) in err and "field 'syscalls'" in err
-
-
-def test_ground_truth_wrong_json_type_exits_two(tmp_path, capsys):
-    bundle = tmp_path / "mv_438076"
-    shutil.copytree(MV_DIR, bundle)
-    truth = bundle / "ground_truth.json"
-    truth.write_text("[]")
-    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(truth) in err and "wrong JSON type" in err
-
-
-def test_ground_truth_wrong_field_type_names_the_field(tmp_path, capsys):
-    bundle = tmp_path / "mv_438076"
-    shutil.copytree(MV_DIR, bundle)
-    truth = bundle / "ground_truth.json"
-    payload = _read_json(truth)
-    payload["files"] = 5
-    truth.write_text(json.dumps(payload))
-    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(truth) in err and "field 'files': wrong JSON type" in err
-
-
-def test_ground_truth_files_string_exits_two_naming_the_field(tmp_path, capsys):
-    bundle = tmp_path / "mv_438076"
-    shutil.copytree(MV_DIR, bundle)
-    truth = bundle / "ground_truth.json"
-    payload = _read_json(truth)
-    payload["files"] = "copy.c"
-    truth.write_text(json.dumps(payload))
-    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(truth) in err and "field 'files': wrong JSON type" in err
-
-
-def test_ground_truth_missing_field_exits_two(tmp_path, capsys):
-    bundle = tmp_path / "mv_438076"
-    shutil.copytree(MV_DIR, bundle)
-    truth = bundle / "ground_truth.json"
-    payload = _read_json(truth)
-    del payload["syscalls"]
-    truth.write_text(json.dumps(payload))
-    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(truth) in err and "'syscalls'" in err
+    assert f"error: {truth}: {message}" in capsys.readouterr().err
 
 
 # --- unusable input files: exit 2, naming the file -----------------------------
@@ -912,16 +907,6 @@ def test_scenario_json_syntax_error_exits_two_naming_the_file(tmp_path, capsys):
     ])
     assert code == EXIT_CONFIG
     assert f"error: {scenario_path}: Expecting property name" in capsys.readouterr().err
-
-
-def test_ground_truth_json_syntax_error_exits_two_naming_the_file(tmp_path, capsys):
-    bundle = tmp_path / "mv_438076"
-    shutil.copytree(MV_DIR, bundle)
-    truth = bundle / "ground_truth.json"
-    truth.write_text("{x}")
-    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
-    assert code == EXIT_CONFIG
-    assert f"error: {truth}: Expecting property name" in capsys.readouterr().err
 
 
 def test_report_not_utf8_exits_two_naming_the_file(tmp_path, capsys):

@@ -657,17 +657,11 @@ def test_returning_to_a_tree_reuses_its_index(tmp_path, monkeypatch):
     assert built == [("a.c",), ("a.c", "b.c")]
 
 
-def _bundle(d: Path, report: str) -> FixtureBundle:
-    return FixtureBundle(bug_id=d.name, report_path=d / report, src_root=d / "src",
-                         scenario_path=d / "scenario.json",
-                         ground_truth_path=d / "ground_truth.json")
-
-
 def test_interleaved_eval_modes_build_each_tree_once(tmp_path, monkeypatch, catalog):
     gen = load_bench_gen()
     vocab = gen.Vocab(ROOT)
     rng = random.Random(11)
-    bundles = [_bundle(MV_DIR, "mv_438076.txt"), _bundle(GZIP_DIR, "gzip_371162.txt")]
+    bundles = [FixtureBundle.from_dir(MV_DIR), FixtureBundle.from_dir(GZIP_DIR)]
     for t, n_files in enumerate((14, 16, 18)):
         d = tmp_path / f"gen{t}"
         _rels, (plant,) = gen.write_tree(vocab, rng, d / "src", n_files, [gen.RACE_KINDS[t]])
@@ -675,7 +669,7 @@ def test_interleaved_eval_modes_build_each_tree_once(tmp_path, monkeypatch, cata
         (d / "report.txt").write_text(gen.direct_report(vocab, rng, prog, plant))
         gen.write_json(d / "scenario.json", gen.scenario(rng, plant, (prog, observer))[0])
         gen.write_json(d / "ground_truth.json", gen.ground_truth(d.name, plant))
-        bundles.append(_bundle(d, "report.txt"))
+        bundles.append(FixtureBundle.from_dir(d))
     built = _counting_builds(monkeypatch)
     for mode in (*MODES[:-1], "perturbed@0.25"):
         name, fraction = parse_mode(mode)

@@ -37,26 +37,6 @@ from racerepro.mining import InstrumentationPoint, Site
 from racerepro.reports import BugReport
 
 
-def _mv_bundle() -> FixtureBundle:
-    return FixtureBundle(
-        bug_id="mv_438076",
-        report_path=MV_DIR / "mv_438076.txt",
-        src_root=MV_DIR / "src",
-        scenario_path=MV_DIR / "scenario.json",
-        ground_truth_path=MV_DIR / "ground_truth.json",
-    )
-
-
-def _gzip_bundle() -> FixtureBundle:
-    return FixtureBundle(
-        bug_id="gzip_371162",
-        report_path=GZIP_DIR / "gzip_371162.txt",
-        src_root=GZIP_DIR / "src",
-        scenario_path=GZIP_DIR / "scenario.json",
-        ground_truth_path=GZIP_DIR / "ground_truth.json",
-    )
-
-
 # --- average precision --------------------------------------------------------
 
 def test_ap_all_relevant_on_top_is_one():
@@ -180,7 +160,7 @@ def test_parse_mode_rejects(text):
 
 
 def test_stochastic_modes_require_seed():
-    bundle = _mv_bundle()
+    bundle = FixtureBundle.from_dir(MV_DIR)
     with pytest.raises(ConfigError):
         run_fixture(bundle, ExperimentConfig(mode=MODE_RANDOM_BASELINE))
     with pytest.raises(ConfigError):
@@ -269,39 +249,40 @@ def test_a_table_of_no_rows_is_its_header():
 
 
 def test_mv_structured_row():
-    row = run_fixture(_mv_bundle(), ExperimentConfig(mode=MODE_STRUCTURED_IR))
+    row = run_fixture(FixtureBundle.from_dir(MV_DIR), ExperimentConfig(mode=MODE_STRUCTURED_IR))
     assert (row.brk, row.srk) == (1, 1)
     assert row.rank == [1, 2]
     assert row.rec == pytest.approx(1.0)
-    assert row.map_score == pytest.approx(1.0)
+    assert row.map == pytest.approx(1.0)
     assert (row.suc, row.nor) == ("Y", 1)
 
 
 def test_mv_no_apriori_row_degrades():
-    row = run_fixture(_mv_bundle(), ExperimentConfig(mode=MODE_NO_APRIORI))
+    row = run_fixture(FixtureBundle.from_dir(MV_DIR), ExperimentConfig(mode=MODE_NO_APRIORI))
     assert row.rec == pytest.approx(0.5)
-    assert row.map_score == pytest.approx(0.1823, abs=1e-4)
+    assert row.map == pytest.approx(0.1823, abs=1e-4)
     assert (row.suc, row.nor) == ("Y", 5)
 
 
 def test_gzip_rows_score_the_visible_site():
-    row = run_fixture(_gzip_bundle(), ExperimentConfig(mode=MODE_APRIORI))
+    row = run_fixture(FixtureBundle.from_dir(GZIP_DIR), ExperimentConfig(mode=MODE_APRIORI))
     assert (row.brk, row.srk) == (1, 1)
     assert row.rank == [None, 1]
     assert row.rec == pytest.approx(0.5)
-    assert row.map_score == pytest.approx(0.5)
+    assert row.map == pytest.approx(0.5)
     assert (row.suc, row.nor) == ("Y", 1)
 
 
 def test_random_baseline_row_uses_seed():
-    row = run_fixture(_mv_bundle(), ExperimentConfig(mode=MODE_RANDOM_BASELINE, seed=3))
+    config = ExperimentConfig(mode=MODE_RANDOM_BASELINE, seed=3)
+    row = run_fixture(FixtureBundle.from_dir(MV_DIR), config)
     assert (row.suc, row.nor) == ("Y", 1)
-    again = run_fixture(_mv_bundle(), ExperimentConfig(mode=MODE_RANDOM_BASELINE, seed=3))
+    again = run_fixture(FixtureBundle.from_dir(MV_DIR), config)
     assert (again.suc, again.nor) == (row.suc, row.nor)
 
 
 def test_unscored_row_without_ground_truth(tmp_path):
-    bundle = _mv_bundle()
+    bundle = FixtureBundle.from_dir(MV_DIR)
     bundle.ground_truth_path = tmp_path / "missing.json"
     row = run_fixture(bundle, ExperimentConfig())
     assert row.unscored
@@ -310,7 +291,7 @@ def test_unscored_row_without_ground_truth(tmp_path):
 
 
 def test_unscored_row_renders_a_dash_for_its_ranks(tmp_path):
-    bundle = _mv_bundle()
+    bundle = FixtureBundle.from_dir(MV_DIR)
     bundle.ground_truth_path = tmp_path / "missing.json"
     header, line = render_table([run_fixture(bundle, ExperimentConfig())]).splitlines()
     cells = dict(zip(header.split("\t"), line.split("\t")))
@@ -332,7 +313,7 @@ def _counting(monkeypatch, name: str) -> list:
 @pytest.mark.parametrize("mode", [MODE_STRUCTURED_IR, MODE_NO_APRIORI, MODE_BASIC_IR])
 def test_run_fixture_locates_once_per_ranking(monkeypatch, mode):
     calls = _counting(monkeypatch, "locate")
-    run_fixture(_mv_bundle(), ExperimentConfig(mode=mode))
+    run_fixture(FixtureBundle.from_dir(MV_DIR), ExperimentConfig(mode=mode))
     rankings = [args[0] for args in calls]
     assert len(calls) == 2
     assert len({id(r) for r in rankings}) == 2
@@ -402,7 +383,7 @@ def test_test_cases_know_a_command_from_the_spec_alone(tmp_path):
 # --- rendering ----------------------------------------------------------------------
 
 def test_render_table_time_column_toggle():
-    row = run_fixture(_mv_bundle(), ExperimentConfig())
+    row = run_fixture(FixtureBundle.from_dir(MV_DIR), ExperimentConfig())
     human = render_table([row])
     assert "Time(s)" in human.splitlines()[0]
     artifact = render_table([row], include_time=False)
@@ -411,9 +392,9 @@ def test_render_table_time_column_toggle():
 
 
 def test_row_json_is_deterministic_and_timeless():
-    row = run_fixture(_mv_bundle(), ExperimentConfig())
+    row = run_fixture(FixtureBundle.from_dir(MV_DIR), ExperimentConfig())
     payload = row_to_json(row)
     assert "time" not in payload and "time_s" not in payload
     assert payload["rank"] == [1, 2]
-    again = row_to_json(run_fixture(_mv_bundle(), ExperimentConfig()))
+    again = row_to_json(run_fixture(FixtureBundle.from_dir(MV_DIR), ExperimentConfig()))
     assert payload == again

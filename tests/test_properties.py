@@ -33,7 +33,7 @@ from racerepro.harness import (
 )
 from racerepro.mining import InstrumentationPoint, TransactionDB, mine_pairs
 from racerepro.reports import MODE_C_SOURCE, MODE_TEXT, preprocess, preprocess_tokens
-from racerepro.testcases import Category, Choice, TslSpec, expand_tsl
+from racerepro.testcases import Category, Choice, expand_tsl
 from racerepro.vfs import ENOENT, VirtualFS
 
 RUNS = settings(max_examples=1000, deadline=None, derandomize=True)
@@ -259,15 +259,15 @@ def _tsl_specs(draw):
         categories.append(
             Category(name=f"c{ci}", choices=[choices[i] for i in order])
         )
-    return TslSpec(categories=categories)
+    return categories
 
 
 @RUNS
 @given(spec=_tsl_specs())
 def test_tsl_frame_count_matches_oracle(spec):
-    plain = {cat.name: [c.value for c in cat.choices if c.plain] for cat in spec.categories}
-    n_special = sum(1 for cat in spec.categories for c in cat.choices if not c.plain)
-    n_error = sum(1 for cat in spec.categories for c in cat.choices if c.error)
+    plain = {cat.name: [c.value for c in cat.choices if c.plain] for cat in spec}
+    n_special = sum(1 for cat in spec for c in cat.choices if not c.plain)
+    n_error = sum(1 for cat in spec for c in cat.choices if c.error)
 
     cases = expand_tsl(spec)
     expected_base = math.prod(len(v) for v in plain.values())
@@ -276,7 +276,7 @@ def test_tsl_frame_count_matches_oracle(spec):
 
     # the base block is exactly the Cartesian product of plain choices
     base_setups = {tuple(c.setup) for c in cases[:expected_base]}
-    names = [cat.name for cat in spec.categories]
+    names = [cat.name for cat in spec]
     oracle = {
         tuple(f"{name}={value}" for name, value in zip(names, combo))
         for combo in product(*(plain[name] for name in names))

@@ -226,9 +226,7 @@ def test_subject_and_body_terms_are_the_report_as_one_query(mv_report, gzip_repo
 @pytest.mark.parametrize("bundle_dir", [MV_DIR, GZIP_DIR], ids=["mv-direct", "gzip-derived"])
 def test_run_fixture_preprocesses_the_report_twice(monkeypatch, bundle_dir):
     # with ground truth, so the row is scored and both rankers run
-    bundle = FixtureBundle(bundle_dir.name, bundle_dir / f"{bundle_dir.name}.txt",
-                           bundle_dir / "src", bundle_dir / "scenario.json",
-                           bundle_dir / "ground_truth.json")
+    bundle = FixtureBundle.from_dir(bundle_dir)
     report = load_report(bundle.report_path)
     texts = {report.subject, report.body, report.subject + "\n" + report.body}
     calls = []

@@ -47,14 +47,14 @@ def _report(body: str, subject: str = "subject") -> BugReport:
 
 
 def _category(spec, name: str):
-    return next(cat for cat in spec.categories if cat.name == name)
+    return next(cat for cat in spec if cat.name == name)
 
 
 # --- parsing ------------------------------------------------------------------
 
 def test_parse_mv_tsl_shape():
     spec = parse_tsl(MV_TSL)
-    assert [c.name for c in spec.categories] == ["options", "inputs"]
+    assert [c.name for c in spec] == ["options", "inputs"]
     options = _category(spec, "options")
     assert [c.value for c in options.choices] == ["none", "-f", "-i"]
     assert options.choices[2].error
@@ -106,7 +106,7 @@ def test_parse_checks_repeats_in_linear_time():
     start = time.perf_counter()
     spec = parse_tsl(text)
     assert time.perf_counter() - start < 1.0
-    assert len(spec.categories) == 20_000
+    assert len(spec) == 20_000
 
 
 # --- expansion ----------------------------------------------------------------
@@ -218,6 +218,14 @@ def test_partial_overrides_every_frame():
     assert {tuple(c.options) for c in cases} == {(), ("-f",), ("-i",)}
 
 
+def test_each_case_owns_the_lists_a_partial_gives_it():
+    partial = Case(command="mv", inputs=["bar", "foo"])
+    cases = expand_tsl(parse_tsl(MV_TSL), partial)
+    cases[0].inputs.append("baz")
+    assert partial.inputs == ["bar", "foo"]
+    assert all(c.inputs == ["bar", "foo"] for c in cases[1:])
+
+
 def _satisfied(choice, assignment: dict[str, str]) -> bool:
     return all(assignment.get(cat) == val for cat, val in choice.conditions)
 
@@ -227,11 +235,11 @@ def _frames_oracle(spec, values=None):
     take; by default its plain choices) built as a list, then filtered: the
     body ``_base_frames`` had before it streamed the product."""
     if values is None:
-        values = [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
+        values = [[c.value for c in cat.choices if c.plain] for cat in spec]
     frames = [{}]
-    for cat, cat_values in zip(spec.categories, values):
+    for cat, cat_values in zip(spec, values):
         frames = [{**frame, cat.name: value} for frame in frames for value in cat_values]
-    by_value = {(cat.name, c.value): c for cat in spec.categories for c in cat.choices}
+    by_value = {(cat.name, c.value): c for cat in spec for c in cat.choices}
     return [
         frame
         for frame in frames
@@ -290,9 +298,9 @@ def test_base_frames_match_the_whole_product_oracle_on_random_specs():
 
         # each special choice's frame is the first of the product that fixes
         # its category to it and leaves the others their plain choices
-        plain = [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
+        plain = [[c.value for c in cat.choices if c.plain] for cat in spec]
         special_frames = []
-        for depth, cat in enumerate(spec.categories):
+        for depth, cat in enumerate(spec):
             for choice in cat.choices:
                 if not choice.plain:
                     values = [*plain[:depth], [choice.value], *plain[depth + 1:]]
@@ -321,10 +329,10 @@ def test_frames_match_the_whole_product_oracle_on_larger_random_specs():
             spec = parse_tsl(_random_spec_text(rng, "abcdef", "wxyz", (0, 0, 1, 1, 2, 3)))
         except TslError:  # a condition named a value its category lacks
             continue
-        plain = [[c.value for c in cat.choices if c.plain] for cat in spec.categories]
+        plain = [[c.value for c in cat.choices if c.plain] for cat in spec]
         searches = [plain] + [
             [*plain[:depth], [choice.value], *plain[depth + 1:]]
-            for depth, cat in enumerate(spec.categories)
+            for depth, cat in enumerate(spec)
             for choice in cat.choices if not choice.plain
         ]
         for values in searches:
@@ -530,9 +538,7 @@ def test_a_category_with_no_plain_choice_has_no_plain_frame():
 
 
 def test_empty_spec_expands_to_nothing():
-    from racerepro.testcases import TslSpec
-
-    assert expand_tsl(TslSpec(categories=[])) == []
+    assert expand_tsl([]) == []
 
 
 def test_command_category_fills_the_command_and_a_partial_overrides_it():
