@@ -201,7 +201,7 @@ def load_scenario(path: str | Path) -> Scenario:
             for e in json_of(list, data.get("initial_fs", []))
         ]
     with reading(path, "id"):
-        scenario_id = json_of(str, data.get("id", Path(path).stem))
+        scenario_id = json_of(str, data["id"]) if "id" in data else Path(path).stem
     with reading(path):
         return Scenario(
             id=scenario_id,

@@ -186,7 +186,9 @@ def reading(path: str | Path, field: str | None = None) -> Iterator[None]:
     try:
         yield
     except KeyError as exc:
-        raise InputError(f"{path}: missing field {exc.args[0]!r}") from exc
+        key = exc.args[0]
+        where = f"{path}:" if key == field else where
+        raise InputError(f"{where} missing field {key!r}") from exc
     except (TypeError, AttributeError) as exc:
         raise InputError(f"{where} wrong JSON type ({exc})") from exc
     except ValueError as exc:
@@ -196,9 +198,12 @@ def reading(path: str | Path, field: str | None = None) -> Iterator[None]:
 def json_of(kind: type, value: object):
     """``value`` if its type is exactly ``kind`` (list, str, dict, int), else a
     TypeError: a string is never iterated as a list, an object never turned
-    into text, and a float or a bool never taken for an int."""
+    into text, and a float or a bool never taken for an int.  A string must
+    encode as UTF-8, or a lone surrogate escape would fail the first write."""
     if type(value) is not kind:
         raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    if kind is str:
+        value.encode()
     return value
 
 

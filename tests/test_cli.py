@@ -7,6 +7,7 @@ import os
 import re
 import shlex
 import shutil
+from dataclasses import asdict
 
 import pytest
 
@@ -160,6 +161,18 @@ def test_gen_tests_expands_the_tsl(tmp_path, capsys):
     assert "mv -i bar foo [error]" in out
 
 
+@pytest.mark.parametrize("flags, extracted", [
+    ((), {"command": "", "options": [], "inputs": []}),
+    (("--commands", "mv"), {"command": "mv", "options": [], "inputs": ["bar", "foo"]}),
+], ids=["no-commands", "commands"])
+def test_gen_tests_knows_the_commands_it_is_given(tmp_path, flags, extracted):
+    code = main([
+        "gen-tests", "--report", MV_REPORT, "--tsl", MV_TSL, *flags, "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    assert _read_json(tmp_path / "test_cases.json")["extracted"] == extracted
+
+
 def test_gen_tests_finds_a_special_frame_behind_a_later_condition(tmp_path, capsys):
     # a=x holds only once b, a later category, is y
     tsl = tmp_path / "fwd.tsl"
@@ -249,12 +262,11 @@ def test_reproduce_scenario_failing_undelayed_credits_no_point(tmp_path, capsys)
 
 def test_reproduce_summary_says_the_undelayed_order_already_fails(tmp_path, capsys):
     # cat opens foo before mv runs and no foo exists yet: no delay is needed
-    def cat_first_without_foo(payload):
-        payload["processes"].reverse()
-        payload["initial_fs"] = [e for e in payload["initial_fs"] if e["path"] != "foo"]
-
+    payload = _read_json(MV_DIR / "scenario.json")
+    payload["processes"].reverse()
+    payload["initial_fs"] = [e for e in payload["initial_fs"] if e["path"] != "foo"]
     scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(_mv_scenario_with(cat_first_without_foo)))
+    scenario_path.write_text(json.dumps(payload))
     code = main([
         "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
         "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
@@ -592,335 +604,163 @@ def test_perturbed_without_seed_exits_two(tmp_path, capsys, fixture_dirs):
     assert "seed" in capsys.readouterr().err
 
 
-def test_missing_report_exits_two(tmp_path, capsys):
-    code = main([
-        "extract", "--report", str(tmp_path / "ghost.txt"),
-        "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+# --- unusable input files: exit 2, naming the file, writing nothing ---------------
 
+#: input kind -> (the file a row edits, in a copy of the mv bundle next to its
+#: report as JSON; the argv, before --out-dir, of the subcommand that reads it)
+READERS = {
+    "report": ("mv_438076/mv_438076.txt", lambda f: ["extract", "--report", f]),
+    "report-json": ("report.json", lambda f: ["extract", "--report", f]),
+    "scenario": ("mv_438076/scenario.json",
+                 lambda f: ["reproduce", "--report", MV_REPORT, "--src", MV_SRC, "--scenario", f]),
+    "ground-truth": ("mv_438076/ground_truth.json", lambda f: ["eval", os.path.dirname(f)]),
+    "tsl": ("mv_438076/mv.tsl", lambda f: ["gen-tests", "--report", MV_REPORT, "--tsl", f]),
+    "man-dir": ("man", lambda f: ["extract", "--report", MV_REPORT, "--man-dir", f]),
+}
 
-def test_malformed_tsl_exits_two(tmp_path, capsys):
-    bad = tmp_path / "bad.tsl"
-    bad.write_text("choice orphan\n")
-    code = main([
-        "gen-tests", "--report", MV_REPORT, "--tsl", str(bad),
-        "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    assert f"error: {bad}: line 1: choice outside any category" in capsys.readouterr().err
-
-
-def test_tsl_repeating_a_choice_exits_two(tmp_path, capsys):
-    bad = tmp_path / "repeat.tsl"
-    bad.write_text("category a:\n  choice x [if b=y]\n  choice x [single]\n"
-                   "category b:\n  choice y\n  choice z\n")
-    code = main([
-        "gen-tests", "--report", MV_REPORT, "--tsl", str(bad),
-        "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    assert f"error: {bad}: line 3: choice 'x' repeated in category 'a'" in (
-        capsys.readouterr().err
-    )
-
-
-def test_tsl_past_the_frame_limit_exits_two(tmp_path, capsys):
+#: row id -> (input kind, edit, what follows "error: <file>: ").  An edit is
+#: the file's new bytes, or a function of its parsed JSON (for a .json file)
+#: or of its path (for any other)
+MALFORMED = {
+    "report-missing": ("report", lambda p: p.unlink(), "No such file or directory"),
+    "report-not-utf8": ("report", b"Subject: mv race\n\n\xff\xfe body\n",
+                        "'utf-8' codec can't decode byte 0xff"),
+    "report-directory": ("report", lambda p: (p.unlink(), p.mkdir()), "Is a directory"),
+    "report-json-id-list": ("report-json", lambda p: p.update(id=["mv"]),
+                            "field 'id': wrong JSON type (expected str, got list)"),
+    "report-json-lone-surrogate": (
+        "report-json", lambda p: p.update(body=p["body"].replace("$ mv bar", "$ mv bar\ud800")),
+        "field 'body': 'utf-8' codec can't encode character '\\ud800'"),
+    "tsl-choice-outside-category": ("tsl", b"choice orphan\n",
+                                    "line 1: choice outside any category"),
+    "tsl-choice-repeated": ("tsl", b"category a:\n  choice x [if b=y]\n  choice x [single]\n"
+                                   b"category b:\n  choice y\n  choice z\n",
+                            "line 3: choice 'x' repeated in category 'a'"),
     # 13 two-choice categories: 8,192 frames, twice MAX_FRAMES
-    big = tmp_path / "big.tsl"
-    big.write_text("".join(f"category c{i}:\n  choice x\n  choice y\n" for i in range(13)))
-    code = main([
-        "gen-tests", "--report", MV_REPORT, "--tsl", str(big),
-        "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    assert f"error: {big}: plain choices yield more than {MAX_FRAMES} frames" in (
-        capsys.readouterr().err
-    )
-    assert not (tmp_path / "test_cases.json").exists()
-
-
-def test_scenario_missing_field_exits_two(tmp_path, capsys):
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps({"id": "x", "processes": []}))
-    code = main([
-        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
-        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(scenario_path) in err and "'oracle'" in err
-
-
-@pytest.mark.parametrize("payload", [
-    [],
-    {"id": "x", "processes": 5, "oracle": {"kind": "open-enoent", "path": "foo"}},
-])
-def test_scenario_wrong_json_type_exits_two(tmp_path, capsys, payload):
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(payload))
-    code = main([
-        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
-        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(scenario_path) in err and "wrong JSON type" in err
-    if isinstance(payload, dict):
-        assert "field 'processes'" in err
-
-
-def test_scenario_repeated_src_map_location_exits_two(tmp_path, capsys):
-    payload = _read_json(MV_DIR / "scenario.json")
+    "tsl-past-the-frame-limit": (
+        "tsl", b"".join(b"category c%d:\n  choice x\n  choice y\n" % i for i in range(13)),
+        f"plain choices yield more than {MAX_FRAMES} frames"),
+    "man-dir-empty": ("man-dir", lambda p: p.mkdir(), "no man-page files found"),
+    "ground-truth-json-syntax": ("ground-truth", b"{x}", "Expecting property name"),
+    "ground-truth-json-array": ("ground-truth", b"[]",
+                                "wrong JSON type (expected dict, got list)"),
+    "ground-truth-id-int": ("ground-truth", lambda p: p.update(id=438076),
+                            "field 'id': wrong JSON type (expected str, got int)"),
+    "ground-truth-id-lone-surrogate": ("ground-truth", lambda p: p.update(id="mv\ud800"),
+                                       "field 'id': 'utf-8' codec can't encode character"),
+    "ground-truth-files-int": ("ground-truth", lambda p: p.update(files=5),
+                               "field 'files': wrong JSON type (expected list, got int)"),
+    "ground-truth-files-str": ("ground-truth", lambda p: p.update(files="copy.c"),
+                               "field 'files': wrong JSON type (expected list, got str)"),
+    "ground-truth-no-syscalls": ("ground-truth", lambda p: p.pop("syscalls"),
+                                 "missing field 'syscalls'"),
+    "ground-truth-line-float": ("ground-truth", lambda p: p["syscalls"][0].update(line=307.9),
+                                "field 'syscalls': wrong JSON type (expected int, got float)"),
+    "ground-truth-line-bool": ("ground-truth", lambda p: p["syscalls"][0].update(line=True),
+                               "field 'syscalls': wrong JSON type (expected int, got bool)"),
+    "ground-truth-line-str": ("ground-truth", lambda p: p["syscalls"][0].update(line="x"),
+                              "field 'syscalls': wrong JSON type (expected int, got str)"),
+    "scenario-json-syntax": ("scenario", b"{x}", "Expecting property name"),
+    "scenario-json-array": ("scenario", b"[]", "wrong JSON type (expected dict, got list)"),
+    "scenario-no-oracle": ("scenario", b'{"id": "x", "processes": []}',
+                           "missing field 'oracle'"),
+    "scenario-oracle-no-kind": ("scenario", lambda p: p["oracle"].pop("kind"),
+                                "field 'oracle': missing field 'kind'"),
+    # read even though an open-enoent oracle ignores it
+    "scenario-oracle-mode-underscored": ("scenario", lambda p: p["oracle"].update(mode="6_44"),
+                                         "field 'oracle': mode '6_44' is not an octal string"),
+    # every schedule would fail, the undelayed one too
+    "scenario-final-content-no-content": (
+        "scenario", lambda p: p["oracle"].update(kind="final-content"),
+        "field 'oracle': a final-content oracle needs an expected 'content'"),
+    "scenario-processes-int": ("scenario", lambda p: p.update(processes=5),
+                               "field 'processes': wrong JSON type (expected list, got int)"),
+    # would otherwise run as rename("x", "y")
+    "scenario-args-str": ("scenario", lambda p: p["processes"][0]["trace"][1].update(args="xy"),
+                          "field 'processes': wrong JSON type (expected list, got str)"),
+    "scenario-op-kind-object": (
+        "scenario", lambda p: p["processes"][0]["trace"][1].update(kind={"name": "rename"}),
+        "field 'processes': wrong JSON type (expected str, got dict)"),
+    "scenario-op-no-kind": ("scenario", lambda p: p["processes"][0]["trace"][0].pop("kind"),
+                            "field 'processes': missing field 'kind'"),
+    "scenario-chmod-mode-bool": (
+        "scenario", lambda p: p["processes"][0]["trace"].append(
+            {"kind": "chmod", "args": ["foo", True]}),
+        "field 'processes': wrong JSON type (expected int, got bool)"),
+    "scenario-lone-surrogate": (
+        "scenario", (MV_DIR / "scenario.json").read_bytes().replace(b'"bar"', rb'"bar\ud800"'),
+        "field 'processes': 'utf-8' codec can't encode character '\\ud800'"),
+    "scenario-line-str": ("scenario", lambda p: p["src_map"][0].update(line="x"),
+                          "field 'src_map': wrong JSON type (expected int, got str)"),
+    # int() would map it to line 307
+    "scenario-line-float": ("scenario", lambda p: p["src_map"][0].update(line=307.9),
+                            "field 'src_map': wrong JSON type (expected int, got float)"),
+    "scenario-line-bool": ("scenario", lambda p: p["src_map"][0].update(line=True),
+                           "field 'src_map': wrong JSON type (expected int, got bool)"),
+    "scenario-op-index-str": ("scenario", lambda p: p["src_map"][0].update(op_index="x"),
+                              "field 'src_map': wrong JSON type (expected int, got str)"),
+    "scenario-op-index-float": ("scenario", lambda p: p["src_map"][0].update(op_index=0.0),
+                                "field 'src_map': wrong JSON type (expected int, got float)"),
+    # no point would map: exit 1 unless rejected
+    "scenario-file-int": ("scenario", lambda p: [m.update(file=7) for m in p["src_map"]],
+                          "field 'src_map': wrong JSON type (expected str, got int)"),
     # the last entry would otherwise win: rename credited to line 307, unlink unmapped
-    payload["src_map"].append({"file": "copy.c", "function": "copy_internal", "line": 307,
-                               "process": "mv", "op_index": 1})
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(payload))
-    out_dir = tmp_path / "out"
-    code = main([
-        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
-        "--scenario", str(scenario_path), "--out-dir", str(out_dir),
-    ])
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"error: {scenario_path}: field 'src_map': location copy.c:copy_internal:307"
-        " mapped twice\n"
-    )
-    assert not out_dir.exists()
+    "scenario-location-mapped-twice": (
+        "scenario", lambda p: p["src_map"].append({"file": "copy.c", "function": "copy_internal",
+                                                   "line": 307, "process": "mv", "op_index": 1}),
+        "field 'src_map': location copy.c:copy_internal:307 mapped twice"),
+    "scenario-mode-9z": ("scenario", lambda p: p["initial_fs"][0].update(mode="9z"),
+                         "field 'initial_fs': mode '9z' is not an octal string"),
+    # int(_, 8) would read each of the next six as 0o644, and "-644" as -420
+    "scenario-mode-underscored": ("scenario", lambda p: p["initial_fs"][0].update(mode="6_44"),
+                                  "field 'initial_fs': mode '6_44' is not an octal string"),
+    "scenario-mode-spaced": ("scenario", lambda p: p["initial_fs"][0].update(mode=" 644 "),
+                             "field 'initial_fs': mode ' 644 ' is not an octal string"),
+    "scenario-mode-signed": ("scenario", lambda p: p["initial_fs"][0].update(mode="+644"),
+                             "field 'initial_fs': mode '+644' is not an octal string"),
+    "scenario-mode-fullwidth": ("scenario", lambda p: p["initial_fs"][0].update(mode="\uff10644"),
+                                "field 'initial_fs': mode '\uff10644' is not an octal string"),
+    "scenario-mode-prefixed": ("scenario", lambda p: p["initial_fs"][0].update(mode="0o644"),
+                               "field 'initial_fs': mode '0o644' is not an octal string"),
+    "scenario-mode-newline": ("scenario", lambda p: p["initial_fs"][0].update(mode="644\n"),
+                              "field 'initial_fs': mode '644\\n' is not an octal string"),
+    "scenario-mode-negative": ("scenario", lambda p: p["initial_fs"][0].update(mode="-644"),
+                               "field 'initial_fs': mode '-644' is not an octal string"),
+    # int() would read it as 0o644
+    "scenario-mode-float": ("scenario", lambda p: p["initial_fs"][0].update(mode=420.9),
+                            "field 'initial_fs': wrong JSON type (expected int, got float)"),
+    # octal digits alone, but past 0o7777
+    "scenario-mode-above-7777": ("scenario", lambda p: p["initial_fs"][0].update(mode="17777"),
+                                 "field 'initial_fs': mode '17777' is outside 0..7777 (octal)"),
+    # only files and dirs are modelled
+    "scenario-kind-socket": ("scenario", lambda p: p["initial_fs"][0].update(kind="socket"),
+                             "field 'initial_fs': unknown initial_fs kind: 'socket'"),
+    # str() would write "{'a': 1}" into repro.json
+    "scenario-id-object": ("scenario", lambda p: p.update(id={"a": 1}),
+                           "field 'id': wrong JSON type (expected str, got dict)"),
+}
 
 
-def test_scenario_args_string_exits_two_naming_the_field(tmp_path, capsys):
-    payload = _read_json(MV_DIR / "scenario.json")
-    op = payload["processes"][0]["trace"][1]
-    assert op["kind"] == "rename"
-    op["args"] = "xy"  # would otherwise run as rename("x", "y")
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(payload))
-    code = main([
-        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
-        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(scenario_path) in err and "field 'processes': wrong JSON type" in err
-
-
-def test_scenario_op_kind_object_exits_two_naming_the_field(tmp_path, capsys):
-    payload = _read_json(MV_DIR / "scenario.json")
-    payload["processes"][0]["trace"][1]["kind"] = {"name": "rename"}
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(payload))
-    code = main([
-        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
-        "--scenario", str(scenario_path), "--out-dir", str(tmp_path / "out"),
-    ])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"error: {scenario_path}: field 'processes'" in err and "expected str, got dict" in err
-    assert not (tmp_path / "out").exists()
-
-
-def _mv_scenario_with(edit) -> dict:
-    payload = _read_json(MV_DIR / "scenario.json")
-    edit(payload)
-    return payload
-
-
-def _bad_line(payload):
-    payload["src_map"][0]["line"] = "x"
-
-
-def _bad_op_index(payload):
-    payload["src_map"][0]["op_index"] = "x"
-
-
-def _bad_mode(payload):
-    payload["initial_fs"][0]["mode"] = "9z"
-
-
-def _mode_string(name, value):
-    def edit(payload):
-        payload["initial_fs"][0]["mode"] = value  # int(_, 8) would read it as 0o644
-
-    edit.__name__ = name
-    return edit
-
-
-_NON_OCTAL_MODES = [
-    _mode_string("_underscored_mode", "6_44"), _mode_string("_spaced_mode", " 644 "),
-    _mode_string("_signed_mode", "+644"), _mode_string("_fullwidth_mode", "\uff10644"),
-    _mode_string("_prefixed_mode", "0o644"), _mode_string("_newline_mode", "644\n"),
-]
-
-
-def _underscored_oracle_mode(payload):
-    payload["oracle"]["mode"] = "6_44"  # read even though an open-enoent oracle ignores it
-
-
-EDITED_FIELD = {_bad_line: "src_map", _bad_op_index: "src_map", _bad_mode: "initial_fs",
-                **dict.fromkeys(_NON_OCTAL_MODES, "initial_fs"),
-                _underscored_oracle_mode: "oracle"}
-
-
-@pytest.mark.parametrize("edit", [_bad_line, _bad_op_index, _bad_mode, *_NON_OCTAL_MODES,
-                                  _underscored_oracle_mode])
-def test_scenario_non_numeric_value_exits_two_naming_the_file(tmp_path, capsys, edit):
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(_mv_scenario_with(edit)))
-    code = main([
-        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
-        "--scenario", str(scenario_path), "--out-dir", str(tmp_path / "out"),
-    ])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(scenario_path) in err and f"field {EDITED_FIELD[edit]!r}" in err
-    assert not (tmp_path / "out").exists()
-
-
-def _float_line(payload):
-    payload["src_map"][0]["line"] = 307.9  # int() would map it to line 307
-
-
-def _float_op_index(payload):
-    payload["src_map"][0]["op_index"] = 0.0
-
-
-def _bool_line(payload):
-    payload["src_map"][0]["line"] = True
-
-
-def _socket_kind(payload):
-    payload["initial_fs"][0]["kind"] = "socket"  # only files and dirs are modelled
-
-
-def _int_file(payload):
-    for entry in payload["src_map"]:  # no point would map: exit 1 unless rejected
-        entry["file"] = 7
-
-
-def _float_mode(payload):
-    payload["initial_fs"][0]["mode"] = 420.9  # int() would read it as 0o644
-
-
-def _bool_chmod_mode(payload):
-    payload["processes"][0]["trace"].append({"kind": "chmod", "args": ["foo", True]})
-
-
-def _negative_mode(payload):
-    payload["initial_fs"][0]["mode"] = "-644"  # int(_, 8) reads it as -420
-
-
-def _object_id(payload):
-    payload["id"] = {"a": 1}  # str() would write "{'a': 1}" into repro.json
-
-
-EDITED_FIELD.update({_float_line: "src_map", _float_op_index: "src_map",
-                     _bool_line: "src_map", _socket_kind: "initial_fs", _int_file: "src_map",
-                     _float_mode: "initial_fs", _bool_chmod_mode: "processes",
-                     _negative_mode: "initial_fs", _object_id: "id"})
-
-
-@pytest.mark.parametrize("edit", [_float_line, _float_op_index, _bool_line, _socket_kind,
-                                  _int_file, _float_mode, _bool_chmod_mode, _negative_mode,
-                                  _object_id])
-def test_scenario_value_outside_the_model_exits_two_naming_the_field(tmp_path, capsys, edit):
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(_mv_scenario_with(edit)))
-    code = main([
-        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
-        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"error: {scenario_path}: field {EDITED_FIELD[edit]!r}" in err
-    assert not (tmp_path / "repro.json").exists()
-
-
-def test_scenario_mode_above_7777_exits_two_naming_the_field(tmp_path, capsys):
-    def edit(payload):
-        payload["initial_fs"][0]["mode"] = "17777"  # octal digits alone, but past 0o7777
-
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(_mv_scenario_with(edit)))
-    code = main([
-        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
-        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"error: {scenario_path}: field 'initial_fs'" in err and "outside 0..7777" in err
-    assert not (tmp_path / "repro.json").exists()
-
-
-def test_json_report_non_string_id_exits_two_naming_the_field(tmp_path, capsys):
-    report = tmp_path / "report.json"
-    report.write_text(json.dumps({"id": ["mv"], "subject": "mv race", "body": "b"}))
-    code = main(["extract", "--report", str(report), "--out-dir", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert f"error: {report}: field 'id': wrong JSON type" in capsys.readouterr().err
-    assert not (tmp_path / "keys.json").exists()
-
-
-#: edit of the mv ground truth (its new text, or a change to its JSON) -> the
-#: message that follows "error: <file>: "
-GROUND_TRUTH_EDITS = [
-    pytest.param(lambda p: p["syscalls"][0].update(line=307.9),
-                 "field 'syscalls': wrong JSON type", id="line-float"),
-    pytest.param(lambda p: p["syscalls"][0].update(line=True),
-                 "field 'syscalls': wrong JSON type", id="line-bool"),
-    pytest.param(lambda p: p["syscalls"][0].update(line="x"), "field 'syscalls'", id="line-str"),
-    pytest.param(lambda p: p.update(id=438076), "field 'id': wrong JSON type", id="id-int"),
-    pytest.param(lambda p: p.update(files=5), "field 'files': wrong JSON type", id="files-int"),
-    pytest.param(lambda p: p.update(files="copy.c"), "field 'files': wrong JSON type",
-                 id="files-str"),
-    pytest.param(lambda p: p.pop("syscalls"), "missing field 'syscalls'", id="no-syscalls"),
-    pytest.param("[]", "wrong JSON type", id="json-array"),
-    pytest.param("{x}", "Expecting property name", id="json-syntax"),
-]
-
-
-@pytest.mark.parametrize("edit, message", GROUND_TRUTH_EDITS)
-def test_malformed_ground_truth_exits_two_naming_the_file(tmp_path, capsys, edit, message):
-    bundle = _mv_bundle_copy(tmp_path)
-    truth = bundle / "ground_truth.json"
-    if isinstance(edit, str):
-        truth.write_text(edit)
-    else:
-        payload = _read_json(truth)
+@pytest.mark.parametrize("row", list(MALFORMED))
+def test_malformed_input_exits_two_naming_the_file(tmp_path, capsys, row):
+    kind, edit, message = MALFORMED[row]
+    file, argv = READERS[kind]
+    shutil.copytree(MV_DIR, tmp_path / "mv_438076")
+    (tmp_path / "report.json").write_text(json.dumps(asdict(load_report(MV_REPORT))))
+    path, out = tmp_path / file, tmp_path / "out"
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
+    elif path.suffix == ".json":
+        payload = _read_json(path)
         edit(payload)
-        truth.write_text(json.dumps(payload))
-    code = main(["eval", "--out-dir", str(tmp_path / "out"), str(bundle)])
-    assert code == EXIT_CONFIG
-    assert f"error: {truth}: {message}" in capsys.readouterr().err
-
-
-# --- unusable input files: exit 2, naming the file -----------------------------
-
-def test_scenario_json_syntax_error_exits_two_naming_the_file(tmp_path, capsys):
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text("{x}")
-    code = main([
-        "reproduce", "--report", MV_REPORT, "--src", MV_SRC,
-        "--scenario", str(scenario_path), "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    assert f"error: {scenario_path}: Expecting property name" in capsys.readouterr().err
-
-
-def test_report_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
-    report = tmp_path / "bug.txt"
-    report.write_bytes(b"Subject: mv race\n\n\xff\xfe body\n")
-    code = main(["extract", "--report", str(report), "--out-dir", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert f"error: {report}: 'utf-8' codec" in capsys.readouterr().err
-
-
-def test_report_directory_exits_two_naming_it(tmp_path, capsys):
-    code = main(["extract", "--report", str(tmp_path), "--out-dir", str(tmp_path / "out")])
-    assert code == EXIT_CONFIG
-    assert f"error: {tmp_path}: Is a directory" in capsys.readouterr().err
+        path.write_text(json.dumps(payload))
+    else:
+        edit(path)
+    code = main([*argv(str(path)), "--out-dir", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert (code, stdout) == (EXIT_CONFIG, "")
+    assert stderr.splitlines()[-1].startswith(f"error: {path}: {message}")
+    assert not out.exists()
 
 
 def test_out_dir_that_is_a_file_exits_two_naming_it(tmp_path, capsys):
@@ -929,22 +769,6 @@ def test_out_dir_that_is_a_file_exits_two_naming_it(tmp_path, capsys):
     code = main(["extract", "--report", MV_REPORT, "--out-dir", str(out)])
     assert code == EXIT_CONFIG
     assert f"error: {out}: File exists" in capsys.readouterr().err
-
-
-def test_final_content_oracle_without_content_exits_two(tmp_path, capsys):
-    payload = _read_json(GZIP_DIR / "scenario.json")
-    assert payload["oracle"]["kind"] == "final-content"
-    del payload["oracle"]["content"]  # every schedule would fail, undelayed too
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(payload))
-    code = main([
-        "reproduce", "--report", str(GZIP_DIR / "gzip_371162.txt"),
-        "--src", str(GZIP_DIR / "src"), "--scenario", str(scenario_path),
-        "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    assert f"error: {scenario_path}: field 'oracle'" in capsys.readouterr().err
-    assert not (tmp_path / "repro.json").exists()
 
 
 # --- --man-dir and --mode --------------------------------------------------------
@@ -962,17 +786,6 @@ def test_extract_takes_its_keys_from_the_man_dir(tmp_path):
     payload = _read_json(tmp_path / "keys.json")
     # the bundled catalog also finds unlink (5 mentions); this one knows two calls
     assert [(e["name"], e["count"]) for e in payload["entries"]] == [("rename", 8)]
-
-
-def test_empty_man_dir_exits_two_naming_it(tmp_path, capsys):
-    man_dir = tmp_path / "man"
-    man_dir.mkdir()
-    code = main([
-        "extract", "--report", MV_REPORT, "--man-dir", str(man_dir),
-        "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_CONFIG
-    assert f"error: {man_dir}: no man-page files found" in capsys.readouterr().err
 
 
 def test_mode_help_lists_every_mode(capsys, monkeypatch):

@@ -3,8 +3,8 @@
 Each fixture input of the mv bundle (the report, as text and as JSON, the
 scenario, the ground truth and the TSL spec) is cut short, has a byte
 flipped, gets an invalid UTF-8 sequence, or, for JSON, has one value
-swapped for a value of another JSON type or is replaced by a document
-nested too deeply to parse.  The mutated file goes through
+swapped for a value of another JSON type or a lone surrogate, or is
+replaced by a document nested too deeply to parse.  The mutated file goes through
 ``cli.main`` with every other input left intact.
 """
 
@@ -25,7 +25,7 @@ from racerepro.cli import EXIT_CONFIG, main
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
 
-SWAPS = (None, True, 0, 1.5, "x", [], {}, ["x"], {"k": "v"})
+SWAPS = (None, True, 0, 1.5, "x", "\ud800", [], {}, ["x"], {"k": "v"})
 INVALID_UTF8 = (b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80")
 #: a JSON document nested deeper than the parser's recursion limit
 TOO_DEEP = b"[" * 100_000
@@ -123,8 +123,9 @@ def test_mutated_input_runs_or_exits_two_naming_the_file(name, work, data):
     original, is_json, rel, argv = INPUTS[name]
     path = work / rel
     path.write_bytes(data.draw(mutations(original, is_json), label="mutated"))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    # stdout encodes strictly, as a terminal's does
+    err, out = io.StringIO(), io.TextIOWrapper(io.BytesIO(), "utf-8")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv(str(path), str(work / "out")))
     assert code in (0, 1, EXIT_CONFIG)
     if code == EXIT_CONFIG:
