@@ -353,7 +353,9 @@ def main(argv: list[str] | None = None) -> int:
         # a bad configuration, an unusable input file or --out-dir
         if isinstance(exc, OSError) and exc.filename is not None:
             exc = f"{exc.filename}: {exc.strerror}"
-        print(f"error: {exc}", file=sys.stderr)
+        # escaped as Python's own stderr escapes a file name that is not UTF-8,
+        # so the line prints on any stream
+        print(f"error: {exc}".encode("utf-8", "backslashreplace").decode(), file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -27,28 +27,14 @@ memo costs one walk, one read and one comparison of the tree.  The memo
 remembers the indexes of the most recently used trees, up to
 ``_MEMO_MAX_BYTES`` of source, so a batch that returns to a tree does not
 rebuild its index.
-
-A build of at least ``_FORK_MIN_BYTES`` of source, in a process that has
-``os.fork``, may use two or more CPUs and runs a single thread, splits the
-per-file work (decoding, scanning, preprocessing) into contiguous runs of
-files.  Forked children index all runs but the first, which this process
-indexes meanwhile, and send their results back pickled through pipes;
-the merge (documents, call graph, field indexes) runs here in file order.
-The parent reaps every child before the build returns, killing any still
-running if it is interrupted, and indexes a failed child's run itself, so
-the index, and every artifact made from it, is byte for byte the one an
-in-process build gives.  Smaller trees, both fixtures among them, never
-fork.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import logging
 import os
 import re
-import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -352,17 +338,8 @@ def _build_index(
     syscall_names: frozenset[str],
     diagnostics: list[str],
 ) -> SourceIndex:
-    """Scan (relative path, bytes) pairs into a SourceIndex.
-
-    The per-file work runs in ``_fork_processes`` processes, each over one
-    contiguous run of files; the merge, in file order, runs here.
-    """
-    processes = _fork_processes(sources)
-    if processes > 1:
-        per_file = _index_forked(_chunks(sources, processes))
-    else:
-        per_file = _index_files(sources)
-
+    """Scan (relative path, bytes) pairs into a SourceIndex."""
+    per_file = _index_files(sources)
     docs = [doc for _file_functions, doc in per_file]
     functions = [record for file_functions, _doc in per_file for record in file_functions]
 
@@ -398,102 +375,3 @@ def _index_files(
             for name, field_text in zip(retrieval.FIELD_NAMES, texts)})
         per_file.append((file_functions, doc))
     return per_file
-
-
-# --- indexing on several CPUs -----------------------------------------------
-
-#: Source bytes of a tree from which ``_build_index`` forks.  Each further
-#: multiple adds a process, up to one per usable CPU, so every process
-#: takes at least half this much.  Below it, forking a child and pickling
-#: its result back cost more than the child saves: on a 2-vCPU x86-64 host
-#: a two-way split was slower in the median at 33 KiB and faster at 46 KiB.
-_FORK_MIN_BYTES = 48 * 1024
-
-
-def _fork_processes(sources: list[tuple[str, bytes]]) -> int:
-    """How many processes index ``sources``: 1 means in-process, no fork.
-
-    Forking needs ``os.fork``, a second usable CPU, and a process with one
-    thread, since a child forked beside other threads can deadlock on a
-    lock one of them held.
-    """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, 1 + _source_bytes(sources) // _FORK_MIN_BYTES)
-
-
-def _chunks(sources: list[tuple[str, bytes]], n: int) -> list[list[tuple[str, bytes]]]:
-    """``sources`` cut into at most n non-empty contiguous runs of about equal bytes."""
-    ends = list(itertools.accumulate(len(data) for _rel, data in sources))
-    cuts = [0, *(bisect.bisect_left(ends, ends[-1] * k / n) for k in range(1, n)), len(sources)]
-    return [sources[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-
-
-def _index_forked(
-    chunks: list[list[tuple[str, bytes]]],
-) -> list[tuple[list[FunctionRecord], SourceDoc]]:
-    """``_index_files`` over the concatenated chunks, one process per chunk.
-
-    A forked child indexes each chunk after the first, which this process
-    indexes meanwhile; the child pickles its result into a pipe and ends
-    with ``os._exit``.  A child that fails (nonzero status, short or
-    unpicklable data) has its chunk indexed here instead, so the result
-    never depends on a child.  Every child is reaped before this returns,
-    and one still running when this process is interrupted is killed first.
-    """
-    # imported here, as only a forking build needs them: at import they
-    # would add about 0.5 MB to every process's peak RSS
-    import pickle
-    import signal
-
-    children: list[list] = []  # [pid or None once reaped, read end of its pipe]
-    try:
-        for chunk in chunks[1:]:
-            read_end, write_end = os.pipe()
-            children.append([None, read_end])
-            try:
-                pid = children[-1][0] = os.fork()
-            except OSError:
-                os.close(write_end)
-                continue  # indexed here below, as a failed child's chunk is
-            if pid == 0:
-                status = 1
-                try:
-                    for _pid, inherited in children:  # its own read end too
-                        os.close(inherited)
-                    part = _index_files(chunk)
-                    payload = pickle.dumps(part, pickle.HIGHEST_PROTOCOL)
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-
-        per_file = _index_files(chunks[0])
-        for child, chunk in zip(children, chunks[1:]):
-            part = None
-            if child[0] is not None:
-                with open(child[1], "rb", closefd=False) as pipe:
-                    payload = pipe.read()
-                _pid, status = os.waitpid(child[0], 0)
-                child[0] = None
-                if status == 0:
-                    try:
-                        part = pickle.loads(payload)
-                    except Exception:
-                        pass  # a short or garbled payload
-            if not isinstance(part, list) or len(part) != len(chunk):
-                part = _index_files(chunk)
-            per_file += part
-        return per_file
-    finally:
-        for pid, read_end in children:
-            os.close(read_end)
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)

@@ -200,8 +200,8 @@ def load_scenario(path: str | Path) -> Scenario:
             )
             for e in json_of(list, data.get("initial_fs", []))
         ]
-    with reading(path, "id"):
-        scenario_id = json_of(str, data["id"]) if "id" in data else Path(path).stem
+    with reading(path, "id" if "id" in data else None):  # else the file name is the id
+        scenario_id = json_of(str, data.get("id", Path(path).stem))
     with reading(path):
         return Scenario(
             id=scenario_id,

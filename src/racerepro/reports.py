@@ -167,12 +167,13 @@ def load_report(path: str | Path) -> BugReport:
 
     with reading(path):
         text = path.read_text("utf-8")
+        report_id = json_of(str, path.stem)
     first, _, rest = text.partition("\n")
     if not first.startswith("Subject:"):
         raise InputError(f"{path}: first line must start with 'Subject:'")
     subject = first[len("Subject:"):].strip()
     body = rest.lstrip("\n")
-    return BugReport(path.stem, subject, body)
+    return BugReport(report_id, subject, body)
 
 
 # --- reading input files ----------------------------------------------------

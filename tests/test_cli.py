@@ -606,13 +606,18 @@ def test_perturbed_without_seed_exits_two(tmp_path, capsys, fixture_dirs):
 
 # --- unusable input files: exit 2, naming the file, writing nothing ---------------
 
-#: input kind -> (the file a row edits, in a copy of the mv bundle next to its
-#: report as JSON; the argv, before --out-dir, of the subcommand that reads it)
+#: input kind -> (the file a row edits or writes, in a copy of the mv bundle
+#: next to its report as JSON; the argv, before --out-dir, of the subcommand
+#: that reads it).  A ``-named-ff`` file's name holds the byte 0xff, which is
+#: not UTF-8, and is the input's id
 READERS = {
     "report": ("mv_438076/mv_438076.txt", lambda f: ["extract", "--report", f]),
+    "report-named-ff": ("mv_438076/mv\udcff.txt", lambda f: ["extract", "--report", f]),
     "report-json": ("report.json", lambda f: ["extract", "--report", f]),
     "scenario": ("mv_438076/scenario.json",
                  lambda f: ["reproduce", "--report", MV_REPORT, "--src", MV_SRC, "--scenario", f]),
+    "scenario-named-ff": ("mv_438076/sc\udcff.json", lambda f: [
+        "reproduce", "--report", MV_REPORT, "--src", MV_SRC, "--scenario", f]),
     "ground-truth": ("mv_438076/ground_truth.json", lambda f: ["eval", os.path.dirname(f)]),
     "tsl": ("mv_438076/mv.tsl", lambda f: ["gen-tests", "--report", MV_REPORT, "--tsl", f]),
     "man-dir": ("man", lambda f: ["extract", "--report", MV_REPORT, "--man-dir", f]),
@@ -626,6 +631,8 @@ MALFORMED = {
     "report-not-utf8": ("report", b"Subject: mv race\n\n\xff\xfe body\n",
                         "'utf-8' codec can't decode byte 0xff"),
     "report-directory": ("report", lambda p: (p.unlink(), p.mkdir()), "Is a directory"),
+    "report-name-not-utf8": ("report-named-ff", MV_DIR.joinpath("mv_438076.txt").read_bytes(),
+                             "'utf-8' codec can't encode character '\\udcff'"),
     "report-json-id-list": ("report-json", lambda p: p.update(id=["mv"]),
                             "field 'id': wrong JSON type (expected str, got list)"),
     "report-json-lone-surrogate": (
@@ -738,6 +745,12 @@ MALFORMED = {
     # str() would write "{'a': 1}" into repro.json
     "scenario-id-object": ("scenario", lambda p: p.update(id={"a": 1}),
                            "field 'id': wrong JSON type (expected str, got dict)"),
+    # without an id the file name is the id
+    "scenario-name-not-utf8": (
+        "scenario-named-ff",
+        json.dumps({k: v for k, v in _read_json(MV_DIR / "scenario.json").items() if k != "id"})
+        .encode(),
+        "'utf-8' codec can't encode character '\\udcff'"),
 }
 
 
@@ -759,7 +772,8 @@ def test_malformed_input_exits_two_naming_the_file(tmp_path, capsys, row):
     code = main([*argv(str(path)), "--out-dir", str(out)])
     stdout, stderr = capsys.readouterr()
     assert (code, stdout) == (EXIT_CONFIG, "")
-    assert stderr.splitlines()[-1].startswith(f"error: {path}: {message}")
+    shown = str(path).encode("utf-8", "backslashreplace").decode()  # see ``main``
+    assert stderr.splitlines()[-1].startswith(f"error: {shown}: {message}")
     assert not out.exists()
 
 

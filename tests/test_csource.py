@@ -450,6 +450,31 @@ def test_index_tree_deterministic_order(tmp_path):
     assert [d.path for d in index.docs] == ["a.c", "b.c"]
 
 
+def test_pipeline_on_a_large_tree_is_byte_identical_run_to_run(tmp_path, monkeypatch, capsys):
+    """Two ``pipeline`` runs on a generated 1000-file tree, each building its
+    index afresh, write the same bytes."""
+    gen = load_bench_gen()
+    vocab, rng = gen.Vocab(ROOT), random.Random("large tree")
+    _rels, (plant,) = gen.write_tree(vocab, rng, tmp_path / "src", 1000, ["open-enoent"])
+    prog, observer = gen.program_name(plant), gen.other_name(vocab, rng, plant)
+    (tmp_path / "report.txt").write_text(gen.direct_report(vocab, rng, prog, plant), "utf-8")
+    gen.write_json(tmp_path / "scenario.json", gen.scenario(rng, plant, (prog, observer))[0])
+    (tmp_path / "spec.tsl").write_text(gen.tsl_spec(rng)[0], "utf-8")
+    outs = [tmp_path / "out1", tmp_path / "out2"]
+    for out in outs:
+        monkeypatch.setattr(csource, "_indexes", {})
+        code = main(["pipeline", "--report", str(tmp_path / "report.txt"),
+                     "--src", str(tmp_path / "src"), "--scenario", str(tmp_path / "scenario.json"),
+                     "--tsl", str(tmp_path / "spec.tsl"), "--out-dir", str(out)])
+        assert code in (0, 1)
+    capsys.readouterr()
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "ranked_files.json" in names
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 # --- the tree walk ---------------------------------------------------------------
 
 def _tree_files_oracle(src_root: Path) -> list[Path]:

@@ -1,11 +1,13 @@
-"""Mutated input files either run or exit 2 naming the file; none raises.
+"""Mutated input files either run or exit 2 naming the file and writing nothing; none raises.
 
 Each fixture input of the mv bundle (the report, as text and as JSON, the
 scenario, the ground truth and the TSL spec) is cut short, has a byte
 flipped, gets an invalid UTF-8 sequence, or, for JSON, has one value
 swapped for a value of another JSON type or a lone surrogate, or is
-replaced by a document nested too deeply to parse.  The mutated file goes through
-``cli.main`` with every other input left intact.
+replaced by a document nested too deeply to parse.  Besides these drawn
+mutations, every string of each JSON input in turn gets a lone surrogate
+appended.  The mutated file goes through ``cli.main`` with every other
+input left intact.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ TOO_DEEP = b"[" * 100_000
 
 
 def _value_paths(value, path=()):
-    """The key path of every value in a parsed JSON document, root first."""
-    yield path
+    """The key path of every value in a parsed JSON document, with the
+    value, root first."""
+    yield path, value
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, list):
@@ -66,7 +69,7 @@ def mutations(original: bytes, is_json: bool) -> st.SearchStrategy[bytes]:
     )
     strategies = [cut, flip, invalid]
     if is_json:
-        paths = list(_value_paths(json.loads(original)))
+        paths = [path for path, _value in _value_paths(json.loads(original))]
         strategies.append(
             st.tuples(st.sampled_from(paths), st.sampled_from(SWAPS)).map(
                 lambda t: _swapped(original, *t)
@@ -116,17 +119,51 @@ INPUTS = {
 }
 
 
+def _run(name: str, path: Path, out: Path) -> None:
+    """Run ``name``'s command on ``path``: it exits 0, 1 or 2, every file it
+    writes is UTF-8 text with no lone surrogate escape, and an exit 2 names
+    the file and writes nothing."""
+    shutil.rmtree(out, ignore_errors=True)
+    # stdout encodes strictly, as a terminal's does
+    err, stdout = io.StringIO(), io.TextIOWrapper(io.BytesIO(), "utf-8")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(INPUTS[name][3](str(path), str(out)))
+    assert code in (0, 1, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert f"error: {path}" in err.getvalue()
+        assert not out.exists()
+    for artifact in out.glob("*"):
+        text = artifact.read_text("utf-8")
+        if artifact.suffix == ".json":
+            json.dumps(json.loads(text), ensure_ascii=False).encode()
+
+
 @pytest.mark.parametrize("name", list(INPUTS))
 @FUZZ
 @given(data=st.data())
 def test_mutated_input_runs_or_exits_two_naming_the_file(name, work, data):
-    original, is_json, rel, argv = INPUTS[name]
+    original, is_json, rel, _argv = INPUTS[name]
     path = work / rel
     path.write_bytes(data.draw(mutations(original, is_json), label="mutated"))
-    # stdout encodes strictly, as a terminal's does
-    err, out = io.StringIO(), io.TextIOWrapper(io.BytesIO(), "utf-8")
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv(str(path), str(work / "out")))
-    assert code in (0, 1, EXIT_CONFIG)
-    if code == EXIT_CONFIG:
-        assert f"error: {path}" in err.getvalue()
+    _run(name, path, work / "out")
+
+
+#: (input, key path) of every string in each JSON input, where a lone
+#: surrogate is most likely to reach a printed or written line
+STRINGS = [
+    (name, path)
+    for name, (original, is_json, _rel, _argv) in INPUTS.items() if is_json
+    for path, value in _value_paths(json.loads(original)) if isinstance(value, str)
+]
+
+
+@pytest.mark.parametrize(("name", "key_path"), STRINGS,
+                         ids=["/".join(map(str, [n, *p])) for n, p in STRINGS])
+def test_lone_surrogate_in_any_string_runs_or_exits_two_naming_the_file(name, key_path, work):
+    original, _is_json, rel, _argv = INPUTS[name]
+    value = json.loads(original)
+    for key in key_path:
+        value = value[key]
+    path = work / rel
+    path.write_bytes(_swapped(original, key_path, value + "\ud800"))
+    _run(name, path, work / "out")
