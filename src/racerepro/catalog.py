@@ -18,7 +18,7 @@ from functools import cache, cached_property
 from itertools import chain
 from pathlib import Path
 
-from .reports import BugReport, InputError, preprocess, reading, words
+from .reports import BugReport, InputError, preprocess, reading, utf8_name, words
 from .retrieval import TfIdfIndex, build_index, rank
 
 DEFAULT_DERIVED_N = 10
@@ -49,6 +49,7 @@ def load_catalog(man_dir: str | Path) -> Catalog:
     entries: dict[str, str] = {}
     for path in sorted(man_dir.glob("*.txt")):
         with reading(path):
+            utf8_name(path.name)
             text = path.read_text("utf-8").strip()
         if not text:
             raise InputError(f"{path}: empty man-page file")

@@ -59,6 +59,11 @@ def _write_files(out_dir: Path, payloads: dict[str, dict | str | None]) -> None:
                 fh.write("\n")
 
 
+def _shown(line: str) -> str:
+    """``line`` escaped as Python's stderr escapes a name that is not UTF-8."""
+    return line.encode("utf-8", "backslashreplace").decode()
+
+
 def _keys_payload(keys: KeySystemCalls) -> dict:
     # sentence indices become string keys here, so they sort as the JSON text does
     mentions = {str(i): names for i, names in keys.sentence_mentions.items()}
@@ -281,7 +286,7 @@ def write_artifacts(args: argparse.Namespace) -> int:
     for line in shown.summary(pipe):
         print(line)
     if payloads[artifacts[-1].name] is not None:
-        print(f"wrote {args.out_dir / artifacts[-1].name}")
+        print(_shown(f"wrote {args.out_dir / artifacts[-1].name}"))
     if REPRO in artifacts and not pipe.result.reproduced:
         return EXIT_NOT_REPRODUCED
     return EXIT_OK
@@ -301,7 +306,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "results.tsv": metrics_mod.render_table(rows, include_time=False) + "\n",
     })
     print(metrics_mod.render_table(rows, include_time=True))
-    print(f"wrote {args.out_dir / 'results.json'} and {args.out_dir / 'results.tsv'}")
+    print(_shown(f"wrote {args.out_dir / 'results.json'} and {args.out_dir / 'results.tsv'}"))
     return EXIT_OK
 
 
@@ -353,9 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         # a bad configuration, an unusable input file or --out-dir
         if isinstance(exc, OSError) and exc.filename is not None:
             exc = f"{exc.filename}: {exc.strerror}"
-        # escaped as Python's own stderr escapes a file name that is not UTF-8,
-        # so the line prints on any stream
-        print(f"error: {exc}".encode("utf-8", "backslashreplace").decode(), file=sys.stderr)
+        print(_shown(f"error: {exc}"), file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import retrieval
-from .reports import MODE_C_SOURCE, TokenStream, preprocess
+from .reports import MODE_C_SOURCE, TokenStream, preprocess, reading, utf8_name
 
 log = logging.getLogger(__name__)
 
@@ -300,13 +300,12 @@ def index_tree(src_root: str | Path, syscall_names: frozenset[str] | set[str]) -
     if not files:
         raise ValueError(f"{src_root}: no C source files to index")
 
+    with reading(src_root):
+        for _path, rel in files:
+            utf8_name(rel)
     sources: list[tuple[str, bytes]] = []
     diagnostics: list[str] = []
     for path, rel in files:
-        try:
-            rel.encode()
-        except UnicodeEncodeError:  # the OS name holds bytes that are not UTF-8
-            raise ValueError(f"{src_root}: source file name {rel!r} is not UTF-8") from None
         try:
             with open(path, "rb") as f:
                 data = f.read()

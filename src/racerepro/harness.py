@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .mining import PLACEMENT_BEFORE, InstrumentationPoint
-from .reports import json_of, load_json_object, reading
+from .reports import json_of, load_json_object, reading, utf8_name
 from .vfs import ENOENT, KIND_DIR, KIND_FILE, MODE, OPS, Node, VirtualFS, arity, path_args
 
 VERDICT_PASS = "pass"
@@ -201,7 +201,8 @@ def load_scenario(path: str | Path) -> Scenario:
             for e in json_of(list, data.get("initial_fs", []))
         ]
     with reading(path, "id" if "id" in data else None):  # else the file name is the id
-        scenario_id = json_of(str, data.get("id", Path(path).stem))
+        scenario_id = (json_of(str, data["id"]) if "id" in data
+                       else Path(utf8_name(Path(path).name)).stem)
     with reading(path):
         return Scenario(
             id=scenario_id,

@@ -22,7 +22,7 @@ from . import mining, retrieval, testcases
 from .catalog import SOURCE_DIRECT, Catalog, KeySystemCalls
 from .csource import SourceIndex, index_tree
 from .mining import InstrumentationPoint, PairRanking, RankEntry, Site, locate
-from .reports import BugReport, json_of, load_json_object, load_report, reading
+from .reports import BugReport, json_of, load_json_object, load_report, reading, utf8_name
 from .retrieval import RankedFiles
 
 DEFAULT_RECALL_K = 20
@@ -168,9 +168,10 @@ class FixtureBundle:
         ``report.txt``, ``report.json``, ``<dir>.txt`` and ``<dir>.json``
         (``report.txt`` when none does), then ``src/``, ``scenario.json``
         and ``ground_truth.json``."""
-        reports = [path / f"{stem}{ext}" for stem in ("report", path.name)
-                   for ext in (".txt", ".json")]
-        return cls(path.name, next((r for r in reports if r.exists()), reports[0]),
+        with reading(path):
+            name = utf8_name(path.name)
+        reports = [path / f"{stem}{ext}" for stem in ("report", name) for ext in (".txt", ".json")]
+        return cls(name, next((r for r in reports if r.exists()), reports[0]),
                    path / "src", path / "scenario.json", path / "ground_truth.json")
 
 

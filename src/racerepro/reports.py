@@ -166,8 +166,8 @@ def load_report(path: str | Path) -> BugReport:
         return BugReport(report_id, subject, body)
 
     with reading(path):
+        report_id = Path(utf8_name(path.name)).stem
         text = path.read_text("utf-8")
-        report_id = json_of(str, path.stem)
     first, _, rest = text.partition("\n")
     if not first.startswith("Subject:"):
         raise InputError(f"{path}: first line must start with 'Subject:'")
@@ -206,6 +206,16 @@ def json_of(kind: type, value: object):
     if kind is str:
         value.encode()
     return value
+
+
+def utf8_name(name: str) -> str:
+    """``name``, a file name from the OS, if it encodes as UTF-8; else a
+    ValueError, as its lone surrogate escapes would fail the first write."""
+    try:
+        name.encode()
+    except UnicodeEncodeError:
+        raise ValueError(f"file name {name!r} is not UTF-8") from None
+    return name
 
 
 def load_json_object(path: str | Path) -> dict:

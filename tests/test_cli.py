@@ -75,7 +75,7 @@ def test_rank_files_names_a_source_file_name_that_is_not_utf8(tmp_path, capsys):
     ])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        f"error: {src}: source file name 'x\\udcff.c' is not UTF-8\n"
+        f"error: {src}: file name 'x\\udcff.c' is not UTF-8\n"
     )
 
 
@@ -469,20 +469,6 @@ def test_readme_quick_start_transcript_is_the_pipeline_output(tmp_path, monkeypa
     assert out.splitlines() == lines[n_command:]
 
 
-def test_pipeline_artifacts_are_byte_identical_across_runs(tmp_path):
-    dirs = [tmp_path / "run1", tmp_path / "run2"]
-    for out_dir in dirs:
-        code = main([
-            "pipeline", "--report", MV_REPORT, "--src", MV_SRC,
-            "--scenario", MV_SCENARIO, "--tsl", MV_TSL, "--out-dir", str(out_dir),
-        ])
-        assert code == EXIT_OK
-    for name in EXPECTED_ARTIFACTS:
-        first = (dirs[0] / name).read_bytes()
-        second = (dirs[1] / name).read_bytes()
-        assert first == second, name
-
-
 def test_streamed_artifact_bytes_equal_the_one_shot_encoding(tmp_path):
     """``_write_files`` streams a dict with ``json.dump``; the bytes are those
     of ``json.dumps(..., indent=2, sort_keys=True) + "\\n"``."""
@@ -621,6 +607,9 @@ READERS = {
     "ground-truth": ("mv_438076/ground_truth.json", lambda f: ["eval", os.path.dirname(f)]),
     "tsl": ("mv_438076/mv.tsl", lambda f: ["gen-tests", "--report", MV_REPORT, "--tsl", f]),
     "man-dir": ("man", lambda f: ["extract", "--report", MV_REPORT, "--man-dir", f]),
+    "man-page-named-ff": ("man/zz\udcff.txt", lambda f: [
+        "extract", "--report", MV_REPORT, "--man-dir", os.path.dirname(f)]),
+    "bundle-named-ff": ("mv\udcff", lambda f: ["eval", f]),
 }
 
 #: row id -> (input kind, edit, what follows "error: <file>: ").  An edit is
@@ -632,7 +621,7 @@ MALFORMED = {
                         "'utf-8' codec can't decode byte 0xff"),
     "report-directory": ("report", lambda p: (p.unlink(), p.mkdir()), "Is a directory"),
     "report-name-not-utf8": ("report-named-ff", MV_DIR.joinpath("mv_438076.txt").read_bytes(),
-                             "'utf-8' codec can't encode character '\\udcff'"),
+                             "file name 'mv\\udcff.txt' is not UTF-8"),
     "report-json-id-list": ("report-json", lambda p: p.update(id=["mv"]),
                             "field 'id': wrong JSON type (expected str, got list)"),
     "report-json-lone-surrogate": (
@@ -750,7 +739,16 @@ MALFORMED = {
         "scenario-named-ff",
         json.dumps({k: v for k, v in _read_json(MV_DIR / "scenario.json").items() if k != "id"})
         .encode(),
-        "'utf-8' codec can't encode character '\\udcff'"),
+        "file name 'sc\\udcff.json' is not UTF-8"),
+    # the page's name would be a derived key's name in keys.json
+    "man-page-name-not-utf8": ("man-page-named-ff",
+                               lambda p: (p.parent.mkdir(), p.write_text("zz - a call\n")),
+                               "file name 'zz\\udcff.txt' is not UTF-8"),
+    # the directory's name would be the bug_id in results.json
+    "bundle-name-not-utf8": (
+        "bundle-named-ff",
+        lambda p: (shutil.copytree(MV_DIR, p), (p / "mv_438076.txt").rename(p / "report.txt")),
+        "file name 'mv\\udcff' is not UTF-8"),
 }
 
 
@@ -775,6 +773,14 @@ def test_malformed_input_exits_two_naming_the_file(tmp_path, capsys, row):
     shown = str(path).encode("utf-8", "backslashreplace").decode()  # see ``main``
     assert stderr.splitlines()[-1].startswith(f"error: {shown}: {message}")
     assert not out.exists()
+
+
+def test_out_dir_named_with_0xff_is_written_and_printed_escaped(tmp_path, capsys):
+    out = tmp_path / "o\udcff"
+    assert main(["extract", "--report", MV_REPORT, "--out-dir", str(out)]) == EXIT_OK
+    assert (out / "keys.json").is_file()
+    shown = str(out).encode("utf-8", "backslashreplace").decode()
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {shown}/keys.json"
 
 
 def test_out_dir_that_is_a_file_exits_two_naming_it(tmp_path, capsys):

@@ -438,18 +438,6 @@ def test_scan_matches_reference_on_fuzzed_token_strings():
         )
 
 
-def test_index_tree_empty_dir(tmp_path):
-    with pytest.raises(ValueError):
-        index_tree(tmp_path, SYSCALLS)
-
-
-def test_index_tree_deterministic_order(tmp_path):
-    (tmp_path / "b.c").write_text("int bee (void) { return 0; }\n")
-    (tmp_path / "a.c").write_text("int aye (void) { return 0; }\n")
-    index = index_tree(tmp_path, SYSCALLS)
-    assert [d.path for d in index.docs] == ["a.c", "b.c"]
-
-
 def test_pipeline_on_a_large_tree_is_byte_identical_run_to_run(tmp_path, monkeypatch, capsys):
     """Two ``pipeline`` runs on a generated 1000-file tree, each building its
     index afresh, write the same bytes."""
@@ -514,11 +502,13 @@ def test_tree_walk_matches_the_rglob_oracle(tmp_path, monkeypatch):
     assert [d.path for d in index.docs] == rels
 
 
-@pytest.mark.parametrize("kind", ["file", "missing"])
+@pytest.mark.parametrize("kind", ["file", "missing", "empty-dir"])
 def test_src_that_is_no_directory_exits_two(tmp_path, capsys, kind):
     src = tmp_path / "plain.c"
     if kind == "file":
         src.write_text("int f (void) { return 0; }\n")
+    elif kind == "empty-dir":
+        src.mkdir()
     code = main([
         "rank-files", "--report", str(MV_DIR / "mv_438076.txt"), "--src", str(src),
         "--out-dir", str(tmp_path / "out"),

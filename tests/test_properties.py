@@ -1,7 +1,8 @@
 """Property suites over the pipeline's core invariants.
 
 Each suite runs 1000 generated cases (derandomized, so CI is stable).
-The acceptance gate imports and re-runs the first six of them directly.
+The acceptance gate C8 reads the recorded outcomes of the first six and
+runs only those that were deselected.
 """
 
 from __future__ import annotations

@@ -401,140 +401,92 @@ def test_frame_limit_counts_frames_that_survive_the_conditions():
         _base_frames(parse_tsl(_two_choice_categories(f"c{i}" for i in range(13))))
 
 
-def test_a_later_category_left_without_a_value_prunes_the_search():
-    # z's one choice needs c0 to be both x and y, so no frame exists; the
-    # search must see that once c0 is assigned, not after 2**30 combinations
-    spec = parse_tsl(_two_choice_categories(f"c{i}" for i in range(30))
-                     + "category z:\n  choice q [if c0=x] [if c0=y]\n")
-    start = time.perf_counter()
-    assert _base_frames(spec) == []
-    assert expand_tsl(spec) == []
-    assert time.perf_counter() - start < 1.0
+def _odd_cycle(extra: str = "", between: str = "") -> str:
+    """a, b and c must each differ from the one before, which two values
+    cannot do around a cycle of three; each also gets the choice line
+    ``extra``, and ``between`` comes between b and c."""
+    return ("category a:\n  choice x [if c=y]\n  choice y [if c=x]\n" + extra
+            + "category b:\n  choice x [if a=y]\n  choice y [if a=x]\n" + extra + between
+            + "category c:\n  choice x [if b=y]\n  choice y [if b=x]\n" + extra)
 
 
-def test_conflicting_conditions_of_two_later_categories_prune_the_search():
-    # z needs c28=x and w needs c28=y, so no frame exists; the search must
-    # see that before it walks the 2**28 combinations of c0..c27
-    spec = parse_tsl(_two_choice_categories(f"c{i}" for i in range(30))
-                     + "category z:\n  choice q [if c28=x]\n"
-                     + "category w:\n  choice p [if c28=y]\n")
-    start = time.perf_counter()
-    assert _base_frames(spec) == []
-    assert expand_tsl(spec) == []
-    assert time.perf_counter() - start < 1.0
+def _padded(k: int, linked: bool) -> tuple[str, list[list[str]]]:
+    """A spec and the setup of its one case.  f=x leaves the odd cycle only x and y, so its
+    subtree is empty under each of the 2**k choices of e0..e<k-1>; each
+    choice cuts r<i>, after the cycle.  Unlinked, r<i> links to no category
+    after the cycle and keeps a value, so the empty search below a runs once;
+    linked on to a later s<i>, every r<i> splits the memo key, so it would
+    run 2**k times.  f=y gives the one frame."""
+    def r(i: int, value: str) -> str:
+        return f"  choice {value} [if s{i}={value}]\n" if linked else f"  choice {value}\n"
+
+    text = ("category f:\n  choice x\n  choice y\n"
+            + "".join(f"category e{i}:\n  choice x [if r{i}=a]\n  choice y [if r{i}=b] [if f=x]\n"
+                      for i in range(k))
+            + _odd_cycle(extra="  choice z [if f=y]\n")
+            + "".join(f"category r{i}:\n" + r(i, "a") + r(i, "b") for i in range(k))
+            + "".join(f"category s{i}:\n  choice a\n  choice b\n" for i in range(k) if linked))
+    setup = ["f=y", *(f"e{i}=x" for i in range(k)), "a=z", "b=z", "c=z",
+             *(f"r{i}=a" for i in range(k)), *(f"s{i}=a" for i in range(k) if linked)]
+    return text, [setup]
 
 
-def test_an_odd_cycle_of_conditions_prunes_the_search():
-    # a, b and c must each differ from the next, which two values cannot
-    # do around a cycle of three; 28 free categories sit between b and c
-    spec = parse_tsl(
-        "category a:\n  choice x [if c=y]\n  choice y [if c=x]\n"
-        "category b:\n  choice x [if a=y]\n  choice y [if a=x]\n"
-        + _two_choice_categories(f"f{i}" for i in range(28))
-        + "category c:\n  choice x [if b=y]\n  choice y [if b=x]\n"
-    )
-    start = time.perf_counter()
-    assert _base_frames(spec) == []
-    assert expand_tsl(spec) == []
-    assert time.perf_counter() - start < 1.0
+_FREE = _two_choice_categories(f"c{i}" for i in range(30))
 
-
-@pytest.mark.parametrize("before, after", [
-    (_two_choice_categories(f"f{i}" for i in range(28)), ""),
+#: row -> (spec text, the setups of its cases, or the TslError they raise);
+#: each expands within a second.  None has a [single] choice, so the cases
+#: are the plain frames and then the [error] ones
+HARD_SPECS = {
+    # z's one choice needs c0 to be both x and y: the search must see that
+    # once c0 is assigned, not after 2**30 combinations
+    "a later category left without a value": (
+        _FREE + "category z:\n  choice q [if c0=x] [if c0=y]\n", []),
+    # z needs c28=x and w needs c28=y: the search must see that before it
+    # walks the 2**28 combinations of c0..c27
+    "conflicting conditions of two later categories": (
+        _FREE + "category z:\n  choice q [if c28=x]\ncategory w:\n  choice p [if c28=y]\n", []),
+    "an odd cycle around 28 free categories": (
+        _odd_cycle(between=_two_choice_categories(f"f{i}" for i in range(28))), []),
+    # the empty search below the categories before the cycle must be
+    # remembered, not repeated for each of their 2**28 combinations
+    "an odd cycle after 28 free categories": (
+        _two_choice_categories(f"f{i}" for i in range(28)) + _odd_cycle(), []),
     # each category before the cycle is linked to l, after it, but leaves l its one value
-    ("".join(f"category f{i}:\n  choice x [if l=x]\n  choice y [if l=x]\n" for i in range(28)),
-     "category l:\n  choice x\n"),
-])
-def test_an_odd_cycle_after_free_categories_is_searched_once(before, after):
-    # 28 categories that leave the cycle free come before it; the empty search
-    # below them must be remembered, not repeated for each of their 2**28 combinations
-    spec = parse_tsl(
-        before
-        + "category a:\n  choice x [if c=y]\n  choice y [if c=x]\n"
-        + "category b:\n  choice x [if a=y]\n  choice y [if a=x]\n"
-        + "category c:\n  choice x [if b=y]\n  choice y [if b=x]\n"
-        + after
-    )
-    start = time.perf_counter()
-    assert _base_frames(spec) == []
-    assert expand_tsl(spec) == []
-    assert time.perf_counter() - start < 1.0
-
-
-def test_a_cut_category_linked_to_no_later_one_does_not_split_the_memo():
-    # f=x leaves the odd cycle a/b/c only x and y, so its subtree is empty
-    # under each of the 2**28 choices of e0..e27; each choice cuts r<i>, after
-    # the cycle, but r<i> links to no category after the cycle and keeps a
-    # value, so the empty search below a runs once; f=y gives the one frame
-    k = 28
-    spec = parse_tsl(
-        "category f:\n  choice x\n  choice y\n"
-        + "".join(f"category e{i}:\n  choice x [if r{i}=a]\n  choice y [if r{i}=b] [if f=x]\n"
-                  for i in range(k))
-        + "category a:\n  choice x [if c=y]\n  choice y [if c=x]\n  choice z [if f=y]\n"
-        + "category b:\n  choice x [if a=y]\n  choice y [if a=x]\n  choice z [if f=y]\n"
-        + "category c:\n  choice x [if b=y]\n  choice y [if b=x]\n  choice z [if f=y]\n"
-        + "".join(f"category r{i}:\n  choice a\n  choice b\n" for i in range(k))
-    )
-    start = time.perf_counter()
-    (case,) = expand_tsl(spec)
-    assert time.perf_counter() - start < 1.0
-    assert case.setup == ["f=y", *(f"e{i}=x" for i in range(k)), "a=z", "b=z", "c=z",
-                          *(f"r{i}=a" for i in range(k))]
-
-
-def _linked_padded_spec(k: int):
-    # the spec above, with each r<i> linked on to a later s<i>: every r<i>
-    # splits the memo key, so the empty search below the cycle runs 2**k times
-    return parse_tsl(
-        "category f:\n  choice x\n  choice y\n"
-        + "".join(f"category e{i}:\n  choice x [if r{i}=a]\n  choice y [if r{i}=b] [if f=x]\n"
-                  for i in range(k))
-        + "category a:\n  choice x [if c=y]\n  choice y [if c=x]\n  choice z [if f=y]\n"
-        + "category b:\n  choice x [if a=y]\n  choice y [if a=x]\n  choice z [if f=y]\n"
-        + "category c:\n  choice x [if b=y]\n  choice y [if b=x]\n  choice z [if f=y]\n"
-        + "".join(f"category r{i}:\n  choice a [if s{i}=a]\n  choice b [if s{i}=b]\n"
-                  for i in range(k))
-        + "".join(f"category s{i}:\n  choice a\n  choice b\n" for i in range(k))
-    )
-
-
-def test_a_search_past_max_frames_empty_subtrees_is_refused():
-    # k=28 would find 2**28 empty subtrees; the search stops past MAX_FRAMES
-    start = time.perf_counter()
-    with pytest.raises(TslError, match=f"more than {MAX_FRAMES} empty subtrees"):
-        expand_tsl(_linked_padded_spec(28))
-    assert time.perf_counter() - start < 1.0
-    # k=8 finds 1,025, within the bound: f=y still gives the one case
-    (case,) = expand_tsl(_linked_padded_spec(8))
-    assert case.setup == ["f=y", *(f"e{i}=x" for i in range(8)), "a=z", "b=z", "c=z",
-                          *(f"r{i}=a" for i in range(8)), *(f"s{i}=a" for i in range(8))]
-
-
-def test_many_categories_conditioned_on_the_last_one_expand_in_linear_time():
+    "an odd cycle after 28 categories linked past it": (
+        "".join(f"category f{i}:\n  choice x [if l=x]\n  choice y [if l=x]\n" for i in range(28))
+        + _odd_cycle() + "category l:\n  choice x\n", []),
+    "a cut category linked to no later one": _padded(28, linked=False),
+    # 2**28 empty subtrees: the search stops past MAX_FRAMES of them
+    "linked cut categories past max frames": (
+        _padded(28, linked=True)[0], f"more than {MAX_FRAMES} empty subtrees"),
+    # 1,025 empty subtrees, within the bound
+    "linked cut categories within max frames": _padded(8, linked=True),
     # each choice cuts the last category's values once, instead of checking
     # every earlier category against them again at each depth
-    n = 5_000
-    spec = parse_tsl(
-        "".join(f"category c{i}:\n  choice x [if c{n - 1}=x]\n" for i in range(n - 1))
-        + f"category c{n - 1}:\n  choice x\n"
-    )
-    start = time.perf_counter()
-    assert _base_frames(spec) == [{f"c{i}": "x" for i in range(n)}]
-    assert len(expand_tsl(spec)) == 1
-    assert time.perf_counter() - start < 1.0
-
-
-def test_a_category_with_no_plain_choice_has_no_plain_frame():
+    "many categories conditioned on the last one": (
+        "".join(f"category c{i}:\n  choice x [if c4999=x]\n" for i in range(4999))
+        + "category c4999:\n  choice x\n", [[f"c{i}=x" for i in range(5000)]]),
     # the plain product is empty at z, and the error case is still the first
     # frame with z=q
-    spec = parse_tsl(_two_choice_categories(f"c{i}" for i in range(30))
-                     + "category z:\n  choice q [error]\n")
+    "a category with no plain choice": (
+        _FREE + "category z:\n  choice q [error]\n", [[*(f"c{i}=x" for i in range(30)), "z=q"]]),
+}
+
+
+@pytest.mark.parametrize("row", list(HARD_SPECS))
+def test_a_hard_spec_expands_within_a_second(row):
+    text, want = HARD_SPECS[row]
+    spec = parse_tsl(text)
     start = time.perf_counter()
-    assert _base_frames(spec) == []
-    (case,) = expand_tsl(spec)
+    if isinstance(want, str):
+        with pytest.raises(TslError, match=want):
+            expand_tsl(spec)
+    else:
+        frames, cases = _base_frames(spec), expand_tsl(spec)
+        assert [c.setup for c in cases] == want
+        errors = [c.error for c in cases]
+        assert errors == [False] * len(frames) + [True] * (len(cases) - len(frames))
     assert time.perf_counter() - start < 1.0
-    assert case.error and case.setup == [*(f"c{i}=x" for i in range(30)), "z=q"]
 
 
 def test_empty_spec_expands_to_nothing():
