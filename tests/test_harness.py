@@ -743,3 +743,10 @@ def test_format_schedule_mv_buggy_order(mv_scenario):
         "cat:open(foo)",
         "mv:rename(bar, foo) @ copy.c:copy_internal:309",
     ]
+
+
+def test_format_schedule_names_the_first_location_mapped_to_an_op():
+    scn = _two_proc({("gzip.c", "treat_file", 57): ("writer", 3),
+                     ("gzip.c", "lock_down", 90): ("writer", 3)})
+    lines = format_schedule(scn, baseline_schedule(scn))
+    assert lines[3] == "writer:chmod(f, 0444) @ gzip.c:treat_file:57"

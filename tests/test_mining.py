@@ -64,9 +64,9 @@ def test_build_transactions_leaves_out_the_subject():
 
 def test_build_transactions_rejects_dangling_sentence_index():
     report = BugReport("t", "s", "only one.")
-    keys = _keys({3: ["rename"]})
-    with pytest.raises(ValueError):
-        build_transactions(report, keys)
+    for idx in (3, -1):
+        with pytest.raises(ValueError):
+            build_transactions(report, _keys({idx: ["rename"]}))
 
 
 # --- mining vs the worked table -----------------------------------------------------
@@ -122,6 +122,8 @@ def _brute_force(transactions: list[tuple[int, list[str]]]):
         [(0, ["open", "close", "open"]), (1, ["close"]), (2, ["open", "read"])],
         [(0, ["a", "b", "c"]), (1, ["c", "b"]), (2, ["a", "c"]), (3, ["b"])],
         TABLE_TRANSACTIONS,
+        # pairs of one frequency, first seen out of name order
+        [(0, ["c", "d"]), (1, ["a", "b"])],
     ],
 )
 def test_mine_pairs_matches_brute_force(transactions):
@@ -203,142 +205,126 @@ def _ranked(paths: list[str]):
     return RankedFiles(entries=[(p, 1.0 - i * 0.1) for i, p in enumerate(paths)], scheme="structured")
 
 
-def test_pair_point_minimal_line_distance(tmp_path):
-    (tmp_path / "w.c").write_text(PAIR_TREE)
-    index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=2)])
-    points = locate(ranking, _ranked(["w.c"]), index)
+TWO_ON_ONE_LINE = """\
+int
+swap (const char *a, const char *b)
+{
+  if (rename (a, b) < 0 && unlink (b) < 0)
+    return -1;
+  return 0;
+}
+"""
+
+UNCONNECTED = (
+    "static void a1 (const char *p) { rename (p, \"bak\"); }\n"
+    "static void b1 (const char *p) { unlink (p); }\n"
+)
+
+PAIR = ("unlink", "rename")
+
+
+def _around(file: str, function: str, syscall: str, line: int) -> list[tuple]:
+    """The before and the after point of one site."""
+    return [(file, function, syscall, line, placement, None) for placement in ("before", "after")]
+
+
+#: case -> (files, items of each ranking entry, ranked files, top_files or None
+#: for the default, points as (file, function, syscall, line, placement,
+#: partner's (function, syscall, line) or None), the warning locate logs or None)
+LOCATIONS = {
     # both combinations live in one function; rename@6/unlink@7 is the
     # closest pair, anchored at the earlier line
-    assert len(points) == 1
-    point = points[0]
-    assert (point.syscall, point.line, point.placement) == ("rename", 6, "between-pair")
-    assert (point.pair_partner.syscall, point.pair_partner.line) == ("unlink", 7)
-
-
-def test_pair_point_anchors_at_the_second_member_whose_function_reaches_the_first(
-    tmp_path, caplog
-):
+    "pair point at minimal line distance": (
+        {"w.c": PAIR_TREE}, [PAIR], ["w.c"], None,
+        [("w.c", "worker", "rename", 6, "between-pair", ("worker", "unlink", 7))], None),
     # unlink comes first in the file, but only outer (rename) reaches inner
     # (unlink), over two calls, so the call graph puts rename first
-    (tmp_path / "w.c").write_text(
-        "int inner (void) { unlink (\"a\"); }\n"
-        "int middle (void) { inner (); }\n"
-        "int outer (void) { middle (); rename (\"a\", \"b\"); }\n"
-    )
-    index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=2)])
-    with caplog.at_level("WARNING"):
-        (point,) = locate(ranking, _ranked(["w.c"]), index)
-    assert (point.syscall, point.function, point.line) == ("rename", "outer", 3)
-    assert point.pair_partner == Site("unlink", "w.c", "inner", 1)
-    assert not caplog.records  # the pair is connected
-
-
-def test_singletons_give_before_and_after_per_site(tmp_path):
-    (tmp_path / "w.c").write_text(PAIR_TREE)
-    index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[RankEntry(items=("unlink",), frequency=2)])
-    points = locate(ranking, _ranked(["w.c"]), index)
-    assert [(p.line, p.placement) for p in points] == [
-        (4, "before"), (4, "after"), (7, "before"), (7, "after"),
-    ]
-    assert [p.rank for p in points] == [1, 2, 3, 4]
-
-
-def test_locate_walks_files_outer_entries_inner(tmp_path):
-    (tmp_path / "one.c").write_text("int f (void) { unlink (\"a\"); }\n")
-    (tmp_path / "two.c").write_text("int g (void) { rename (\"a\", \"b\"); }\n")
-    index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(
-        entries=[
-            RankEntry(items=("rename",), frequency=3),
-            RankEntry(items=("unlink",), frequency=1),
-        ]
-    )
-    points = locate(ranking, _ranked(["two.c", "one.c"]), index)
+    "pair anchors at the second member whose function reaches the first": (
+        {"w.c": "int inner (void) { unlink (\"a\"); }\n"
+                "int middle (void) { inner (); }\n"
+                "int outer (void) { middle (); rename (\"a\", \"b\"); }\n"},
+        [PAIR], ["w.c"], None,
+        [("w.c", "outer", "rename", 3, "between-pair", ("inner", "unlink", 1))], None),
+    "singletons give before and after per site": (
+        {"w.c": PAIR_TREE}, [("unlink",)], ["w.c"], None,
+        [*_around("w.c", "worker", "unlink", 4), *_around("w.c", "worker", "unlink", 7)], None),
     # rank-1 file first even though its entry is lower-ranked than the other file's
-    assert [(p.file, p.syscall) for p in points] == [
-        ("two.c", "rename"), ("two.c", "rename"),
-        ("one.c", "unlink"), ("one.c", "unlink"),
-    ]
+    "files outer, entries inner": (
+        {"one.c": "int f (void) { unlink (\"a\"); }\n",
+         "two.c": "int g (void) { rename (\"a\", \"b\"); }\n"},
+        [("rename",), ("unlink",)], ["two.c", "one.c"], None,
+        [*_around("two.c", "g", "rename", 1), *_around("one.c", "f", "unlink", 1)], None),
+    "top_files budget": (
+        {"one.c": "int f (void) { unlink (\"a\"); }\n",
+         "two.c": "int g (void) { unlink (\"b\"); }\n"},
+        [("unlink",)], ["one.c", "two.c"], 1,
+        _around("one.c", "f", "unlink", 1), None),
+    "no sites give no points and one diagnostic": (
+        {"one.c": "int f (void) { return 0; }\n"}, [("unlink",)], ["one.c"], None, [],
+        "no instrumentation points found in the top 10 files"),
+    "no entries instrument every site in line order": (
+        {"w.c": PAIR_TREE}, [], ["w.c"], None,
+        [*_around("w.c", "worker", "unlink", 4), *_around("w.c", "worker", "rename", 6),
+         *_around("w.c", "worker", "unlink", 7)], None),
+    # the caller's site anchors and the callee's is the partner, despite its lower line
+    "cross-function pair in call-graph order": (
+        {"w.c": "static void low (const char *p) { rename (p, \"bak\"); }\n"
+                "int high (const char *p) { unlink (p); low (p); return 0; }\n"},
+        [PAIR], ["w.c"], None,
+        [("w.c", "high", "unlink", 2, "between-pair", ("low", "rename", 1))], None),
+    "unconnected pair falls back to line order": (
+        {"w.c": UNCONNECTED}, [PAIR], ["w.c"], None,
+        [("w.c", "a1", "rename", 1, "between-pair", ("b1", "unlink", 2))],
+        "1 pair(s) span unconnected functions, using file-line order; "
+        "first: (unlink,rename) b1/a1 in w.c"),
+    "cross-function pair takes each member's earliest site": (
+        {"w.c": "static void f1 (const char *p) { unlink (p); }\n"
+                "static void f2 (const char *p) { rename (p, \"a\"); }\n"
+                "static void f3 (const char *p) { unlink (p); }\n"
+                "static void f4 (const char *p) { rename (p, \"b\"); }\n"},
+        [PAIR], ["w.c"], None,
+        [("w.c", "f1", "unlink", 1, "between-pair", ("f2", "rename", 2))],
+        "1 pair(s) span unconnected functions, using file-line order; "
+        "first: (unlink,rename) f1/f2 in w.c"),
+    "unconnected pairs warn once per locate": (
+        {"v.c": UNCONNECTED, "w.c": UNCONNECTED}, [PAIR], ["v.c", "w.c"], None,
+        [("v.c", "a1", "rename", 1, "between-pair", ("b1", "unlink", 2)),
+         ("w.c", "a1", "rename", 1, "between-pair", ("b1", "unlink", 2))],
+        "2 pair(s) span unconnected functions, using file-line order; "
+        "first: (unlink,rename) b1/a1 in v.c"),
+    # one function name, one line, a different syscall per file: every point
+    # must carry the syscall of its own file
+    "one function name in two files keeps each file's syscall": (
+        {"v.c": "static void step (const char *p) { unlink (p); }\n",
+         "w.c": "static void step (const char *p) { rename (p, p); }\n"},
+        [], ["w.c", "v.c"], None,
+        [*_around("w.c", "step", "rename", 1), *_around("v.c", "step", "unlink", 1)], None),
+    # one function, one line: the earlier call in the line anchors the pair
+    "sites on one line anchor the pair at the earlier call": (
+        {"w.c": TWO_ON_ONE_LINE}, [PAIR], ["w.c"], None,
+        [("w.c", "swap", "rename", 4, "between-pair", ("swap", "unlink", 4))], None),
+    "sites on one line keep their own syscalls": (
+        {"w.c": TWO_ON_ONE_LINE}, [], ["w.c"], None,
+        [*_around("w.c", "swap", "rename", 4), *_around("w.c", "swap", "unlink", 4)], None),
+}
 
 
-def test_locate_respects_top_files_budget(tmp_path):
-    (tmp_path / "one.c").write_text("int f (void) { unlink (\"a\"); }\n")
-    (tmp_path / "two.c").write_text("int g (void) { unlink (\"b\"); }\n")
+@pytest.mark.parametrize("row", list(LOCATIONS))
+def test_locate(row, tmp_path, caplog):
+    files, entries, ranked, top_files, want, warning = LOCATIONS[row]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[RankEntry(items=("unlink",), frequency=1)])
-    points = locate(ranking, _ranked(["one.c", "two.c"]), index, top_files=1)
-    assert {p.file for p in points} == {"one.c"}
-
-
-def test_locate_no_sites_returns_empty_with_diagnostic(tmp_path, caplog):
-    (tmp_path / "one.c").write_text("int f (void) { return 0; }\n")
-    index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[RankEntry(items=("unlink",), frequency=1)])
+    ranking = PairRanking(entries=[RankEntry(items=items, frequency=1) for items in entries])
+    budget = {} if top_files is None else {"top_files": top_files}
     with caplog.at_level("WARNING"):
-        points = locate(ranking, _ranked(["one.c"]), index)
-    assert points == []
-    assert any("no instrumentation points" in r.message for r in caplog.records)
-
-
-def test_locate_enumerate_all_instruments_every_site(tmp_path):
-    (tmp_path / "w.c").write_text(PAIR_TREE)
-    index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[])
-    points = locate(ranking, _ranked(["w.c"]), index)
-    # 3 sites (unlink@4, rename@6, unlink@7) x before/after, in line order
-    assert [(p.syscall, p.line, p.placement) for p in points] == [
-        ("unlink", 4, "before"), ("unlink", 4, "after"),
-        ("rename", 6, "before"), ("rename", 6, "after"),
-        ("unlink", 7, "before"), ("unlink", 7, "after"),
-    ]
-
-
-def test_cross_function_pair_uses_call_graph_order(tmp_path):
-    (tmp_path / "w.c").write_text(
-        "static void low (const char *p) { rename (p, \"bak\"); }\n"
-        "int high (const char *p) { unlink (p); low (p); return 0; }\n"
-    )
-    index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=1)])
-    points = locate(ranking, _ranked(["w.c"]), index)
-    assert len(points) == 1
-    # caller's site anchors; callee's is the partner, despite lower line number
-    assert points[0].syscall == "unlink"
-    assert points[0].function == "high"
-    assert points[0].pair_partner.function == "low"
-
-
-def test_cross_function_unconnected_falls_back_to_line_order(tmp_path, caplog):
-    (tmp_path / "w.c").write_text(
-        "static void a1 (const char *p) { rename (p, \"bak\"); }\n"
-        "static void b1 (const char *p) { unlink (p); }\n"
-    )
-    index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=1)])
-    with caplog.at_level("WARNING"):
-        points = locate(ranking, _ranked(["w.c"]), index)
-    assert points[0].syscall == "rename"  # earlier line wins
-    assert any("unconnected functions" in r.message for r in caplog.records)
-
-
-def test_unconnected_pairs_warn_once_per_locate(tmp_path, caplog):
-    for name in ("v.c", "w.c"):
-        (tmp_path / name).write_text(
-            "static void a1 (const char *p) { rename (p, \"bak\"); }\n"
-            "static void b1 (const char *p) { unlink (p); }\n"
-        )
-    index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=1)])
-    with caplog.at_level("WARNING"):
-        points = locate(ranking, _ranked(["v.c", "w.c"]), index)
-    assert len(points) == 2
-    warnings = [r.getMessage() for r in caplog.records if "unconnected" in r.getMessage()]
-    assert len(warnings) == 1
-    assert warnings[0].startswith("2 pair(s) span unconnected functions")
-    assert warnings[0].endswith("first: (unlink,rename) b1/a1 in v.c")
+        points = locate(ranking, _ranked(ranked), index, **budget)
+    assert [p.rank for p in points] == list(range(1, len(points) + 1))
+    assert all(p.pair_partner.file == p.file for p in points if p.pair_partner is not None)
+    assert [(p.file, p.function, p.syscall, p.line, p.placement,
+             None if s is None else (s.function, s.syscall, s.line))
+            for p in points for s in [p.pair_partner]] == want
+    assert [r.getMessage() for r in caplog.records] == ([warning] if warning else [])
 
 
 def test_mv_fixture_point_one_is_the_buggy_pair(mv_ranking, mv_ranked_files, mv_index):
@@ -351,47 +337,6 @@ def test_mv_fixture_point_one_is_the_buggy_pair(mv_ranking, mv_ranked_files, mv_
     assert (first.pair_partner.syscall, first.pair_partner.line) == ("rename", 309)
     assert [p.rank for p in points] == list(range(1, len(points) + 1))
 
-
-def test_same_function_name_in_two_files_keeps_each_files_syscall(tmp_path):
-    # one function name, one line, a different syscall per file: every point
-    # must carry the syscall of its own file
-    (tmp_path / "v.c").write_text("static void step (const char *p) { unlink (p); }\n")
-    (tmp_path / "w.c").write_text("static void step (const char *p) { rename (p, p); }\n")
-    index = index_tree(tmp_path, SYSCALLS)
-    ranking = PairRanking(entries=[])
-    points = locate(ranking, _ranked(["w.c", "v.c"]), index)
-    assert [(p.file, p.syscall, p.placement) for p in points] == [
-        ("w.c", "rename", "before"), ("w.c", "rename", "after"),
-        ("v.c", "unlink", "before"), ("v.c", "unlink", "after"),
-    ]
-
-
-TWO_ON_ONE_LINE = """\
-int
-swap (const char *a, const char *b)
-{
-  if (rename (a, b) < 0 && unlink (b) < 0)
-    return -1;
-  return 0;
-}
-"""
-
-
-def test_sites_on_one_line_keep_their_own_syscalls(tmp_path, caplog):
-    (tmp_path / "w.c").write_text(TWO_ON_ONE_LINE)
-    index = index_tree(tmp_path, SYSCALLS)
-    pair = PairRanking(entries=[RankEntry(items=("unlink", "rename"), frequency=1)])
-    with caplog.at_level("WARNING"):
-        (point,) = locate(pair, _ranked(["w.c"]), index)
-    # one function, one line: the earlier call in the line anchors the pair
-    assert (point.syscall, point.line) == ("rename", 4)
-    assert (point.pair_partner.syscall, point.pair_partner.line) == ("unlink", 4)
-    assert not caplog.records
-    every = locate(PairRanking(entries=[]), _ranked(["w.c"]), index)
-    assert [(p.syscall, p.line, p.placement) for p in every] == [
-        ("rename", 4, "before"), ("rename", 4, "after"),
-        ("unlink", 4, "before"), ("unlink", 4, "after"),
-    ]
 
 
 # --- the index's site map -----------------------------------------------------------

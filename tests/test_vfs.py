@@ -6,17 +6,13 @@ from itertools import product
 
 import pytest
 
+from conftest import fs_state
 from racerepro.harness import SyscallOp
 from racerepro.vfs import (
     CONTENT,
-    EACCES,
-    EEXIST,
-    EISDIR,
-    ENOENT,
     KIND_DIR,
     KIND_FILE,
     MODE,
-    OK,
     OPS,
     PATH,
     Node,
@@ -26,159 +22,98 @@ from racerepro.vfs import (
 )
 
 
-def _fs(**files: str) -> VirtualFS:
+def _tree(tree: dict) -> VirtualFS:
+    """A filesystem from a row's tree: ``path: content`` is a file of mode
+    0o644, ``path: (kind, mode, content)`` any node, and ``"alias=src": None``
+    a hard link to an earlier path."""
     fs = VirtualFS()
-    for path, content in files.items():
-        fs.paths[path] = Node(kind=KIND_FILE, mode=0o644, content=content)
+    for path, node in tree.items():
+        if "=" in path:
+            alias, src = path.split("=")
+            fs.paths[alias] = fs.paths[src]
+        else:
+            fs.paths[path] = Node(KIND_FILE, 0o644, node) if isinstance(node, str) else Node(*node)
     return fs
 
 
-def _do(fs: VirtualFS, syscall: str, *args) -> str:
-    return fs.apply(syscall, tuple(args))
+#: law -> (tree before, ops in order as (kind, *args, result), tree after).
+#: A result is the string ``apply`` returns, "ok" or an errno name.
+OP_LAWS = {
+    # --- happy paths
+    "rename moves node then stat sees it": (
+        {"bar": "payload"}, [("rename", "bar", "foo", "ok"), ("stat", "foo", "ok")],
+        {"foo": "payload"}),
+    "rename replaces destination atomically": (
+        {"bar": "new", "foo": "old"}, [("rename", "bar", "foo", "ok"), ("read", "foo", "ok")],
+        {"foo": "new"}),
+    "unlink then open is ENOENT": (
+        {"foo": "x"}, [("unlink", "foo", "ok"), ("open", "foo", "ENOENT")], {}),
+    "read keeps content": ({"foo": "hello"}, [("read", "foo", "ok")], {"foo": "hello"}),
+    "write updates content": ({"foo": "old"}, [("write", "foo", "new", "ok")], {"foo": "new"}),
+    "chmod changes only mode": (
+        {"foo": "keep"}, [("chmod", "foo", 0o444, "ok")], {"foo": (KIND_FILE, 0o444, "keep")}),
+    "mkdir and mknod create with modes": (
+        {}, [("mkdir", "d", 0o700, "ok"), ("mknod", "f", 0o600, "ok")],
+        {"d": (KIND_DIR, 0o700, ""), "f": (KIND_FILE, 0o600, "")}),
+    "mkdir and mknod default modes": (
+        {}, [("mkdir", "d", "ok"), ("mknod", "f", "ok")], {"d": (KIND_DIR, 0o755, ""), "f": ""}),
+    "close always succeeds": ({}, [("close", "ghost", "ok")], {}),
+    # a write needs any one write bit, whoever's it is
+    "write with group write bit only": (
+        {"g": (KIND_FILE, 0o020, "old")}, [("write", "g", "new", "ok")],
+        {"g": (KIND_FILE, 0o020, "new")}),
+    "write with other write bit only": (
+        {"o": (KIND_FILE, 0o002, "old")}, [("write", "o", "new", "ok")],
+        {"o": (KIND_FILE, 0o002, "new")}),
+    # --- hard links
+    "link aliases share writes": (
+        {"src": "v1"},
+        [("link", "src", "alias", "ok"), ("write", "alias", "v2", "ok"),
+         ("chmod", "src", 0o400, "ok")],
+        {"src": (KIND_FILE, 0o400, "v2"), "alias=src": None}),
+    "unlink one alias keeps the other": (
+        {"src": "v1"},
+        [("link", "src", "alias", "ok"), ("unlink", "src", "ok"), ("read", "alias", "ok")],
+        {"alias": "v1"}),
+    "rename preserves aliasing": (
+        {"src": "v1"},
+        [("link", "src", "alias", "ok"), ("rename", "alias", "moved", "ok"),
+         ("write", "moved", "v2", "ok")],
+        {"src": "v2", "moved=src": None}),
+    # --- errno results, never exceptions
+    **{f"missing path is ENOENT on {op[0]}": ({}, [(*op, "ENOENT")], {}) for op in [
+        ("open", "nope"), ("read", "nope"), ("write", "nope", "x"), ("unlink", "nope"),
+        ("rename", "nope", "dst"), ("link", "nope", "dst"), ("chmod", "nope", 0o644),
+        ("stat", "nope"),
+    ]},
+    "link to existing destination is EEXIST": (
+        {"src": "a", "dst": "b"}, [("link", "src", "dst", "EEXIST")], {"src": "a", "dst": "b"}),
+    "mkdir mknod on existing path is EEXIST": (
+        {"f": "x"}, [("mkdir", "f", "EEXIST"), ("mknod", "f", "EEXIST")], {"f": "x"}),
+    "write without write bit is EACCES": (
+        {"ro": (KIND_FILE, 0o444, "keep")}, [("write", "ro", "clobber", "EACCES")],
+        {"ro": (KIND_FILE, 0o444, "keep")}),
+    "write with no write bit but execute bits is EACCES": (
+        {"rx": (KIND_FILE, 0o555, "keep")}, [("write", "rx", "clobber", "EACCES")],
+        {"rx": (KIND_FILE, 0o555, "keep")}),
+    "unlink directory is EISDIR": (
+        {}, [("mkdir", "d", "ok"), ("unlink", "d", "EISDIR")], {"d": (KIND_DIR, 0o755, "")}),
+    "stat detail is kind and octal mode": (
+        {}, [("mkdir", "d", 0o750, "ok"), ("stat", "d", "ok")], {"d": (KIND_DIR, 0o750, "")}),
+}
 
 
-# --- happy paths ----------------------------------------------------------------
-
-def test_rename_moves_node_then_stat_sees_it():
-    fs = _fs(bar="payload")
-    assert _do(fs, "rename", "bar", "foo") == OK
-    assert fs.node("bar") is None
-    assert _do(fs, "stat", "foo") == OK
-    node = fs.node("foo")
-    assert (node.kind, node.mode) == (KIND_FILE, 0o644)
+@pytest.mark.parametrize("row", list(OP_LAWS))
+def test_op_law(row):
+    before, ops, after = OP_LAWS[row]
+    fs = _tree(before)
+    for kind, *args, result in ops:
+        assert fs.apply(kind, tuple(args)) == result, (kind, args)
+    assert fs_state(fs) == fs_state(_tree(after))
 
 
-def test_rename_replaces_destination_atomically():
-    fs = _fs(bar="new", foo="old")
-    assert _do(fs, "rename", "bar", "foo") == OK
-    assert _do(fs, "read", "foo") == OK
-    assert fs.node("foo").content == "new"
-
-
-def test_unlink_then_open_is_enoent():
-    fs = _fs(foo="x")
-    assert _do(fs, "unlink", "foo") == OK
-    assert _do(fs, "open", "foo") == ENOENT
-
-
-def test_read_reports_content_in_detail():
-    fs = _fs(foo="hello")
-    assert _do(fs, "read", "foo") == OK
-    assert fs.node("foo").content == "hello"
-
-
-def test_write_updates_content():
-    fs = _fs(foo="old")
-    assert _do(fs, "write", "foo", "new") == OK
-    assert fs.node("foo").content == "new"
-
-
-def test_chmod_changes_only_mode():
-    fs = _fs(foo="keep")
-    assert _do(fs, "chmod", "foo", 0o444) == OK
-    node = fs.node("foo")
-    assert (node.mode, node.content, node.kind) == (0o444, "keep", KIND_FILE)
-
-
-def test_mkdir_and_mknod_create_with_modes():
-    fs = VirtualFS()
-    assert _do(fs, "mkdir", "d", 0o700) == OK
-    assert _do(fs, "mknod", "f", 0o600) == OK
-    assert (fs.node("d").kind, fs.node("d").mode) == (KIND_DIR, 0o700)
-    assert (fs.node("f").kind, fs.node("f").mode) == (KIND_FILE, 0o600)
-
-
-def test_mkdir_and_mknod_default_modes():
-    fs = VirtualFS()
-    _do(fs, "mkdir", "d")
-    _do(fs, "mknod", "f")
-    assert fs.node("d").mode == 0o755
-    assert fs.node("f").mode == 0o644
-
-
-def test_close_always_succeeds():
-    assert _do(VirtualFS(), "close", "ghost") == OK
-
-
-# --- hard links -----------------------------------------------------------------
-
-def test_link_aliases_share_writes():
-    fs = _fs(src="v1")
-    assert _do(fs, "link", "src", "alias") == OK
-    _do(fs, "write", "alias", "v2")
-    assert fs.node("src").content == "v2"
-    _do(fs, "chmod", "src", 0o400)
-    assert fs.node("alias").mode == 0o400
-
-
-def test_unlink_one_alias_keeps_the_other():
-    fs = _fs(src="v1")
-    _do(fs, "link", "src", "alias")
-    assert _do(fs, "unlink", "src") == OK
-    assert _do(fs, "read", "alias") == OK
-    assert fs.node("alias").content == "v1"
-
-
-def test_rename_preserves_aliasing():
-    fs = _fs(src="v1")
-    _do(fs, "link", "src", "alias")
-    _do(fs, "rename", "alias", "moved")
-    _do(fs, "write", "moved", "v2")
-    assert fs.node("src").content == "v2"
-    assert fs.node("src") is fs.node("moved")
-
-
-# --- errno results, never exceptions --------------------------------------------
-
-@pytest.mark.parametrize(
-    "syscall,args",
-    [
-        ("open", ("nope",)),
-        ("read", ("nope",)),
-        ("write", ("nope", "x")),
-        ("unlink", ("nope",)),
-        ("rename", ("nope", "dst")),
-        ("link", ("nope", "dst")),
-        ("chmod", ("nope", 0o644)),
-        ("stat", ("nope",)),
-    ],
-)
-def test_missing_path_is_enoent_event(syscall, args):
-    assert _do(VirtualFS(), syscall, *args) == ENOENT
-
-
-def test_link_to_existing_destination_is_eexist():
-    fs = _fs(src="a", dst="b")
-    assert _do(fs, "link", "src", "dst") == EEXIST
-    assert fs.node("dst").content == "b"
-
-
-def test_mkdir_mknod_on_existing_path_is_eexist():
-    fs = _fs(f="x")
-    assert _do(fs, "mkdir", "f") == EEXIST
-    assert _do(fs, "mknod", "f") == EEXIST
-
-
-def test_write_without_write_bit_is_eacces():
-    fs = VirtualFS()
-    fs.paths["ro"] = Node(kind=KIND_FILE, mode=0o444, content="keep")
-    assert _do(fs, "write", "ro", "clobber") == EACCES
-    assert fs.node("ro").content == "keep"
-
-
-def test_unlink_directory_is_eisdir():
-    fs = VirtualFS()
-    _do(fs, "mkdir", "d")
-    assert _do(fs, "unlink", "d") == EISDIR
-    assert fs.node("d") is not None
-
-
-def test_stat_detail_is_kind_and_octal_mode():
-    fs = VirtualFS()
-    _do(fs, "mkdir", "d", 0o750)
-    assert _do(fs, "stat", "d") == OK
-    node = fs.node("d")
-    assert (node.kind, node.mode) == (KIND_DIR, 0o750)
+def test_every_op_has_a_law():
+    assert set(OPS) <= {kind for _before, ops, _after in OP_LAWS.values() for kind, *_ in ops}
 
 
 # --- op table -------------------------------------------------------------------
@@ -202,11 +137,8 @@ _ARG_VALUES = {PATH: ("f", "d", "a", "b", "z"), CONTENT: ("x",), MODE: (0o444, 0
 
 
 def _linked_fs(f_mode: int) -> VirtualFS:
-    fs = _fs(f="f0")
-    fs.paths["f"].mode = f_mode
-    fs.paths["d"] = Node(kind=KIND_DIR, mode=0o755)
-    fs.paths["a"] = fs.paths["b"] = Node(kind=KIND_FILE, mode=0o644, content="a0")
-    return fs
+    return _tree({"f": (KIND_FILE, f_mode, "f0"), "d": (KIND_DIR, 0o755, ""), "a": "a0",
+                  "b=a": None})
 
 
 @pytest.mark.parametrize("syscall", list(OPS))
