@@ -70,7 +70,6 @@ class FunctionRecord:
 
 @dataclass
 class CallGraph:
-    nodes: set[str] = field(default_factory=set)
     edges: dict[str, set[str]] = field(default_factory=dict)
 
     def add_edge(self, caller: str, callee: str) -> None:
@@ -92,7 +91,7 @@ class CallGraph:
 
 
 class Site(NamedTuple):
-    """One syscall call site in the source; equal to its plain tuple."""
+    """A syscall called at one source location; equal to its plain tuple."""
 
     syscall: str
     file: str
@@ -101,18 +100,21 @@ class Site(NamedTuple):
 
 
 def _file_sites(records: list[FunctionRecord], syscall_names: frozenset[str]) -> list[Site]:
-    """Every call site of one file's functions that names a syscall.
+    """The sites of one file's calls that name a syscall, one per location.
 
-    Sites are in file order, by line and then by token: definitions open only
-    at brace depth zero, so bodies never nest, and the scan appends each
-    record, its call sites in token order, when its body closes.
+    A location is (file, function, line), as a point, a ``src_map`` key and
+    a delay name it, so two calls of one syscall on one line are one site:
+    a second would only repeat the first's points.  Sites are in file order,
+    by line and then by token, each at its first call: definitions open
+    only at brace depth zero, so bodies never nest, and the scan appends
+    each record, its call sites in token order, when its body closes.
     """
-    return [
+    return list(dict.fromkeys(
         Site(name, record.file, record.name, line)
         for record in records
         for name, line in record.call_sites
         if name in syscall_names
-    ]
+    ))
 
 
 @dataclass
@@ -337,40 +339,30 @@ def _build_index(
     syscall_names: frozenset[str],
     diagnostics: list[str],
 ) -> SourceIndex:
-    """Scan (relative path, bytes) pairs into a SourceIndex."""
-    per_file = _index_files(sources)
-    docs = [doc for _file_functions, doc in per_file]
-    functions = [record for file_functions, _doc in per_file for record in file_functions]
-
-    graph = CallGraph(nodes={f.name for f in functions})
-    for record in functions:
-        for callee, _line in record.call_sites:
-            if callee in graph.nodes:
-                graph.add_edge(record.name, callee)
-
-    return SourceIndex(
-        docs=docs,
-        field_indexes=retrieval.build_field_indexes(docs),
-        functions=functions,
-        graph=graph,
-        diagnostics=diagnostics,
-        sites={doc.path: _file_sites(records, syscall_names) for records, doc in per_file},
-    )
-
-
-def _index_files(
-    sources: list[tuple[str, bytes]],
-) -> list[tuple[list[FunctionRecord], SourceDoc]]:
-    """Each file's function records and retrieval document, in file order."""
-    per_file: list[tuple[list[FunctionRecord], SourceDoc]] = []
-    terms: dict[str, TokenStream] = {}  # raw word -> its terms, for this call only
+    """Scan (relative path, bytes) pairs into a SourceIndex: each file's
+    document, records and sites in one pass, then the call graph and the
+    field indexes."""
+    docs: list[SourceDoc] = []
+    functions: list[FunctionRecord] = []
+    sites: dict[str, list[Site]] = {}
+    terms: dict[str, TokenStream] = {}  # raw word -> its terms, for this build only
     for rel, data in sources:
         text = data.decode("utf-8", errors="replace")
-        file_functions, variables = _scan_file(rel, text)
-        texts = (rel.rpartition("/")[2], " ".join(f.name for f in file_functions),
+        records, variables = _scan_file(rel, text)
+        texts = (rel.rpartition("/")[2], " ".join(f.name for f in records),
                  " ".join(variables), text)
-        doc = SourceDoc(path=rel, fields={
+        docs.append(SourceDoc(path=rel, fields={
             name: preprocess(field_text, MODE_C_SOURCE, terms)
-            for name, field_text in zip(retrieval.FIELD_NAMES, texts)})
-        per_file.append((file_functions, doc))
-    return per_file
+            for name, field_text in zip(retrieval.FIELD_NAMES, texts)}))
+        functions.extend(records)
+        sites[rel] = _file_sites(records, syscall_names)
+
+    graph = CallGraph()
+    names = {f.name for f in functions}
+    for record in functions:
+        for callee, _line in record.call_sites:
+            if callee in names:
+                graph.add_edge(record.name, callee)
+
+    return SourceIndex(docs=docs, field_indexes=retrieval.build_field_indexes(docs),
+                       functions=functions, graph=graph, diagnostics=diagnostics, sites=sites)

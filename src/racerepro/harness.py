@@ -447,7 +447,7 @@ def _node_key(progress: list[int], open_failed: bool, paths: dict[str, Node]) ->
                    for p, n in sorted(paths.items())]))
 
 
-def random_baseline(scn: Scenario, runs: int = 100, seed: int = 0) -> ReproResult:
+def random_baseline(scn: Scenario, runs: int = DEFAULT_MAX_ATTEMPTS, seed: int = 0) -> ReproResult:
     """Unassisted baseline: uniform random interleavings until failure or budget.
 
     Each run shuffles the multiset of process tokens; the k-th occurrence of

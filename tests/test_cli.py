@@ -679,6 +679,10 @@ MALFORMED = {
         "field 'processes': wrong JSON type (expected str, got dict)"),
     "scenario-op-no-kind": ("scenario", lambda p: p["processes"][0]["trace"][0].pop("kind"),
                             "field 'processes': missing field 'kind'"),
+    # an argument past the op's row is read as text, and the arity check refuses it
+    "scenario-op-extra-arg": (
+        "scenario", lambda p: p["processes"][0]["trace"][0].update(args=["foo", "bar"]),
+        "field 'processes': unlink takes 1..1 args, got ('foo', 'bar')"),
     "scenario-chmod-mode-bool": (
         "scenario", lambda p: p["processes"][0]["trace"].append(
             {"kind": "chmod", "args": ["foo", True]}),
@@ -728,6 +732,11 @@ MALFORMED = {
     # octal digits alone, but past 0o7777
     "scenario-mode-above-7777": ("scenario", lambda p: p["initial_fs"][0].update(mode="17777"),
                                  "field 'initial_fs': mode '17777' is outside 0..7777 (octal)"),
+    # one past each bound ("0" and "7777" load)
+    "scenario-mode-10000": ("scenario", lambda p: p["initial_fs"][0].update(mode="10000"),
+                            "field 'initial_fs': mode '10000' is outside 0..7777 (octal)"),
+    "scenario-mode-int-minus-1": ("scenario", lambda p: p["initial_fs"][0].update(mode=-1),
+                                  "field 'initial_fs': mode -1 is outside 0..7777 (octal)"),
     # only files and dirs are modelled
     "scenario-kind-socket": ("scenario", lambda p: p["initial_fs"][0].update(kind="socket"),
                              "field 'initial_fs': unknown initial_fs kind: 'socket'"),

@@ -20,6 +20,7 @@ from racerepro.csource import (
     _SCAN_RE,
     CallGraph,
     FunctionRecord,
+    Site,
     _line_of,
     _line_starts,
     _scan_file,
@@ -51,12 +52,6 @@ do_move (const char *a, const char *b)
   return stat (b, 0);
 }
 """
-
-
-@pytest.fixture()
-def snippet_index(tmp_path):
-    (tmp_path / "mover.c").write_text(SNIPPET)
-    return index_tree(tmp_path, SYSCALLS)
 
 
 # --- what the scanner reads and skips -------------------------------------------
@@ -212,85 +207,85 @@ def test_mask_edge_cases_match_oracle(text):
     assert _code_tokens(text) == _oracle_tokens(text)
 
 
-def test_unterminated_char_literal_ends_at_its_line(tmp_path):
-    (tmp_path / "old.c").write_text(
-        "#if 0\n"
-        "it's old\n"
-        "#endif\n"
-        "int f (void) { return unlink (\"x\"); }\n"
-        "int g (void) { return 'a'; }\n"
-        "int h (void) { return 0; }\n"
-    )
-    index = index_tree(tmp_path, SYSCALLS)
-    assert [f.name for f in index.functions] == ["f", "g", "h"]
-    assert index.sites["old.c"] == [("unlink", "old.c", "f", 4)]
-
-
-def test_directive_after_a_block_comment_is_not_code(tmp_path):
-    (tmp_path / "wrap.c").write_text(
-        "/* hdr */ #define WRAP(f) { f (); }\n"
-        "int k (void) { return close (0); }\n"
-    )
-    index = index_tree(tmp_path, SYSCALLS)
-    assert [f.name for f in index.functions] == ["k"]
-    assert index.graph.nodes == {"k"}
-
-
 # --- scanning -------------------------------------------------------------------
 
-def test_function_records(snippet_index):
-    names = [f.name for f in snippet_index.functions]
-    assert names == ["remove_target", "do_move"]
-    remove_target = snippet_index.functions[0]
-    assert remove_target.file == "mover.c"
-    assert remove_target.start_line <= 7 <= remove_target.end_line
+#: case -> (files; each function as (file, name, start line, end line);
+#: each file's sites as (syscall, function, line); the call-graph edges)
+SCANS = {
+    "records, sites and edges of a snippet": (
+        {"mover.c": SNIPPET},
+        [("mover.c", "remove_target", 5, 10), ("mover.c", "do_move", 13, 19)],
+        {"mover.c": [("unlink", "remove_target", 7), ("rename", "do_move", 16),
+                     ("stat", "do_move", 18)]}, {"do_move": {"remove_target"}}),
+    "a syscall named outside a call is no site": (
+        {"c.c": "#define RM(p) unlink (p)\n"
+                "int f (const char *p) {\n"
+                "  int (*rm) (const char *) = unlink;  /* unlink (p) */\n"
+                "  return rm (p) + unlink (p);\n}\n"},
+        [("c.c", "f", 2, 5)], {"c.c": [("unlink", "f", 4)]}, {}),
+    # h is defined after g calls it, in the next file; printf is defined nowhere
+    "edges join the tree's functions only": (
+        {"g.c": "int g (void) { return h (); }\n",
+         "h.c": "int h (void) { g (); return printf (\"x\"); }\n"},
+        [("g.c", "g", 1, 1), ("h.c", "h", 1, 1)], {"g.c": [], "h.c": []},
+        {"g": {"h"}, "h": {"g"}}),
+    # the quote in "it's" ends at its line, so the code below it is read
+    "an unterminated char literal ends at its line": (
+        {"old.c": "#if 0\nit's old\n#endif\n"
+                  "int f (void) { return unlink (\"x\"); }\n"
+                  "int g (void) { return 'a'; }\n"
+                  "int h (void) { return 0; }\n"},
+        [("old.c", "f", 4, 4), ("old.c", "g", 5, 5), ("old.c", "h", 6, 6)],
+        {"old.c": [("unlink", "f", 4)]}, {}),
+    # WRAP's body is part of the directive: no function f, no call of f
+    "a directive after a block comment is not code": (
+        {"wrap.c": "/* hdr */ #define WRAP(f) { f (); }\n"
+                   "int k (void) { return close (0); }\n"},
+        [("wrap.c", "k", 2, 2)], {"wrap.c": [("close", "k", 2)]}, {}),
+    # one site per (syscall, function, line), at its first call, as with
+    # mv's ``if (fsync (fd) != 0 && fsync (fd) != 0)``
+    "two calls of one syscall on one line are one site": (
+        {"t.c": "int twice (int fd, const char *p) {\n"
+                "  if (close (fd) != 0 && stat (p, 0) != 0 && close (fd) != 0)\n"
+                "    return -1;\n  return 0;\n}\n"},
+        [("t.c", "twice", 1, 5)], {"t.c": [("close", "twice", 2), ("stat", "twice", 2)]}, {}),
+}
 
 
-def _syscall_sites(index, syscall: str) -> list[tuple[str, str, int]]:
-    """Every call-position site of a syscall: (file, function, line), sorted."""
-    sites = [
-        (record.file, record.name, line)
-        for record in index.functions
-        for name, line in record.call_sites
-        if name == syscall
-    ]
-    return sorted(sites, key=lambda s: (s[0], s[2]))
-
-
-def test_syscall_sites_exclude_comments_and_strings(snippet_index):
-    sites = _syscall_sites(snippet_index, "unlink")
-    # exactly one real unlink call: line 7
-    assert sites == [("mover.c", "remove_target", 7)]
-    assert _syscall_sites(snippet_index, "rename") == [("mover.c", "do_move", 16)]
-    assert _syscall_sites(snippet_index, "stat") == [("mover.c", "do_move", 18)]
+@pytest.mark.parametrize("row", list(SCANS))
+def test_scan(row, tmp_path):
+    files, functions, sites, edges = SCANS[row]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    index = index_tree(tmp_path, SYSCALLS)
+    assert [(f.file, f.name, f.start_line, f.end_line) for f in index.functions] == functions
+    assert index.sites == {path: [Site(syscall, path, function, line)
+                                  for syscall, function, line in file_sites]
+                           for path, file_sites in sites.items()}
+    assert index.graph.edges == edges
 
 
 def test_sites_match_line_scanner_oracle(mv_index):
     """Independent oracle: regex over the masking oracle's lines, scoped to
-    function spans.
+    function spans, one site per line.
 
     The scanner records the called identifier's line; the regex oracle only
     recognizes single-line calls, which is all the fixture trees use.
     """
-    src_root = Path(__file__).resolve().parent.parent / "fixtures" / "mv_438076" / "src"
-    for syscall in ("unlink", "rename", "link"):
+    # mv calls fsync twice on one line and read twice on another
+    for syscall in ("unlink", "rename", "link", "fsync", "read"):
         expected = []
         for record in mv_index.functions:
-            masked = _mask_code_oracle((src_root / record.file).read_text())
+            masked = _mask_code_oracle((MV_DIR / "src" / record.file).read_text())
             for lineno, line in enumerate(masked.splitlines(), start=1):
                 if record.start_line <= lineno <= record.end_line and re.search(
                     rf"\b{syscall}\s*\(", line
                 ):
                     expected.append((record.file, record.name, lineno))
         expected.sort(key=lambda s: (s[0], s[2]))
-        assert _syscall_sites(mv_index, syscall) == expected, syscall
-
-
-def test_call_graph_edges(snippet_index):
-    graph = snippet_index.graph
-    assert graph.edges["do_move"] == {"remove_target"}
-    assert graph.reaches("do_move", "remove_target")
-    assert not graph.reaches("remove_target", "do_move")
+        got = [(s.file, s.function, s.line)
+               for sites in mv_index.sites.values() for s in sites if s.syscall == syscall]
+        assert got == expected, syscall
 
 
 def test_mv_call_graph_reaches_do_link(mv_index):
@@ -299,7 +294,7 @@ def test_mv_call_graph_reaches_do_link(mv_index):
 
 
 def test_call_graph_reaches_over_several_calls():
-    graph = CallGraph(nodes={"a", "b", "c", "d"})
+    graph = CallGraph()
     for caller, callee in [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]:
         graph.add_edge(caller, callee)
     assert graph.reaches("a", "d")  # a -> b -> c -> d
@@ -308,8 +303,9 @@ def test_call_graph_reaches_over_several_calls():
     assert not graph.reaches("x", "a")  # not a node: no edges leave it
 
 
-def test_variable_field_collects_identifiers(snippet_index):
-    doc = snippet_index.docs[0]
+def test_variable_field_collects_identifiers(tmp_path):
+    (tmp_path / "mover.c").write_text(SNIPPET)
+    doc = index_tree(tmp_path, SYSCALLS).docs[0]
     assert "path" in doc.fields["variable_names"]
     assert doc.fields["file_name"] == ["mover", "c"]
 
@@ -733,9 +729,10 @@ def test_the_least_recently_used_index_is_the_one_forgotten(tmp_path, monkeypatc
     assert built == [("a.c",), ("b.c",), ("c.c",), ("d.c",)]
 
 
-def test_unreadable_source_file_logs_one_warning_per_build(monkeypatch, caplog):
+@pytest.mark.parametrize("refused", [("cache.c",), ("cache.c", "copy.c")], ids=["one", "two"])
+def test_unreadable_source_file_logs_one_warning_per_build(monkeypatch, caplog, refused):
     def refusing(path, *args, **kwargs):
-        if os.fspath(path).endswith("cache.c"):
+        if os.path.basename(path) in refused:
             raise PermissionError(13, "Permission denied", path)
         return open(path, *args, **kwargs)
 
@@ -744,13 +741,15 @@ def test_unreadable_source_file_logs_one_warning_per_build(monkeypatch, caplog):
     with caplog.at_level("WARNING", logger="racerepro.csource"):
         index = index_tree(MV_DIR / "src", SYSCALLS)
         assert index_tree(MV_DIR / "src", SYSCALLS) is index  # a memo hit logs nothing
-    assert len(index.docs) == 10
-    assert index.diagnostics == [
-        f"skipped cache.c: [Errno 13] Permission denied: '{MV_DIR / 'src' / 'cache.c'}'"
+    assert len(index.docs) == 11 - len(refused)
+    assert index.diagnostics == [  # in file order
+        f"skipped {name}: [Errno 13] Permission denied: '{MV_DIR / 'src' / name}'"
+        for name in refused
     ]
     (record,) = caplog.records
     assert (record.name, record.levelname) == ("racerepro.csource", "WARNING")
-    assert record.getMessage() == f"1 source file(s) skipped; first: {index.diagnostics[0]}"
+    assert record.getMessage() == (
+        f"{len(refused)} source file(s) skipped; first: {index.diagnostics[0]}")
 
 
 def test_a_tree_of_unreadable_source_files_is_refused(monkeypatch):

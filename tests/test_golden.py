@@ -36,7 +36,7 @@ DIGESTS = {
     "pipeline-mv": {
         "keys.json": "a64a52ef20420d8da5a364825c1ec8e375abd5922b989062c18337bb0a8b501b",
         "pair_ranking.json": "49591e9d84f2650bb6d299f999199aa339f6ec1fbbd44879ab27852b69f70fba",
-        "points.json": "9070bc7681cbcca722b6ea38f5c3519212b2f5cf1fdb7723877f53f134397092",
+        "points.json": "42ad6bbb6b53a9545c618b091b5c961fbb2cc376c116b0af74ff6257cd75bc40",
         "ranked_files.json": "8c89d7d9c830c39148a9791d223aaa60bc93a5c1cfaee70475c15cb157ae59ca",
         "repro.json": "d8f195b9842c831d973879cb39d2de9ef16cee18a0095c8232097901555b40cd",
         "schedule.txt": "f26cd405c88787f2e462fbd517acf716cd72d22f7df1bff85aeb4679dfd78be1",

@@ -116,7 +116,7 @@ def test_scenario_rejects_duplicate_process_names():
         )
 
 
-@pytest.mark.parametrize("target", [("ghost", 0), ("p", 5)])
+@pytest.mark.parametrize("target", [("ghost", 0), ("p", 1), ("p", -1)])  # p has one op
 def test_scenario_rejects_dangling_src_map(target):
     with pytest.raises(ValueError):
         Scenario(
@@ -162,12 +162,13 @@ def test_load_parses_octal_modes(tmp_path):
     out.write_text(
         '{"id": "s", "processes": [{"name": "p", "trace": '
         '[{"kind": "chmod", "args": ["f", "755"]}]}], '
-        '"initial_fs": [{"path": "f", "mode": "640"}], '
+        '"initial_fs": [{"path": "f", "mode": "640"}, {"path": "g", "mode": "0"}, '
+        '{"path": "h", "mode": "7777"}], '
         '"oracle": {"kind": "final-mode", "path": "f", "mode": "755"}}'
     )
     scn = load_scenario(out)
     assert scn.processes[0][1][0].args == ("f", 0o755)
-    assert scn.initial_fs[0].mode == 0o640
+    assert [entry.mode for entry in scn.initial_fs] == [0o640, 0, 0o7777]
     assert scn.oracle.expected_mode == 0o755
 
 
@@ -329,15 +330,17 @@ def test_enumerate_mv_finds_exactly_one_failure(mv_scenario):
     assert failing[0].steps == (("mv", 0), ("cat", 0), ("mv", 1))
 
 
-def test_enumerate_disjoint_paths_never_fails():
+@pytest.mark.parametrize("ops, oracle", [
+    ([("mknod", "left"), ("mknod", "right")], Oracle(kind="path-missing", path="left")),
+    # both fail with ENOENT, but only an open of the oracle's path trips it
+    ([("unlink", "gone"), ("open", "other")], Oracle(kind="open-enoent", path="gone")),
+], ids=["disjoint paths", "ENOENT off the watched open"])
+def test_enumerate_never_fails_where_no_op_trips_the_oracle(ops, oracle):
     scn = Scenario(
-        id="disjoint",
-        processes=[
-            ("a", [SyscallOp("mknod", ("left",))]),
-            ("b", [SyscallOp("mknod", ("right",))]),
-        ],
+        id="never-fails",
+        processes=[(name, [SyscallOp(kind, (path,))]) for name, (kind, path) in zip("ab", ops)],
         initial_fs=[],
-        oracle=Oracle(kind="path-missing", path="left"),
+        oracle=oracle,
     )
     results = enumerate_interleavings(scn)
     assert len(results) == 2
@@ -637,6 +640,8 @@ REPRODUCTIONS = {
                                            _gz("before", 57)], 100,
                          (True, 8, 7, False), "schedule"),
     "gzip, no budget": ("gzip_scenario", [_gz("after", 52)], 0, (False, 0, None, False), ""),
+    "mv, budget 1": ("mv_scenario", [_mv("between-pair", 307), _mv("before", 309)], 1,
+                     (True, 1, 0, False), ""),
     "mv, shared delays, budget 0": ("mv_scenario", MV_SHARED, 0, (False, 0, None, False), ""),
     "mv, shared delays, budget 3": ("mv_scenario", MV_SHARED, 3, (False, 3, None, False), ""),
     "mv, shared delays, budget 100": ("mv_scenario", MV_SHARED, 100, (True, 7, 6, False),

@@ -306,6 +306,10 @@ LOCATIONS = {
     "sites on one line keep their own syscalls": (
         {"w.c": TWO_ON_ONE_LINE}, [], ["w.c"], None,
         [*_around("w.c", "swap", "rename", 4), *_around("w.c", "swap", "unlink", 4)], None),
+    # one location, one site: mv's ``if (fsync (fd) != 0 && fsync (fd) != 0)``
+    "two calls of one syscall on one line give one point before and one after": (
+        {"w.c": "int twice (int fd) { if (close (fd) != 0 && close (fd) != 0) return -1; }\n"},
+        [("close",)], ["w.c"], None, _around("w.c", "twice", "close", 1), None),
 }
 
 
@@ -342,9 +346,9 @@ def test_mv_fixture_point_one_is_the_buggy_pair(mv_ranking, mv_ranked_files, mv_
 # --- the index's site map -----------------------------------------------------------
 
 def _sites_by_grouping(index, path: str, names: frozenset[str]) -> list[Site]:
-    """Group every record by file, keep its calls to ``names``, then sort the
-    file's sites by line: the site list the index keeps for the file, built
-    another way."""
+    """Group every record by file, keep its calls to ``names``, sort the
+    file's sites by line, then drop repeats: the site list the index keeps
+    for the file, built another way."""
     by_file = {}
     for record in index.functions:
         by_file.setdefault(record.file, []).append(record)
@@ -355,7 +359,7 @@ def _sites_by_grouping(index, path: str, names: frozenset[str]) -> list[Site]:
         if name in names
     ]
     sites.sort(key=lambda s: s.line)
-    return sites
+    return list(dict.fromkeys(sites))
 
 
 def _nested_tree(root):
