@@ -4,6 +4,10 @@ A transcription of the algorithm as published (M. F. Porter, "An algorithm
 for suffix stripping", Program 14(3), 1980), without the extensions that
 some library implementations layer on top.  Bundling the stemmer keeps
 token normalization bit-reproducible across environments.
+
+A step finds its rule among the few suffixes that end in the word's last
+letter.  The consonant/vowel pattern of an ASCII word without a ``y`` is one
+``str.translate``; other words take a per-character loop.
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 _VOWELS = frozenset("aeiou")
+_ASCII_NOT_Y = "".join(map(chr, range(128))).replace("y", "")
+_KINDS = str.maketrans(
+    _ASCII_NOT_Y, "".join("v" if ch in _VOWELS else "c" for ch in _ASCII_NOT_Y))
 
 
 def _pattern(word: str) -> str:
@@ -18,6 +25,8 @@ def _pattern(word: str) -> str:
 
     A y counts as a vowel when preceded by a consonant, else as a consonant.
     """
+    if "y" not in word and word.isascii():
+        return word.translate(_KINDS)
     out = []
     kind = "v"
     for ch in word:
@@ -49,41 +58,49 @@ def _ends_cvc(word: str) -> bool:
     return _pattern(word).endswith("cvc") and word[-1] not in "wxy"
 
 
+def _by_last_letter(table: dict[str, str]) -> dict[str, list[tuple[str, str]]]:
+    """``table``'s (suffix, replacement) rows filed by last letter, longest first."""
+    rows: dict[str, list[tuple[str, str]]] = {}
+    for sfx in sorted(table, key=len, reverse=True):
+        rows.setdefault(sfx[-1], []).append((sfx, table[sfx]))
+    return rows
+
+
 # Rule tables for steps 1a and 2-4, suffix -> replacement; within a step the
 # longest matching suffix is selected and its condition tested once (no
 # fallthrough), per Porter (1980).  Step 1a has no condition ("ss" keeps ss).
-_STEP1A = {"sses": "ss", "ies": "i", "ss": "ss", "s": ""}
-_STEP2 = {
+_STEP1A = _by_last_letter({"sses": "ss", "ies": "i", "ss": "ss", "s": ""})
+_STEP2 = _by_last_letter({
     "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
     "izer": "ize", "abli": "able", "alli": "al", "entli": "ent",
     "eli": "e", "ousli": "ous", "ization": "ize", "ation": "ate",
     "ator": "ate", "alism": "al", "iveness": "ive", "fulness": "ful",
     "ousness": "ous", "aliti": "al", "iviti": "ive", "biliti": "ble",
-}
-_STEP3 = {
+})
+_STEP3 = _by_last_letter({
     "icate": "ic", "ative": "", "alize": "al", "iciti": "ic",
     "ical": "ic", "ful": "", "ness": "",
-}
-_STEP4 = dict.fromkeys([
+})
+_STEP4 = _by_last_letter(dict.fromkeys([
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-], "")
-_LONGEST_SUFFIX = max(map(len, [*_STEP1A, *_STEP2, *_STEP3, *_STEP4]))
+], ""))
 
 
-def _replace_suffix(word: str, table: dict[str, str], min_measure: int) -> str:
+def _replace_suffix(word: str, table: dict[str, list[tuple[str, str]]], min_measure: int) -> str:
     """Steps 1a and 2-4: swap the longest suffix of ``word`` in ``table``
     for its replacement when the stem left has a measure of at least
-    ``min_measure`` (and, for step 4's ``ion``, ends in s or t)."""
-    for n in range(min(len(word), _LONGEST_SUFFIX), 0, -1):
-        sfx = word[-n:]
-        if sfx in table:
-            stem = word[:-n]
+    ``min_measure`` (and, for step 4's ``ion``, ends in s or t).  Only the
+    rows under the word's last letter are tried, longest first; two suffixes
+    of one length cannot both end a word, so the first match is the longest."""
+    for sfx, rep in table.get(word[-1:], ()):
+        if word.endswith(sfx):
+            stem = word[: -len(sfx)]
             if _measure(stem) < min_measure:
                 return word
             if sfx == "ion" and not stem.endswith(("s", "t")):
                 return word
-            return stem + table[sfx]
+            return stem + rep
     return word
 
 

@@ -8,19 +8,25 @@ so a regression in any step surfaces as a vector mismatch.
 ``reference_stem`` is the earlier, rule-by-rule body of the stemmer (a
 recursive consonant test, one function per step, suffix lists scanned in
 full).  The table-driven ``stem`` must agree with it on every word of the
-fixtures and bundled data and on generated words ending in Porter suffixes.
+fixtures and bundled data, on generated words ending in Porter suffixes, on
+generated words over ``a``-``z``, ``y`` runs, ``_``, digits and one non-ASCII
+letter, and on ``_``-joined compounds of the fixtures' identifier parts built
+as the benchmark's tree generator builds them.  Its consonant/vowel pattern
+must read each character as the reference consonant test does.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, MV_DIR, ROOT
+from conftest import FIXTURES, MV_DIR, ROOT, load_bench_gen
 from racerepro.cli import EXIT_OK, main
 from racerepro.reports import tokenize
-from racerepro.stem import stem
+from racerepro.stem import _pattern, stem
 
 
 # --- reference body -----------------------------------------------------------
@@ -232,6 +238,7 @@ VECTORS = {
     "fizzed": "fizz",
     "failing": "fail",
     "filing": "file",
+    "sayyed": "sayi",  # the last y of "ayy" is a vowel, so "yy" is no double consonant
     # step 1c
     "happy": "happi",
     "sky": "sky",
@@ -328,6 +335,11 @@ def test_memoized_stem_equals_uncached(word: str) -> None:
     assert stem(word) == stem.__wrapped__(word)  # second call is a cache hit
 
 
+def test_memo_is_bounded_at_8192_words() -> None:
+    # memory stays flat however many trees one process indexes
+    assert stem.cache_info().maxsize == 8192
+
+
 # --- the table-driven body against the reference --------------------------------
 
 #: every suffix a Porter step tests, so generated words reach every rule
@@ -359,6 +371,38 @@ def test_stem_equals_reference_on_corpus_words() -> None:
 )
 def test_stem_equals_reference_on_suffixed_words(head: str, suffix: str) -> None:
     assert stem(head + suffix) == reference_stem(head + suffix)
+
+
+#: identifier-like words: letters with extra weight on ``y`` (whose kind
+#: depends on the letter before it), ``_``, digits and one non-ASCII letter
+IDENT_ALPHABET = "abcdefghijklmnopqrstuvwxyz" + "yyy" + "_0123456789" + "\u00e9"
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(
+    word=st.text(alphabet=IDENT_ALPHABET, max_size=14),
+    suffix=st.sampled_from(["", *PORTER_SUFFIXES]),
+)
+def test_stem_equals_reference_on_identifier_words(word: str, suffix: str) -> None:
+    assert stem.__wrapped__(word + suffix) == reference_stem(word + suffix)
+
+
+def test_stem_equals_reference_on_generated_compound_identifiers() -> None:
+    gen = load_bench_gen()
+    names = gen.Names(gen.Vocab(ROOT), random.Random("stem compounds"))
+    words = [names.ident(parts) for parts in (1, 2, 2, 2, 3) for _ in range(600)]
+    words += [f"{word}_{i}" for i, word in enumerate(words[:200])]
+    assert len(set(words)) == len(words) > 3000
+    assert [w for w in words if stem.__wrapped__(w) != reference_stem(w)] == []
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(word=st.text(alphabet=st.characters(max_codepoint=0xFF), max_size=12)
+       | st.text(alphabet=IDENT_ALPHABET, max_size=12))
+@example(word="".join(map(chr, range(128))).replace("y", ""))  # all ASCII but y
+def test_pattern_reads_each_character_as_the_reference_consonant_test(word: str) -> None:
+    expected = "".join("c" if _is_consonant(word, i) else "v" for i in range(len(word)))
+    assert _pattern(word) == expected
 
 
 def test_long_run_of_ys_stems_without_recursion() -> None:
