@@ -5,8 +5,9 @@ text reads its code tokens (identifiers and ``( ) { } ;``) and skips
 comments, string/char literals and preprocessor lines whole, so token
 offsets, and the line numbers taken from them, are those of the original
 text; each token is handled as it is matched, with no token list and no
-look-ahead.  Function definitions are detected as ``identifier (args) {``
-at brace depth zero.  Within each body, identifiers in call position
+look-ahead, and each line number is counted on from the last offset
+asked.  Function definitions are detected as ``identifier (args) {`` at
+brace depth zero.  Within each body, identifiers in call position
 (``name (`` after trivia) become call sites; everything else contributes
 to the variable-name field (an over-approximation that is harmless for
 TF-IDF).
@@ -31,7 +32,6 @@ rebuild its index.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import os
 import re
@@ -46,9 +46,6 @@ from .reports import MODE_C_SOURCE, TokenStream, preprocess, reading, utf8_name
 log = logging.getLogger(__name__)
 
 SOURCE_SUFFIXES = (".c", ".h")
-
-_NEWLINE_RE = re.compile("\n")
-
 
 # --- domain types -----------------------------------------------------------
 
@@ -153,15 +150,6 @@ _SCAN_RE = re.compile(
 )
 
 
-def _line_starts(text: str) -> list[int]:
-    """Offset of the first character of every line (0 for the first line)."""
-    return [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
-
-
-def _line_of(starts: list[int], pos: int) -> int:
-    return bisect.bisect_right(starts, pos)
-
-
 def _scan_file(rel_path: str, text: str) -> tuple[list[FunctionRecord], dict[str, None]]:
     """The function records of one file and its variable names, in
     first-occurrence order.
@@ -169,9 +157,12 @@ def _scan_file(rel_path: str, text: str) -> tuple[list[FunctionRecord], dict[str
     The pass holds ``word``, an identifier that the next token makes a call
     site or a head if it is ``(`` and a variable if not; ``head``, an open
     top-level ``name ( ... )`` with its identifiers, a definition if ``{``
-    follows its ``)``; and ``current``, the open function.
+    follows its ``)``; and ``current``, the open function.  ``line`` is the
+    line of offset ``seen``, the last one asked: the offsets asked (a head,
+    then its body's call sites, then its ``}``) never decrease, so each
+    line is counted on from the last.
     """
-    starts = _line_starts(text)
+    line, seen = 1, 0
     functions: list[FunctionRecord] = []
     variables: dict[str, None] = {}
     word: str | None = None
@@ -191,7 +182,9 @@ def _scan_file(rel_path: str, text: str) -> tuple[list[FunctionRecord], dict[str
                 if current is None:
                     head, parens = (word, word_pos, []), 1
                 else:
-                    current.call_sites.append((word, _line_of(starts, word_pos)))
+                    line += text.count("\n", seen, word_pos)
+                    seen = word_pos
+                    current.call_sites.append((word, line))
                 word = None
                 continue
             variables[word] = None
@@ -207,7 +200,8 @@ def _scan_file(rel_path: str, text: str) -> tuple[list[FunctionRecord], dict[str
                 continue
             if tok == "{":
                 name, pos, params = head
-                line = _line_of(starts, pos)
+                line += text.count("\n", seen, pos)
+                seen = pos
                 current, depth = FunctionRecord(name, rel_path, line, line), 1
                 variables.update(dict.fromkeys(params))
                 head = None
@@ -221,7 +215,9 @@ def _scan_file(rel_path: str, text: str) -> tuple[list[FunctionRecord], dict[str
             elif tok == "}":
                 depth -= 1
                 if depth == 0:
-                    current.end_line = _line_of(starts, m.start())
+                    line += text.count("\n", seen, m.start())
+                    seen = m.start()
+                    current.end_line = line
                     functions.append(current)
                     current = None
 
@@ -229,7 +225,7 @@ def _scan_file(rel_path: str, text: str) -> tuple[list[FunctionRecord], dict[str
         variables[word] = None
     if current is not None:
         # unterminated body (truncated file): close at last line
-        current.end_line = len(starts)
+        current.end_line = line + text.count("\n", seen)
         functions.append(current)
     return functions, variables
 
@@ -356,6 +352,7 @@ def _build_index(
             for name, field_text in zip(retrieval.FIELD_NAMES, texts)}))
         functions.extend(records)
         sites[rel] = _file_sites(records, syscall_names)
+    del terms  # the field indexes read only the documents
 
     graph = CallGraph()
     names = {f.name for f in functions}

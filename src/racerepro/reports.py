@@ -3,6 +3,9 @@
 Every retrieval stage consumes token streams produced here.  The pipeline
 is the classic four-step normalization: lowercase/tokenize, stop-word
 removal, C reserved-word removal (for source text), Porter stemming.
+A raw word is a maximal run of ``[A-Za-z0-9_]``: one ``bytes.translate``
+over the text's ASCII encoding blanks every other character (a non-ASCII
+one is first its ``?``), and ``str.split`` yields the words.
 Stop-word and reserved-word lists are bundled data files so results are
 bit-reproducible.
 
@@ -33,7 +36,8 @@ TokenStream = list[str]
 MODE_TEXT = "natural-language"
 MODE_C_SOURCE = "c-source"
 
-_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
+#: each byte to itself if it is a word byte (``[A-Za-z0-9_]``), else to a blank
+_WORD_BYTES = bytes(b if bytes([b]).isalnum() or b == 0x5F else 0x20 for b in range(256))
 _CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 _SENTENCE_RE = re.compile(r"[.?!]+")
 
@@ -62,9 +66,22 @@ def split_identifier(token: str) -> list[str]:
     return _CAMEL_RE.findall(token)
 
 
+def _raw_words(text: str) -> list[str]:
+    """The raw words of text: its maximal runs of ``[A-Za-z0-9_]``."""
+    return text.encode("ascii", "replace").translate(_WORD_BYTES).decode("ascii").split()
+
+
+def _word_tokens(raw: str) -> TokenStream:
+    """One raw word lowercased, followed by its parts if it is a compound."""
+    parts = split_identifier(raw)
+    if len(parts) >= 2:
+        return [raw.lower(), *(part.lower() for part in parts)]
+    return [raw.lower()]
+
+
 def words(text: str) -> TokenStream:
     """Lowercased raw words, compounds kept whole: what exact-match scans want."""
-    return [raw.lower() for raw in _WORD_RE.findall(text)]
+    return [raw.lower() for raw in _raw_words(text)]
 
 
 def tokenize(text: str) -> TokenStream:
@@ -74,11 +91,8 @@ def tokenize(text: str) -> TokenStream:
     followed by their sub-tokens, bridging identifier and prose vocabulary.
     """
     tokens: TokenStream = []
-    for raw in _WORD_RE.findall(text):
-        tokens.append(raw.lower())
-        parts = split_identifier(raw)
-        if len(parts) >= 2:
-            tokens.extend(part.lower() for part in parts)
+    for raw in _raw_words(text):
+        tokens += _word_tokens(raw)
     return tokens
 
 
@@ -104,10 +118,10 @@ def preprocess(text: str, mode: str = MODE_TEXT, memo: dict | None = None) -> To
     """
     memo = {} if memo is None else memo
     out: TokenStream = []
-    for raw in _WORD_RE.findall(text):
+    for raw in _raw_words(text):
         terms = memo.get(raw)
         if terms is None:
-            terms = memo[raw] = preprocess_tokens(tokenize(raw), mode)
+            terms = memo[raw] = preprocess_tokens(_word_tokens(raw), mode)
         out += terms
     return out
 

@@ -28,6 +28,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .reports import MODE_C_SOURCE, BugReport, TokenStream, preprocess_tokens
@@ -80,14 +81,12 @@ def build_index(docs: list[tuple[str, TokenStream]]) -> TfIdfIndex:
     if not docs:
         raise ValueError("cannot build an index over an empty corpus")
     n_docs = len(docs)
-    df: Counter[str] = Counter()
     term_counts: dict[str, Counter[str]] = {}
     for doc_id, tokens in docs:
         if doc_id in term_counts:
             raise ValueError(f"duplicate document id: {doc_id!r}")
-        counts = Counter(tokens)
-        term_counts[doc_id] = counts
-        df.update(counts.keys())
+        term_counts[doc_id] = Counter(tokens)
+    df = Counter(chain.from_iterable(term_counts.values()))
 
     idf = {term: math.log(n_docs / count) for term, count in df.items()}
     norms = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import copy
 import os
 import random
@@ -21,8 +22,6 @@ from racerepro.csource import (
     CallGraph,
     FunctionRecord,
     Site,
-    _line_of,
-    _line_starts,
     _scan_file,
     index_tree,
 )
@@ -249,6 +248,22 @@ SCANS = {
                 "  if (close (fd) != 0 && stat (p, 0) != 0 && close (fd) != 0)\n"
                 "    return -1;\n  return 0;\n}\n"},
         [("t.c", "twice", 1, 5)], {"t.c": [("close", "twice", 2), ("stat", "twice", 2)]}, {}),
+    # an unterminated body closes at the last line, the empty one after a
+    # final newline included
+    "a truncated body ends at the last line": (
+        {"t.c": "int f (void) {\n  return close (0);\n"},
+        [("t.c", "f", 1, 3)], {"t.c": [("close", "f", 2)]}, {}),
+    "a truncated body without a final newline": (
+        {"t.c": "int f (void) {\n  return close (0);"},
+        [("t.c", "f", 1, 2)], {"t.c": [("close", "f", 2)]}, {}),
+    # a site is on its name's line, not its paren's
+    "a call whose paren is on the next line": (
+        {"t.c": "int f (void) {\n  return close\n    (0);\n}\n"},
+        [("t.c", "f", 1, 4)], {"t.c": [("close", "f", 2)]}, {}),
+    # a function starts on its name's line, not its brace's
+    "a head whose brace is lines below its name": (
+        {"t.c": "int\nf (int fd)\n\n{\n  return close (fd);\n}\n"},
+        [("t.c", "f", 2, 6)], {"t.c": [("close", "f", 5)]}, {}),
 }
 
 
@@ -310,10 +325,24 @@ def test_variable_field_collects_identifiers(tmp_path):
     assert doc.fields["file_name"] == ["mover", "c"]
 
 
+def _line_starts_loop(text: str) -> list[int]:
+    """Offset of the first character of every line, by a per-character loop."""
+    starts = [0]
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            starts.append(i + 1)
+    return starts
+
+
+def _line_of(starts: list[int], pos: int) -> int:
+    return bisect.bisect_right(starts, pos)
+
+
 def reference_scan(rel_path: str, text: str):
     """The body ``_scan_file`` had before the one-pass scan: a list of code
-    tokens walked by index, with a nested loop matching a head's parens."""
-    starts = _line_starts(text)
+    tokens walked by index, with a nested loop matching a head's parens,
+    each line looked up among the line starts."""
+    starts = _line_starts_loop(text)
     # (text, offset, is identifier) per code token
     toks = [
         (m.group(), m.start(), m.lastgroup == "ident")
@@ -388,15 +417,29 @@ def reference_scan(rel_path: str, text: str):
     return functions, variables
 
 
+def _assert_lines_read_true(text: str) -> None:
+    """Each record's lines, read in the text itself: its start line holds
+    its name, its end line its ``}`` (or is the last line, for a truncated
+    body) and each call site's line the name called."""
+    lines = text.split("\n")
+    for record in _scan_file("t.c", text)[0]:
+        assert record.name in lines[record.start_line - 1], text
+        assert "}" in lines[record.end_line - 1] or record.end_line == len(lines), text
+        for name, line in record.call_sites:
+            assert name in lines[line - 1], text
+
+
 def _assert_scans_agree(text: str, rel: str = "t.c") -> None:
     """Same records (name, file, lines, call sites) and the same variables
-    in the same order from ``_scan_file`` and ``reference_scan``."""
+    in the same order from ``_scan_file`` and ``reference_scan``, and each
+    record's lines true to the text."""
     def outcome(scan):
         functions, variables = scan(rel, text)
         records = [(f.name, f.file, f.start_line, f.end_line, f.call_sites) for f in functions]
         return records, list(variables)
 
     assert outcome(_scan_file) == outcome(reference_scan), text
+    _assert_lines_read_true(text)
 
 
 def test_scan_matches_reference_on_fixture_files():
@@ -532,28 +575,21 @@ def test_full_text_field_is_the_preprocessed_file(mv_index):
         assert doc.fields["full_text_with_comments"] == want, doc.path
 
 
-# --- line starts ----------------------------------------------------------------
-
-def _line_starts_loop(text: str) -> list[int]:
-    """The per-character loop ``_line_starts`` replaced, kept as its oracle."""
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-    return starts
-
+# --- line numbers ---------------------------------------------------------------
 
 @pytest.mark.parametrize("text", ["", "\n", "x", "a\n\nb", "a\nb\n", "\n\n\n"])
-def test_line_starts_edge_cases_match_loop(text):
-    assert _line_starts(text) == _line_starts_loop(text)
+def test_lines_are_counted_around_edge_texts(text):
+    # a closed body with a call split over two lines, and two truncated bodies
+    for shape in ("{0}f (a)\n{{{0}g\n(a);{0}}}{0}", "{0}f (a) {{{0}g (a);{0}",
+                  "{0}f (a) {{ g (a){0}"):
+        _assert_scans_agree(shape.format(text))
 
 
 @pytest.mark.parametrize("root", [MV_DIR / "src", GZIP_DIR / "src"])
-def test_line_starts_match_loop_on_fixtures(root):
+def test_lines_are_counted_on_masked_fixture_text(root):
+    # the raw files are scanned in test_scan_matches_reference_on_fixture_files
     for path in sorted(root.rglob("*.[ch]")):
-        text = path.read_text("utf-8", errors="replace")
-        for variant in (text, _mask_code_oracle(text)):
-            assert _line_starts(variant) == _line_starts_loop(variant), path
+        _assert_scans_agree(_mask_code_oracle(path.read_text("utf-8", errors="replace")), path.name)
 
 
 # --- the index memo ------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -146,6 +147,41 @@ def _split_identifier_loop(token: str) -> list[str]:
 @given(word=st.text(alphabet=st.sampled_from(list("aBcDxY09_")), min_size=1, max_size=24))
 def test_split_identifier_matches_per_chunk_loop(word):
     assert split_identifier(word) == _split_identifier_loop(word)
+
+
+def _assert_words_split_as_the_regex(text: str) -> None:
+    """``words``, ``tokenize`` and ``preprocess`` equal their forms built
+    from the regex the byte-table splitter replaced."""
+    raws = re.findall(r"[A-Za-z0-9_]+", text)
+    assert words(text) == [raw.lower() for raw in raws]
+    tokens = []
+    for raw in raws:
+        tokens.append(raw.lower())
+        parts = split_identifier(raw)
+        if len(parts) >= 2:
+            tokens.extend(part.lower() for part in parts)
+    assert tokenize(text) == tokens
+    for mode in (MODE_TEXT, MODE_C_SOURCE):
+        assert preprocess(text, mode) == preprocess_tokens(tokens, mode)
+
+
+#: word characters, the separators ``str.split`` takes for whitespace, a
+#: non-ASCII letter, NUL and a lone surrogate (as the input fuzz writes)
+_SPLIT_ALPHABET = [*"aBcDxY09_ \t\n.(", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                   "\u3000", "é", "\x00", "\ud800"]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(text=st.text(alphabet=st.sampled_from(_SPLIT_ALPHABET), max_size=40))
+def test_word_splitter_equals_the_regex(text):
+    _assert_words_split_as_the_regex(text)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(data=st.binary(max_size=60))
+def test_word_splitter_equals_the_regex_on_decoded_bytes(data):
+    # as ``index_tree`` decodes a source file
+    _assert_words_split_as_the_regex(data.decode("utf-8", errors="replace"))
 
 
 # --- preprocessing --------------------------------------------------------------
