@@ -20,6 +20,7 @@ import json
 import sys
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -312,7 +313,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="racerepro",
         description=(

@@ -89,10 +89,14 @@ def build_index(docs: list[tuple[str, TokenStream]]) -> TfIdfIndex:
     df = Counter(chain.from_iterable(term_counts.values()))
 
     idf = {term: math.log(n_docs / count) for term, count in df.items()}
-    norms = {
-        doc_id: _l2_norm(c * idf[t] for t, c in counts.items())
-        for doc_id, counts in term_counts.items()
-    }
+    # _l2_norm inlined: the same left-to-right sum from int 0, no generator
+    norms: dict[str, float] = {}
+    for doc_id, counts in term_counts.items():
+        total = 0
+        for t, c in counts.items():
+            w = c * idf[t]
+            total += w * w
+        norms[doc_id] = math.sqrt(total)
     return TfIdfIndex(idf=idf, counts=term_counts, norms=norms)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import sys
 from pathlib import Path
@@ -40,6 +41,29 @@ def fs_state(fs) -> dict[str, tuple[str, int, str, str]]:
     first: dict[int, str] = {}
     return {path: (node.kind, node.mode, node.content, first.setdefault(id(node), path))
             for path, node in sorted(fs.paths.items())}
+
+
+def no_cyclic_garbage(call) -> list:
+    """The objects that ``call()`` leaves to the cyclic garbage collector.
+
+    With the collector paused, runs the call and drops its result, then
+    collects under ``DEBUG_SAVEALL`` and returns every unreachable object
+    found (an empty list when reference counting freed everything).  The
+    collector's state is restored and ``gc.garbage`` emptied afterwards.
+    """
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        gc.collect()  # what earlier calls left is not this call's
+        call()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 # --- shared pipeline fixtures -------------------------------------------------
